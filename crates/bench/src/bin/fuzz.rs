@@ -28,113 +28,25 @@
 //! * `out=FILE` — stream the JSON-lines report to FILE (default:
 //!   stdout).
 //!
-//! Exits non-zero if any divergence is found: a precedence violation,
-//! an observed response above its analytic WCRT, or a deadline miss,
-//! under any execution order.
+//! A malformed argument exits 2 naming it. Exits 1 if any divergence
+//! is found: a precedence violation, an observed response above its
+//! analytic WCRT, or a deadline miss, under any execution order.
 
-use flexray_bench::fuzz::{render, run_fuzz, FuzzConfig};
-use flexray_bench::sweep::{parse_thread_count, search_mode, SweepAxis};
+use flexray_bench::args::{parse_env_or_exit, Kind, Plan};
+use flexray_bench::fuzz::{render, run_fuzz};
 use std::io::Write;
-
-fn usage_exit() -> ! {
-    eprintln!(
-        "usage: fuzz <nodes|depth|gateway|busutil>=<v1,v2,...> [more axes] \
-         [apps=N] [orders=s1,s2,...] [reps=N] [compress=on|off] \
-         [mode=fast|full|smoke] [threads=N] [eval_threads=N] [seed0=N] \
-         [out=FILE]"
-    );
-    std::process::exit(2);
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("fuzz: {msg}");
     std::process::exit(1);
 }
 
-fn parse_values<T: std::str::FromStr>(key: &str, s: &str) -> Vec<T> {
-    let values: Result<Vec<T>, _> = s.split(',').map(str::parse).collect();
-    match values {
-        Ok(v) if !v.is_empty() => v,
-        _ => {
-            eprintln!("fuzz: invalid value list '{s}' for '{key}'");
-            usage_exit()
-        }
-    }
-}
-
 fn main() {
-    let mut cfg = FuzzConfig::default();
-    let mut out_path: Option<String> = None;
-    // `mode=` replaces `cfg.params` wholesale, so remember the knob and
-    // apply it after the whole argument loop, order-independently.
-    let mut eval_threads: Option<usize> = None;
-
-    for arg in std::env::args().skip(1) {
-        let Some((key, value)) = arg.split_once('=') else {
-            eprintln!("fuzz: expected key=value, got '{arg}'");
-            usage_exit()
-        };
-        match key {
-            "nodes" => cfg
-                .axes
-                .push(SweepAxis::NodeCount(parse_values(key, value))),
-            "depth" => cfg
-                .axes
-                .push(SweepAxis::GraphDepth(parse_values(key, value))),
-            "gateway" => cfg
-                .axes
-                .push(SweepAxis::GatewayFraction(parse_values(key, value))),
-            "busutil" => cfg.axes.push(SweepAxis::BusUtil(parse_values(key, value))),
-            "apps" => match value.parse() {
-                Ok(apps) => cfg.apps_per_point = apps,
-                Err(_) => usage_exit(),
-            },
-            "orders" => cfg.order_seeds = parse_values(key, value),
-            "reps" => match value.parse() {
-                Ok(reps) => cfg.reps = reps,
-                Err(_) => usage_exit(),
-            },
-            "compress" => match value {
-                "on" => cfg.compress = true,
-                "off" => cfg.compress = false,
-                _ => usage_exit(),
-            },
-            "mode" => match search_mode(value) {
-                Some((params, _)) => cfg.params = params,
-                None => usage_exit(),
-            },
-            "threads" => match parse_thread_count(value) {
-                Ok(threads) => cfg.threads = threads,
-                Err(e) => {
-                    eprintln!("fuzz: {e}");
-                    std::process::exit(2);
-                }
-            },
-            "eval_threads" => match parse_thread_count(value) {
-                Ok(threads) => eval_threads = Some(threads),
-                Err(e) => {
-                    eprintln!("fuzz: {e}");
-                    std::process::exit(2);
-                }
-            },
-            "seed0" => match value.parse() {
-                Ok(seed0) => cfg.seed0 = seed0,
-                Err(_) => usage_exit(),
-            },
-            "out" => out_path = Some(value.to_owned()),
-            _ => {
-                eprintln!("fuzz: unknown option '{key}'");
-                usage_exit()
-            }
-        }
-    }
-    if let Some(threads) = eval_threads {
-        cfg.params.eval_threads = threads;
-    }
-    if cfg.axes.is_empty() {
-        eprintln!("fuzz: at least one axis is required");
-        usage_exit()
-    }
+    let args = parse_env_or_exit(Kind::Fuzz);
+    let Plan::Fuzz(cfg) = args.plan else {
+        unreachable!("fuzz arguments describe a fuzz campaign")
+    };
+    let out_path = args.out;
     if let Err(e) = cfg.validate() {
         fail(&e.to_string());
     }
@@ -142,13 +54,13 @@ fn main() {
     eprintln!(
         "Fuzz — {} axes, {} points, {} application(s) per point, \
          {} order seed(s) + canonical, {} hyperperiod(s), compression {}, seed0 {}",
-        cfg.axes.len(),
-        cfg.total_points(),
-        cfg.apps_per_point,
+        cfg.grid.axes.len(),
+        cfg.grid.total_points(),
+        cfg.grid.apps_per_point,
         cfg.order_seeds.len(),
         cfg.reps,
         if cfg.compress { "on" } else { "off" },
-        cfg.seed0,
+        cfg.grid.seed0,
     );
 
     let mut sink: Box<dyn Write> = match &out_path {

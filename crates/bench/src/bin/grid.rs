@@ -38,133 +38,25 @@
 //!   (a killed run leaves a well-formed prefix), re-run only the rest
 //!   and rewrite FILE in full; implies `out=FILE` unless `out` is
 //!   given. The file's header must match the configured grid.
+//!
+//! A malformed argument exits 2 naming it.
 
-use flexray_bench::grid::{render, run_grid_resumed, GridConfig, GridPoint, WorkloadSource};
+use flexray_bench::args::{parse_env_or_exit, Kind, Plan};
+use flexray_bench::grid::{render, run_grid_resumed, GridPoint};
 use flexray_bench::report::{from_jsonl, point_to_line, to_csv, GridReportHeader};
-use flexray_bench::sweep::{parse_algo_set, parse_thread_count, search_mode, SweepAxis};
-use flexray_bench::workload::Workload;
 use std::io::Write;
-
-fn usage_exit() -> ! {
-    eprintln!(
-        "usage: grid <nodes|depth|gateway|busutil|clusters>=<v1,v2,...> [more axes] \
-         [workload=FILE] [apps=N] [mode=fast|full|smoke] [threads=N] [eval_threads=N] \
-         [seed0=N] [algos=a,b,...] [out=FILE] [csv=FILE] [resume=FILE]"
-    );
-    std::process::exit(2);
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("grid: {msg}");
     std::process::exit(1);
 }
 
-fn parse_values<T: std::str::FromStr>(key: &str, s: &str) -> Vec<T> {
-    let values: Result<Vec<T>, _> = s.split(',').map(str::parse).collect();
-    match values {
-        Ok(v) if !v.is_empty() => v,
-        _ => {
-            eprintln!("grid: invalid value list '{s}' for axis '{key}'");
-            usage_exit()
-        }
-    }
-}
-
 fn main() {
-    let mut cfg = GridConfig {
-        axes: Vec::new(),
-        ..GridConfig::default()
+    let args = parse_env_or_exit(Kind::Grid);
+    let Plan::Grid(cfg) = args.plan else {
+        unreachable!("grid arguments describe a grid")
     };
-    let mut out_path: Option<String> = None;
-    let mut csv_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
-    // `mode=` replaces `cfg.params` wholesale, so remember the knob and
-    // apply it after the whole argument loop, order-independently.
-    let mut eval_threads: Option<usize> = None;
-
-    for arg in std::env::args().skip(1) {
-        let Some((key, value)) = arg.split_once('=') else {
-            eprintln!("grid: expected key=value, got '{arg}'");
-            usage_exit()
-        };
-        match key {
-            "nodes" => cfg
-                .axes
-                .push(SweepAxis::NodeCount(parse_values(key, value))),
-            "depth" => cfg
-                .axes
-                .push(SweepAxis::GraphDepth(parse_values(key, value))),
-            "gateway" => cfg
-                .axes
-                .push(SweepAxis::GatewayFraction(parse_values(key, value))),
-            "busutil" => cfg.axes.push(SweepAxis::BusUtil(parse_values(key, value))),
-            "clusters" => cfg.axes.push(SweepAxis::Clusters(parse_values(key, value))),
-            "workload" => {
-                let text = match std::fs::read_to_string(value) {
-                    Ok(text) => text,
-                    Err(e) => fail(&format!("cannot read workload '{value}': {e}")),
-                };
-                let workload = match Workload::import(&text) {
-                    Ok(workload) => workload,
-                    Err(e) => fail(&format!("workload '{value}': {e}")),
-                };
-                let name = std::path::Path::new(value)
-                    .file_stem()
-                    .map_or_else(|| value.to_owned(), |s| s.to_string_lossy().into_owned());
-                cfg.workload = Some(WorkloadSource { name, workload });
-            }
-            "apps" => match value.parse() {
-                Ok(apps) => cfg.apps_per_point = apps,
-                Err(_) => usage_exit(),
-            },
-            "mode" => match search_mode(value) {
-                Some((params, sa)) => {
-                    cfg.params = params;
-                    cfg.sa = sa;
-                }
-                None => usage_exit(),
-            },
-            "threads" => match parse_thread_count(value) {
-                Ok(threads) => cfg.threads = threads,
-                Err(e) => {
-                    eprintln!("grid: {e}");
-                    std::process::exit(2);
-                }
-            },
-            "eval_threads" => match parse_thread_count(value) {
-                Ok(threads) => eval_threads = Some(threads),
-                Err(e) => {
-                    eprintln!("grid: {e}");
-                    std::process::exit(2);
-                }
-            },
-            "seed0" => match value.parse() {
-                Ok(seed0) => cfg.seed0 = seed0,
-                Err(_) => usage_exit(),
-            },
-            "algos" => match parse_algo_set(value) {
-                Ok(algos) => cfg.algos = algos,
-                Err(e) => {
-                    eprintln!("grid: {e}");
-                    std::process::exit(2);
-                }
-            },
-            "out" => out_path = Some(value.to_owned()),
-            "csv" => csv_path = Some(value.to_owned()),
-            "resume" => resume_path = Some(value.to_owned()),
-            _ => {
-                eprintln!("grid: unknown option '{key}'");
-                usage_exit()
-            }
-        }
-    }
-    if let Some(threads) = eval_threads {
-        cfg.params.eval_threads = threads;
-    }
-    if cfg.axes.is_empty() && cfg.workload.is_none() {
-        eprintln!("grid: at least one axis (or a workload) is required");
-        usage_exit()
-    }
+    let (mut out_path, csv_path, resume_path) = (args.out, args.csv, args.resume);
     if let Err(e) = cfg.validate() {
         fail(&e.to_string());
     }

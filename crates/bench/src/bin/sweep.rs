@@ -1,118 +1,41 @@
 //! Generic single-axis scenario sweeps beyond the paper envelope.
 //!
-//! Usage: sweep [axis] [values] [apps] [fast|full|smoke] [threads] [seed0]
-//!        [algos] [eval_threads]
+//! Usage: `sweep <axis>=<v1,v2,...> [apps=N] [mode=fast|full|smoke]
+//! [threads=N] [eval_threads=N] [seed0=N] [algos=a,b,...]`
 //!
-//! * `axis` — `nodes`, `depth`, `gateway`, `busutil` or `clusters`
-//!   (default `nodes`);
-//! * `values` — comma-separated axis points, e.g. `2,8,12,20` for
-//!   `nodes`, `4,8,12` for `depth` (chain length), `0.0,0.25,0.5` for
-//!   `gateway`, `0.2,0.4,0.6` for `busutil`, `1,2,3` for `clusters`;
-//! * `apps` — applications (seeds) per point (default 3);
-//! * `fast` shrinks the search caps for a quick qualitative run and
-//!   `smoke` shrinks them further for CI; `full` keeps the defaults;
-//! * `threads` — worker threads (`0` = all cores, `1` = serial; both
-//!   produce bit-identical deterministic output);
-//! * `seed0` — base seed; application `i` of point `p` uses
-//!   `seed0 + 1000·p + i`;
-//! * `algos` — comma-separated subset of `bbc,obccf,obcee,sa`
-//!   (default all four; deviations are reported against SA when it is
-//!   in the set);
-//! * `eval_threads` — warm analysis sessions of the in-run parallel
+//! * exactly one axis — `nodes=2,8,12,20`, `depth=4,8,12` (chain
+//!   length), `gateway=0.0,0.25,0.5`, `busutil=0.2,0.4,0.6` or
+//!   `clusters=1,2,3`;
+//! * `apps=N` — applications (seeds) per point (default 3);
+//! * `mode=fast` shrinks the search caps for a quick qualitative run
+//!   and `mode=smoke` shrinks them further for CI; `full` (the default)
+//!   keeps the defaults;
+//! * `threads=N` — worker threads (`0` = all cores, the default; `1` =
+//!   serial; both produce bit-identical deterministic output);
+//! * `eval_threads=N` — warm analysis sessions of the in-run parallel
 //!   `Evaluator` (`0` = all cores, default `1` = serial; bit-identical
-//!   results for any value).
+//!   results for any value);
+//! * `seed0=N` — base seed; application `i` of point `p` uses
+//!   `seed0 + 1000·p + i`;
+//! * `algos=bbc,obccf,obcee,sa` — algorithm subset (default all four;
+//!   deviations are reported against SA when it is in the set).
+//!
+//! A malformed argument exits 2 naming it.
 
-use flexray_bench::sweep::{
-    parse_algo_set, parse_thread_count, render, run_sweep, search_mode, SweepAxis, SweepConfig,
-};
-
-fn parse_values<T: std::str::FromStr>(s: &str) -> Option<Vec<T>> {
-    let vals: Result<Vec<T>, _> = s.split(',').map(str::parse).collect();
-    vals.ok().filter(|v| !v.is_empty())
-}
-
-fn usage_exit() -> ! {
-    eprintln!(
-        "usage: sweep [nodes|depth|gateway|busutil|clusters] [v1,v2,...] [apps] \
-         [fast|full|smoke] [threads] [seed0] [algos] [eval_threads]"
-    );
-    std::process::exit(2);
-}
+use flexray_bench::args::{parse_env_or_exit, Kind, Plan};
+use flexray_bench::grid::run_grid;
+use flexray_bench::sweep::render;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let axis_name = args.first().map_or("nodes", String::as_str);
-    let values = args.get(1).map_or("2,5,10", String::as_str);
-    let axis = match axis_name {
-        "nodes" => parse_values(values).map(SweepAxis::NodeCount),
-        "depth" => parse_values(values).map(SweepAxis::GraphDepth),
-        "gateway" => parse_values(values).map(SweepAxis::GatewayFraction),
-        "busutil" => parse_values(values).map(SweepAxis::BusUtil),
-        "clusters" => parse_values(values).map(SweepAxis::Clusters),
-        _ => None,
+    let Plan::Grid(cfg) = parse_env_or_exit(Kind::Sweep).plan else {
+        unreachable!("sweep arguments describe a grid")
     };
-    let Some(axis) = axis else { usage_exit() };
-
-    let mut cfg = SweepConfig {
-        axis,
-        ..SweepConfig::default()
-    };
-    if let Some(s) = args.get(2) {
-        match s.parse() {
-            Ok(apps) => cfg.apps_per_point = apps,
-            Err(_) => usage_exit(),
-        }
-    }
-    if let Some(mode) = args.get(3) {
-        match search_mode(mode) {
-            Some((params, sa)) => {
-                cfg.params = params;
-                cfg.sa = sa;
-            }
-            None => usage_exit(),
-        }
-    }
-    if let Some(s) = args.get(4) {
-        match parse_thread_count(s) {
-            Ok(threads) => cfg.threads = threads,
-            Err(e) => {
-                eprintln!("sweep: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(s) = args.get(5) {
-        match s.parse() {
-            Ok(seed0) => cfg.seed0 = seed0,
-            Err(_) => usage_exit(),
-        }
-    }
-    if let Some(names) = args.get(6) {
-        // a typo must not silently shrink the algorithm set: reject
-        // unknown, empty and duplicate names with a proper error
-        match parse_algo_set(names) {
-            Ok(algos) => cfg.algos = algos,
-            Err(e) => {
-                eprintln!("sweep: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(s) = args.get(7) {
-        match parse_thread_count(s) {
-            Ok(threads) => cfg.params.eval_threads = threads,
-            Err(e) => {
-                eprintln!("sweep: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let axis = &cfg.axes[0];
     println!(
         "Sweep — axis {} ({} points), {} application(s) per point, algos {:?}, \
          {} worker thread(s), {} evaluator thread(s), seed0 {}",
-        cfg.axis.name(),
-        cfg.axis.len(),
+        axis.name(),
+        axis.len(),
         cfg.apps_per_point,
         cfg.algos.iter().map(|a| a.name()).collect::<Vec<_>>(),
         cfg.worker_threads(),
@@ -120,8 +43,8 @@ fn main() {
         cfg.seed0,
     );
     let reference = cfg.reference().map(|i| cfg.algos[i].name());
-    match run_sweep(&cfg) {
-        Ok(points) => println!("{}", render(cfg.axis.name(), reference, &points)),
+    match run_grid(&cfg) {
+        Ok(points) => println!("{}", render(axis.name(), reference, &points)),
         Err(e) => {
             eprintln!("sweep failed: {e}");
             std::process::exit(1);

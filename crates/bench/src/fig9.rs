@@ -10,157 +10,56 @@
 //! OBCEE stay within a few percent of SA; OBCCF is much faster than
 //! OBCEE.
 //!
-//! # Parallelism
+//! # The preset
 //!
-//! The applications of one point are embarrassingly parallel: each is
-//! generated from its own seed (`seed0 + 1000·n + i`) and optimised
-//! independently. [`run_experiment`] is a degenerate node-count grid on
+//! The experiment is the node-count [`GridConfig`] of [`grid`], run by
 //! the factorial [`grid`](crate::grid) engine: every `(point, seed)`
 //! pair is one unit on the shared work-stealing
-//! [`flexray_util::scoped_map`] pool
-//! ([`Fig9Config::threads`] workers, no external deps), and results
-//! merge by index — so every deterministic output — costs, chosen
-//! configurations, schedulability counts, deviations, evaluation
-//! counts — is bit-identical to a serial run (`threads = 1`). Only the
-//! measured wall-clock times differ, as they do between any two runs.
+//! [`flexray_util::scoped_consume`] pool, and results merge by index, so
+//! every deterministic output — costs, chosen configurations,
+//! schedulability counts, deviations, evaluation counts — is
+//! bit-identical to a serial run (`threads = 1`). Only the measured
+//! wall-clock times differ, as they do between any two runs.
 
-use crate::sweep::Algo;
+use crate::grid::{GridConfig, GridPoint, SeedPolicy};
+use crate::sweep::{Algo, SweepAxis};
 use flexray_gen::GeneratorConfig;
-use flexray_model::ModelError;
-use flexray_opt::{OptParams, SaParams};
 
-pub use crate::sweep::AlgoStats;
-
-/// Scale of the Fig. 9 experiment.
-#[derive(Debug, Clone)]
-pub struct Fig9Config {
-    /// Node counts to sweep (the paper generates sets for 2–7 and plots
-    /// 2–5).
-    pub node_counts: Vec<usize>,
-    /// Applications per node count (the paper uses 25).
-    pub apps_per_point: usize,
-    /// Optimiser parameters.
-    pub params: OptParams,
-    /// SA baseline parameters.
-    pub sa: SaParams,
-    /// Base RNG seed; application `i` of point `n` uses
-    /// `seed0 + 1000·n + i`.
-    pub seed0: u64,
-    /// Worker threads for the per-seed loop: `1` runs serially, `0`
-    /// uses the available hardware parallelism.
-    pub threads: usize,
-}
-
-impl Default for Fig9Config {
-    fn default() -> Self {
-        Fig9Config {
-            node_counts: vec![2, 3, 4, 5],
-            apps_per_point: 5,
-            params: OptParams::default(),
-            sa: SaParams::default(),
-            seed0: 42,
-            threads: 0,
-        }
-    }
-}
-
-impl Fig9Config {
-    /// The effective worker-thread count: `threads`, with `0` resolved
-    /// to the available hardware parallelism.
-    #[must_use]
-    pub fn worker_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.threads
-        }
-    }
-}
-
-/// All four algorithms on one node-count set.
-#[derive(Debug, Clone, Default)]
-pub struct PointStats {
-    /// Node count of the set.
-    pub n_nodes: usize,
-    /// Per-algorithm stats in order BBC, OBCCF, OBCEE, SA.
-    pub algos: Vec<(String, AlgoStats)>,
-}
-
-impl PointStats {
-    /// Equality over the deterministic fields (everything except the
-    /// measured wall-clock times) — the invariant the parallel runner
-    /// must preserve against a serial run.
-    #[must_use]
-    pub fn deterministic_eq(&self, other: &PointStats) -> bool {
-        self.n_nodes == other.n_nodes
-            && self.algos.len() == other.algos.len()
-            && self.algos.iter().zip(&other.algos).all(|(a, b)| {
-                a.0 == b.0
-                    && a.1.schedulable == b.1.schedulable
-                    && a.1.total == b.1.total
-                    && a.1.avg_deviation_pct == b.1.avg_deviation_pct
-                    && a.1.avg_evaluations == b.1.avg_evaluations
-            })
-    }
-}
-
-/// Runs the experiment: a degenerate one-axis node-count
-/// [`grid`](crate::grid) over the paper configuration. The grid's
-/// [`SeedPolicy::PointOffsets`](crate::grid::SeedPolicy) reproduces
-/// fig9's historical seed schedule (`seed0 + 1000·n + i`, seeded by
-/// *node count* rather than point index), so the deterministic output
-/// is bit-identical to the pre-grid implementation (locked down by the
-/// differential suite in `tests/grid.rs`).
-///
-/// # Errors
-///
-/// Propagates generator errors.
-pub fn run_experiment(cfg: &Fig9Config) -> Result<Vec<PointStats>, ModelError> {
-    if cfg.node_counts.is_empty() {
-        return Ok(Vec::new());
-    }
-    // paper(n) differs from any other paper(k) only in the node count,
-    // so the node-count axis over a paper base reproduces it exactly;
-    // paper phy is the bmw_like layer fig9 always used.
-    let grid = crate::grid::GridConfig {
+/// The Fig. 9 experiment over `node_counts`: all four algorithms on the
+/// paper configuration, 5 applications per node count, full search
+/// parameters, every core. Application `i` of node count `n` is seeded
+/// `seed0 + 1000·n + i` — by node count, not by point index.
+#[must_use]
+pub fn grid(node_counts: Vec<usize>) -> GridConfig {
+    let offsets = node_counts.iter().map(|&n| 1000 * n as u64).collect();
+    GridConfig {
+        // paper(n) differs from any other paper(k) only in the node
+        // count, so the node-count axis over a paper base reproduces it
         base: GeneratorConfig::paper(2),
-        axes: vec![crate::sweep::SweepAxis::NodeCount(cfg.node_counts.clone())],
-        apps_per_point: cfg.apps_per_point,
+        axes: vec![SweepAxis::NodeCount(node_counts)],
+        apps_per_point: 5,
         algos: Algo::ALL.to_vec(),
-        params: cfg.params.clone(),
-        sa: cfg.sa,
-        seed0: cfg.seed0,
-        seed_policy: crate::grid::SeedPolicy::PointOffsets(
-            cfg.node_counts.iter().map(|&n| 1000 * n as u64).collect(),
-        ),
-        threads: cfg.threads,
-        workload: None,
-    };
-    Ok(crate::grid::run_grid(&grid)?
-        .into_iter()
-        .zip(&cfg.node_counts)
-        .map(|(p, &n)| PointStats {
-            n_nodes: n,
-            algos: p.algos,
-        })
-        .collect())
+        seed_policy: SeedPolicy::PointOffsets(offsets),
+        ..GridConfig::default()
+    }
 }
 
 /// Renders the two Fig. 9 panels as text tables.
 #[must_use]
-pub fn render(points: &[PointStats]) -> String {
+pub fn render(points: &[GridPoint]) -> String {
     let mut rows_left = Vec::new();
     let mut rows_right = Vec::new();
     for p in points {
+        let nodes = &p.coords[0].1;
         for (name, s) in &p.algos {
             rows_left.push(vec![
-                p.n_nodes.to_string(),
+                nodes.clone(),
                 name.clone(),
                 format!("{}/{}", s.schedulable, s.total),
                 format!("{:+.2}", s.avg_deviation_pct),
             ]);
             rows_right.push(vec![
-                p.n_nodes.to_string(),
+                nodes.clone(),
                 name.clone(),
                 format!("{:.3}", s.avg_time_s),
                 format!("{:.0}", s.avg_evaluations),
@@ -184,31 +83,25 @@ pub fn render(points: &[PointStats]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::run_grid;
+    use crate::sweep::search_mode;
 
-    fn fast_cfg() -> Fig9Config {
-        Fig9Config {
-            node_counts: vec![2],
+    fn fast_cfg(node_counts: Vec<usize>) -> GridConfig {
+        let (params, sa) = search_mode("smoke").expect("known mode");
+        GridConfig {
             apps_per_point: 1,
-            params: OptParams {
-                max_extra_slots: 2,
-                max_slot_len_steps: 3,
-                max_dyn_candidates: 24,
-                dyn_step: 32,
-                ..OptParams::default()
-            },
-            sa: flexray_opt::SaParams {
-                iterations: 30,
-                ..flexray_opt::SaParams::default()
-            },
+            params,
+            sa,
             seed0: 7,
             threads: 1,
+            ..grid(node_counts)
         }
     }
 
     #[test]
     fn tiny_experiment_runs_end_to_end() {
-        let cfg = fast_cfg();
-        let points = run_experiment(&cfg).expect("experiment runs");
+        let cfg = fast_cfg(vec![2]);
+        let points = run_grid(&cfg).expect("experiment runs");
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].algos.len(), 4);
         let text = render(&points);
@@ -218,17 +111,16 @@ mod tests {
 
     #[test]
     fn parallel_equals_serial() {
-        let serial_cfg = Fig9Config {
+        let serial_cfg = GridConfig {
             apps_per_point: 4,
-            node_counts: vec![2, 3],
-            ..fast_cfg()
+            ..fast_cfg(vec![2, 3])
         };
-        let parallel_cfg = Fig9Config {
+        let parallel_cfg = GridConfig {
             threads: 4,
             ..serial_cfg.clone()
         };
-        let serial = run_experiment(&serial_cfg).expect("serial run");
-        let parallel = run_experiment(&parallel_cfg).expect("parallel run");
+        let serial = run_grid(&serial_cfg).expect("serial run");
+        let parallel = run_grid(&parallel_cfg).expect("parallel run");
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert!(
@@ -240,10 +132,11 @@ mod tests {
 
     #[test]
     fn worker_threads_resolution() {
-        let mut cfg = fast_cfg();
+        let mut cfg = fast_cfg(vec![2]);
         cfg.threads = 3;
         assert_eq!(cfg.worker_threads(), 3);
         cfg.threads = 0;
         assert!(cfg.worker_threads() >= 1);
+        assert_eq!(grid(vec![2]).threads, 0, "the preset uses every core");
     }
 }

@@ -20,19 +20,19 @@
 //! reported, not failed.
 //!
 //! Points are enumerated and seeded exactly like the grid engine
-//! ([`GridConfig::point`] / [`GridConfig::seed`]); `(point, app)` units
-//! fan out over the shared [`scoped_consume`] pool and the report
-//! streams as JSON lines (`flexray-fuzz` schema v1) in point order.
+//! ([`GridConfig::point`] / [`GridConfig::seed`]), and the campaign
+//! runs on the grid engine's units→points driver: `(point, app)` units
+//! fan out over the shared work-stealing pool and the report streams as
+//! JSON lines (`flexray-fuzz` schema v1) in point order.
 
-use crate::grid::{GridConfig, PointSpec, SeedPolicy};
+use crate::grid::{drive, GridConfig, PointSpec, SeedPolicy};
 use crate::report::{arr_field, field, malformed, num_field, str_field, Json};
-use crate::sweep::{Algo, SweepAxis};
+use crate::sweep::Algo;
 use flexray_analysis::{analyse, Analysis, AnalysisConfig};
 use flexray_gen::{generate, GeneratorConfig};
 use flexray_model::{ModelError, System};
 use flexray_opt::{obc, DynSearch, OptParams, SaParams};
 use flexray_sim::{simulate_configured, ExecutionOrder, SimConfig, SimReport};
-use flexray_util::scoped_consume;
 
 /// The JSON-lines schema name of fuzz reports.
 pub const FUZZ_SCHEMA: &str = "flexray-fuzz";
@@ -42,12 +42,11 @@ pub const FUZZ_SCHEMA_VERSION: u32 = 1;
 /// Scale and scope of one fuzz campaign.
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
-    /// Base generator configuration the axes perturb.
-    pub base: GeneratorConfig,
-    /// Factorial axes, exactly as in [`GridConfig::axes`].
-    pub axes: Vec<SweepAxis>,
-    /// Applications (seeds) per grid point.
-    pub apps_per_point: usize,
+    /// The grid the campaign enumerates and seeds its points by: base
+    /// configuration, axes, applications per point, optimiser
+    /// parameters, `seed0` and worker threads. Its algorithm set is the
+    /// OBCCF run the campaign drives itself.
+    pub grid: GridConfig,
     /// Execution-order seeds fuzzed per schedulable application (the
     /// canonical order always runs as the baseline).
     pub order_seeds: Vec<u64>,
@@ -55,59 +54,31 @@ pub struct FuzzConfig {
     pub reps: i64,
     /// Hyperperiod compression on the simulation runs.
     pub compress: bool,
-    /// Optimiser parameters (OBC/curve-fit configures each instance).
-    pub params: OptParams,
-    /// Base RNG seed; application `i` of point `p` is seeded
-    /// `seed0 + 1000·p + i`, the grid convention.
-    pub seed0: u64,
-    /// Worker threads (`0` = all cores, `1` = serial).
-    pub threads: usize,
 }
 
 impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
-            base: GeneratorConfig::small(3),
-            axes: Vec::new(),
-            apps_per_point: 2,
+            grid: GridConfig {
+                base: GeneratorConfig::small(3),
+                axes: Vec::new(),
+                apps_per_point: 2,
+                algos: vec![Algo::ObcCf],
+                params: OptParams::default(),
+                sa: SaParams::default(),
+                seed0: 42,
+                seed_policy: SeedPolicy::PointIndex,
+                threads: 0,
+                workload: None,
+            },
             order_seeds: vec![1, 2, 3, 4],
             reps: 4,
             compress: true,
-            params: OptParams::default(),
-            seed0: 42,
-            threads: 0,
         }
     }
 }
 
 impl FuzzConfig {
-    /// The equivalent grid configuration (single dummy algorithm; the
-    /// campaign drives the optimiser itself) used for enumeration,
-    /// seeding and validation — public so external dispatchers (the
-    /// `flexray-serve` daemon) can enumerate and seed fuzz units
-    /// exactly like [`run_fuzz`] does.
-    #[must_use]
-    pub fn grid(&self) -> GridConfig {
-        GridConfig {
-            base: self.base.clone(),
-            axes: self.axes.clone(),
-            apps_per_point: self.apps_per_point,
-            algos: vec![Algo::ObcCf],
-            params: self.params.clone(),
-            sa: SaParams::default(),
-            seed0: self.seed0,
-            seed_policy: SeedPolicy::PointIndex,
-            threads: self.threads,
-            workload: None,
-        }
-    }
-
-    /// Number of grid points.
-    #[must_use]
-    pub fn total_points(&self) -> usize {
-        self.grid().total_points()
-    }
-
     /// Checks the campaign for internal consistency.
     ///
     /// # Errors
@@ -116,7 +87,7 @@ impl FuzzConfig {
     /// (see [`GridConfig::validate`]), an empty order-seed set, a
     /// duplicate order seed, or a non-positive hyperperiod count.
     pub fn validate(&self) -> Result<(), ModelError> {
-        self.grid().validate()?;
+        self.grid.validate()?;
         if self.order_seeds.is_empty() {
             return Err(ModelError::InvalidConfig(
                 "fuzz campaign needs at least one order seed".into(),
@@ -150,7 +121,8 @@ impl FuzzConfig {
             (
                 "axes".into(),
                 Json::Arr(
-                    self.axes
+                    self.grid
+                        .axes
                         .iter()
                         .map(|axis| {
                             Json::Obj(vec![
@@ -168,7 +140,7 @@ impl FuzzConfig {
             ),
             (
                 "apps_per_point".into(),
-                Json::Num(self.apps_per_point as f64),
+                Json::Num(self.grid.apps_per_point as f64),
             ),
             (
                 "order_seeds".into(),
@@ -181,8 +153,11 @@ impl FuzzConfig {
             ),
             ("reps".into(), Json::Num(self.reps as f64)),
             ("compress".into(), Json::Bool(self.compress)),
-            ("seed0".into(), Json::Str(self.seed0.to_string())),
-            ("total_points".into(), Json::Num(self.total_points() as f64)),
+            ("seed0".into(), Json::Str(self.grid.seed0.to_string())),
+            (
+                "total_points".into(),
+                Json::Num(self.grid.total_points() as f64),
+            ),
         ])
         .write()
     }
@@ -436,7 +411,7 @@ pub fn fuzz_app(
         &generated.platform,
         &generated.app,
         spec.config.phy,
-        &cfg.params,
+        &cfg.grid.params,
         DynSearch::CurveFit,
     );
     let evaluations = result.evaluations;
@@ -509,84 +484,21 @@ pub fn fuzz_app(
 ///
 /// Propagates campaign validation, per-point generator-configuration
 /// validation, and generation/analysis/simulation errors.
-pub fn run_fuzz<S>(cfg: &FuzzConfig, mut sink: S) -> Result<Vec<FuzzPoint>, ModelError>
+pub fn run_fuzz<S>(cfg: &FuzzConfig, sink: S) -> Result<Vec<FuzzPoint>, ModelError>
 where
     S: FnMut(&FuzzPoint),
 {
     cfg.validate()?;
-    let grid = cfg.grid();
-    let total = grid.total_points();
-    let specs: Vec<PointSpec> = (0..total).map(|p| grid.point(p)).collect();
-    for spec in &specs {
-        spec.config.validate()?;
-    }
-
-    let units: Vec<(usize, usize)> = (0..total)
-        .flat_map(|p| (0..cfg.apps_per_point).map(move |i| (p, i)))
-        .collect();
-    let mut pending: Vec<Vec<Option<FuzzAppOutcome>>> = (0..total)
-        .map(|_| (0..cfg.apps_per_point).map(|_| None).collect())
-        .collect();
-    let mut slots: Vec<Option<FuzzPoint>> = (0..total).map(|_| None).collect();
-    let mut next_emit = 0usize;
-    let mut first_error: Option<ModelError> = None;
-
-    let abort = std::sync::atomic::AtomicBool::new(false);
-    let abort = &abort;
-    let solve_unit = |u: usize| -> Result<FuzzAppOutcome, ModelError> {
-        if abort.load(std::sync::atomic::Ordering::Relaxed) {
-            return Err(ModelError::InvalidConfig(
-                "fuzz campaign aborted after an earlier unit failed".into(),
-            ));
-        }
-        let (p, i) = units[u];
-        fuzz_app(cfg, &specs[p], i, grid.seed(p, i))
-    };
-
-    scoped_consume(
-        units.len(),
-        grid.worker_threads(),
-        solve_unit,
-        |u, outcome| {
-            let (p, i) = units[u];
-            match outcome {
-                Err(e) => {
-                    abort.store(true, std::sync::atomic::Ordering::Relaxed);
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-                Ok(run) => {
-                    let apps = &mut pending[p];
-                    apps[i] = Some(run);
-                    if apps.iter().all(Option::is_some) {
-                        let outcomes: Vec<FuzzAppOutcome> = apps
-                            .iter_mut()
-                            .map(|app| app.take().expect("checked above"))
-                            .collect();
-                        slots[p] = Some(FuzzPoint::from_apps(&specs[p], outcomes));
-                        while next_emit < total {
-                            match &slots[next_emit] {
-                                Some(done) => {
-                                    sink(done);
-                                    next_emit += 1;
-                                }
-                                None => break,
-                            }
-                        }
-                    }
-                }
-            }
-        },
-    );
-
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|slot| slot.expect("every point completes"))
-        .collect())
+    let grid = &cfg.grid;
+    let specs = grid.point_specs()?;
+    drive(
+        grid,
+        &specs,
+        (0..specs.len()).map(|_| None).collect(),
+        |spec, app| fuzz_app(cfg, spec, app, grid.seed(spec.index, app)),
+        FuzzPoint::from_apps,
+        sink,
+    )
 }
 
 /// Renders the campaign as one text table.
@@ -623,24 +535,29 @@ pub fn render(points: &[FuzzPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepAxis;
 
     fn tiny() -> FuzzConfig {
+        let fuzz = FuzzConfig::default();
         FuzzConfig {
-            base: GeneratorConfig::small(2),
-            axes: vec![SweepAxis::NodeCount(vec![2, 3])],
-            apps_per_point: 1,
+            grid: GridConfig {
+                base: GeneratorConfig::small(2),
+                axes: vec![SweepAxis::NodeCount(vec![2, 3])],
+                apps_per_point: 1,
+                params: OptParams {
+                    max_extra_slots: 2,
+                    max_slot_len_steps: 3,
+                    max_dyn_candidates: 24,
+                    dyn_step: 32,
+                    ..OptParams::default()
+                },
+                seed0: 1,
+                threads: 1,
+                ..fuzz.grid
+            },
             order_seeds: vec![1, 2],
             reps: 2,
-            params: OptParams {
-                max_extra_slots: 2,
-                max_slot_len_steps: 3,
-                max_dyn_candidates: 24,
-                dyn_step: 32,
-                ..OptParams::default()
-            },
-            seed0: 1,
-            threads: 1,
-            ..FuzzConfig::default()
+            ..fuzz
         }
     }
 
@@ -656,7 +573,7 @@ mod tests {
         cfg.reps = 0;
         assert!(cfg.validate().is_err(), "no hyperperiods");
         let mut cfg = tiny();
-        cfg.apps_per_point = 0;
+        cfg.grid.apps_per_point = 0;
         assert!(cfg.validate().is_err(), "grid validation still applies");
     }
 
@@ -690,10 +607,8 @@ mod tests {
     #[test]
     fn campaign_is_deterministic_across_thread_counts() {
         let serial = tiny();
-        let parallel = FuzzConfig {
-            threads: 4,
-            ..serial.clone()
-        };
+        let mut parallel = serial.clone();
+        parallel.grid.threads = 4;
         let s = run_fuzz(&serial, |_| {}).expect("serial");
         let p = run_fuzz(&parallel, |_| {}).expect("parallel");
         assert_eq!(s.len(), p.len());

@@ -1,22 +1,22 @@
 //! Factorial (grid) experiment engine over the v2 generator.
 //!
-//! [`run_grid`] generalises the single-axis [`sweep`](crate::sweep)
-//! harness to the cartesian product of **any subset of the axes**
-//! (node count × graph depth × gateway fraction × bus utilisation): a
-//! [`GridConfig`] enumerates the product deterministically, every
-//! `(point, seed)` pair becomes one work unit on the shared
-//! work-stealing [`flexray_util::scoped_map`] pool — so
-//! workers steal across *points*, not just across the seeds of one
-//! point — and each completed point carries the per-algorithm
-//! [`AlgoStats`] **and** the achieved generator statistics
-//! ([`AggregatedGenStats`]: bus/CPU utilisation, relay and message
-//! counts, graph-depth histogram) of its instances.
+//! [`run_grid`] runs the cartesian product of **any subset of the
+//! axes** (node count × graph depth × gateway fraction × bus
+//! utilisation × cluster count): a [`GridConfig`] enumerates the
+//! product deterministically, every `(point, seed)` pair becomes one
+//! work unit on the shared work-stealing
+//! [`flexray_util::scoped_consume`] pool — so workers steal across
+//! *points*, not just across the seeds of one point — and each
+//! completed point carries the per-algorithm [`AlgoStats`] **and** the
+//! achieved generator statistics ([`AggregatedGenStats`]: bus/CPU
+//! utilisation, relay and message counts, graph-depth histogram) of its
+//! instances.
 //!
-//! The single-axis harness and fig9 are degenerate grids:
-//! [`run_sweep`](crate::sweep::run_sweep) and
-//! [`fig9::run_experiment`](crate::fig9::run_experiment) both delegate
-//! here, with outputs bit-identical to their pre-grid implementations
-//! (locked down by the differential suite in `tests/grid.rs`).
+//! The single-axis [`sweep`](crate::sweep) and [`fig9`](crate::fig9)
+//! are grids too: a one-axis grid, and the node-count preset
+//! [`fig9::grid`](crate::fig9::grid). The `fuzz` campaign enumerates
+//! and seeds its points by a grid as well, and runs on the same
+//! units→points driver as [`run_grid_resumed`].
 //!
 //! # Determinism and ordering
 //!
@@ -48,12 +48,11 @@ use flexray_util::scoped_consume;
 /// How the base seed of a grid point is derived.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SeedPolicy {
-    /// `seed0 + 1000·point_index + app` — the sweep convention; a
-    /// single-axis grid reproduces `run_sweep` seeds exactly.
+    /// `seed0 + 1000·point_index + app` — the sweep convention.
     PointIndex,
-    /// `seed0 + offsets[point_index] + app` — for harnesses whose seed
-    /// schedule predates the grid engine (fig9 seeds by *node count*,
-    /// not point index). Must hold one offset per grid point.
+    /// `seed0 + offsets[point_index] + app` — for harnesses seeded by
+    /// something other than the point index (fig9 seeds by *node
+    /// count*). Must hold one offset per grid point.
     PointOffsets(Vec<u64>),
 }
 
@@ -287,6 +286,22 @@ impl GridConfig {
         }
         Ok(())
     }
+
+    /// Validates the grid and derives every point, each point's
+    /// generator configuration validated too.
+    ///
+    /// # Errors
+    ///
+    /// See [`GridConfig::validate`]; also propagates per-point
+    /// generator-configuration errors.
+    pub(crate) fn point_specs(&self) -> Result<Vec<PointSpec>, ModelError> {
+        self.validate()?;
+        let specs: Vec<PointSpec> = (0..self.total_points()).map(|p| self.point(p)).collect();
+        for spec in &specs {
+            spec.config.validate()?;
+        }
+        Ok(specs)
+    }
 }
 
 /// All configured algorithms plus the achieved generator statistics on
@@ -434,17 +449,13 @@ pub fn run_grid(cfg: &GridConfig) -> Result<Vec<GridPoint>, ModelError> {
 pub fn run_grid_resumed<S>(
     cfg: &GridConfig,
     done: Vec<GridPoint>,
-    mut sink: S,
+    sink: S,
 ) -> Result<Vec<GridPoint>, ModelError>
 where
     S: FnMut(&GridPoint),
 {
-    cfg.validate()?;
-    let total = cfg.total_points();
-    let specs: Vec<PointSpec> = (0..total).map(|p| cfg.point(p)).collect();
-    for spec in &specs {
-        spec.config.validate()?;
-    }
+    let specs = cfg.point_specs()?;
+    let total = specs.len();
     let names: Vec<&str> = cfg.algos.iter().map(|a| a.name()).collect();
 
     let mut slots: Vec<Option<GridPoint>> = vec![None; total];
@@ -483,50 +494,79 @@ where
         slots[index] = Some(point);
     }
 
-    let todo: Vec<usize> = (0..total).filter(|&p| slots[p].is_none()).collect();
-    let units: Vec<(usize, usize)> = todo
-        .iter()
-        .flat_map(|&p| (0..cfg.apps_per_point).map(move |i| (p, i)))
+    drive(
+        cfg,
+        &specs,
+        slots,
+        |spec, app| solve_app(cfg, spec, app),
+        |spec, runs| GridPoint::from_apps(cfg, spec, runs),
+        sink,
+    )
+}
+
+/// The units→points driver behind [`run_grid_resumed`] and
+/// [`run_fuzz`](crate::fuzz::run_fuzz).
+///
+/// Every point without a recovered `slots` entry is split into
+/// `(point, app)` units, `solve(spec, app)` runs them on the shared
+/// work-stealing pool, and `aggregate(spec, outcomes)` folds a point's
+/// outcomes (in application order) once its last unit lands. A reorder
+/// buffer emits every point — recovered or computed — to `sink` in
+/// point order as soon as its prefix is complete.
+///
+/// A failed unit aborts the run: later units bail out immediately
+/// instead of burning the rest of a long grid before the error is
+/// finally reported. Units already in flight still finish, and the
+/// first error consumed is returned.
+pub(crate) fn drive<U, P, F, A, S>(
+    cfg: &GridConfig,
+    specs: &[PointSpec],
+    mut slots: Vec<Option<P>>,
+    solve: F,
+    mut aggregate: A,
+    mut sink: S,
+) -> Result<Vec<P>, ModelError>
+where
+    U: Send,
+    F: Fn(&PointSpec, usize) -> Result<U, ModelError> + Sync,
+    A: FnMut(&PointSpec, Vec<U>) -> P,
+    S: FnMut(&P),
+{
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let apps = cfg.apps_per_point;
+    let units: Vec<(usize, usize)> = (0..slots.len())
+        .filter(|&p| slots[p].is_none())
+        .flat_map(|p| (0..apps).map(move |i| (p, i)))
         .collect();
-    // position of each todo point in `todo`, for the completion buffers
-    let mut todo_pos = vec![usize::MAX; total];
-    for (k, &p) in todo.iter().enumerate() {
-        todo_pos[p] = k;
-    }
-    let mut pending: Vec<Vec<Option<AppRun>>> = todo
+    let mut pending: Vec<Vec<Option<U>>> = slots
         .iter()
-        .map(|_| vec![None; cfg.apps_per_point])
+        .map(|slot| match slot {
+            Some(_) => Vec::new(),
+            None => (0..apps).map(|_| None).collect(),
+        })
         .collect();
     let mut next_emit = 0usize;
     let mut first_error: Option<ModelError> = None;
 
     // Emit the ready prefix (recovered points, then completed ones).
-    let flush = |slots: &[Option<GridPoint>], next_emit: &mut usize, sink: &mut S| {
-        while *next_emit < total {
-            match &slots[*next_emit] {
-                Some(point) => {
-                    sink(point);
-                    *next_emit += 1;
-                }
-                None => break,
-            }
+    let flush = |slots: &[Option<P>], next_emit: &mut usize, sink: &mut S| {
+        while let Some(Some(point)) = slots.get(*next_emit) {
+            sink(point);
+            *next_emit += 1;
         }
     };
     flush(&slots, &mut next_emit, &mut sink);
 
-    // A failed unit aborts the run: later units bail out immediately
-    // instead of burning the rest of a long grid before the error is
-    // finally reported. Units already in flight still finish.
-    let abort = std::sync::atomic::AtomicBool::new(false);
+    let abort = AtomicBool::new(false);
     let abort = &abort;
-    let solve_unit = |u: usize| -> Result<AppRun, ModelError> {
-        if abort.load(std::sync::atomic::Ordering::Relaxed) {
+    let solve_unit = |u: usize| -> Result<U, ModelError> {
+        if abort.load(Ordering::Relaxed) {
             return Err(ModelError::InvalidConfig(
-                "grid run aborted after an earlier unit failed".into(),
+                "run aborted after an earlier unit failed".into(),
             ));
         }
         let (p, i) = units[u];
-        solve_app(cfg, &specs[p], i)
+        solve(&specs[p], i)
     };
 
     scoped_consume(
@@ -537,7 +577,7 @@ where
             let (p, i) = units[u];
             match outcome {
                 Err(e) => {
-                    abort.store(true, std::sync::atomic::Ordering::Relaxed);
+                    abort.store(true, Ordering::Relaxed);
                     // the first consumed error is a real one: abort
                     // placeholders only exist after the flag is set
                     if first_error.is_none() {
@@ -545,14 +585,14 @@ where
                     }
                 }
                 Ok(run) => {
-                    let apps = &mut pending[todo_pos[p]];
-                    apps[i] = Some(run);
-                    if apps.iter().all(Option::is_some) {
-                        let runs: Vec<AppRun> = apps
+                    let outcomes = &mut pending[p];
+                    outcomes[i] = Some(run);
+                    if outcomes.iter().all(Option::is_some) {
+                        let runs: Vec<U> = outcomes
                             .iter_mut()
-                            .map(|app| app.take().expect("checked above"))
+                            .map(|o| o.take().expect("checked above"))
                             .collect();
-                        slots[p] = Some(GridPoint::from_apps(cfg, &specs[p], runs));
+                        slots[p] = Some(aggregate(&specs[p], runs));
                         flush(&slots, &mut next_emit, &mut sink);
                     }
                 }
@@ -565,7 +605,7 @@ where
     }
     Ok(slots
         .into_iter()
-        .map(|slot| slot.expect("every grid point is recovered or computed"))
+        .map(|slot| slot.expect("every point is recovered or computed"))
         .collect())
 }
 

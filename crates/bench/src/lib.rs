@@ -11,8 +11,10 @@
 //!   (node count beyond 7, graph depth, gateway traffic, bus
 //!   utilisation), generalising `fig9`;
 //! * [`grid`] — the factorial (cartesian-product) experiment engine
-//!   behind `sweep` and `fig9`, with per-point generator statistics
-//!   and a streaming, resumable JSON-lines/CSV [`report`];
+//!   behind `sweep`, `fig9` and `fuzz`, with per-point generator
+//!   statistics and a streaming, resumable JSON-lines/CSV [`report`];
+//! * [`args`] — the one `key=value` argument grammar of the `grid`,
+//!   `sweep`, `fig9` and `fuzz` binaries and the serve job specs;
 //! * [`fuzz`] — a grid-driven divergence-hunting campaign that fuzzes
 //!   the simulator's execution order of simultaneous events across
 //!   generator corners and audits every run against the analysis;
@@ -32,6 +34,7 @@
 #![deny(deprecated)]
 
 pub mod ablation;
+pub mod args;
 pub mod cruise;
 pub mod fig3;
 pub mod fig4;

@@ -1,18 +1,15 @@
-//! Generic single-axis scenario sweeps over the v2 generator.
+//! Single-axis scenario sweeps over the v2 generator, and the parts
+//! every grid is built from.
 //!
-//! [`run_sweep`] generalises [`fig9::run_experiment`](crate::fig9):
-//! instead of sweeping the node count over the paper configuration, it
-//! sweeps **any single [`SweepAxis`]** — node count (beyond the paper's
-//! 7), graph depth (chain-shaped DAGs), gateway-relayed traffic
-//! fraction, or bus utilisation — over a caller-supplied base
+//! A sweep walks **any single [`SweepAxis`]** — node count (beyond the
+//! paper's 7), graph depth (chain-shaped DAGs), gateway-relayed traffic
+//! fraction, bus utilisation or cluster count — over a base
 //! [`GeneratorConfig`], with a configurable subset of the four
-//! optimisation algorithms.
-//!
-//! The execution machinery is shared with fig9: [`flexray_util::scoped_map`]
-//! is the `std::thread::scope` worker pool distributing the per-seed loop, and
-//! [`aggregate_algos`] is the [`AlgoStats`] aggregation — fig9 is the
-//! special case `axis = NodeCount(2..=5)`, `base = paper`, all four
-//! algorithms.
+//! optimisation [`Algo`]rithms. It is a one-axis
+//! [`GridConfig`](crate::grid::GridConfig) run by the factorial
+//! [`grid`](crate::grid) engine, and [`render`] prints its points.
+//! [`aggregate_algos`] folds per-application results into the
+//! [`AlgoStats`] of a point.
 //!
 //! # Determinism
 //!
@@ -22,17 +19,13 @@
 //! deviations, evaluation counts, chosen configurations) is identical
 //! for any worker-thread count. Only measured wall-clock times vary.
 
+use crate::grid::GridPoint;
 use flexray_gen::{GeneratorConfig, GraphShape};
 use flexray_model::{Application, ModelError, PhyParams, Platform};
 use flexray_opt::{
     bbc, obc, optimise_network, simulated_annealing, DynSearch, NetworkTopology, OptParams,
     OptResult, SaParams,
 };
-
-// The scoped work-stealing pool lived here originally and moved to
-// `flexray-util` so non-bench consumers (the multi-session `Evaluator`,
-// the `flexray-serve` dispatcher) can share it; use
-// `flexray_util::scoped_map` / `scoped_consume` directly.
 
 /// Aggregated outcome of one algorithm on one sweep point.
 #[derive(Debug, Clone, Default)]
@@ -67,8 +60,7 @@ pub fn deviation_pct(alg: &OptResult, reference: &OptResult) -> Option<f64> {
 }
 
 /// Folds per-application optimiser results (`per_app[i][alg]`) into one
-/// [`AlgoStats`] per algorithm — the aggregation shared by
-/// [`run_sweep`] and [`fig9::run_experiment`](crate::fig9).
+/// [`AlgoStats`] per algorithm — the aggregation of every grid point.
 /// `reference` selects the algorithm deviations are measured against
 /// (fig9: SA); `None` leaves all deviations at zero.
 #[must_use]
@@ -419,140 +411,13 @@ impl SweepAxis {
     }
 }
 
-/// Scale and scope of one sweep.
-#[derive(Debug, Clone)]
-pub struct SweepConfig {
-    /// Base generator configuration the axis perturbs.
-    pub base: GeneratorConfig,
-    /// The swept axis and its points.
-    pub axis: SweepAxis,
-    /// Applications (seeds) per axis point.
-    pub apps_per_point: usize,
-    /// Algorithms to run on every application.
-    pub algos: Vec<Algo>,
-    /// Optimiser parameters.
-    pub params: OptParams,
-    /// SA parameters (used when [`Algo::Sa`] is in the set).
-    pub sa: SaParams,
-    /// Base RNG seed; application `i` of point `p` uses
-    /// `seed0 + 1000·p + i`.
-    pub seed0: u64,
-    /// Worker threads for the per-seed loop: `1` runs serially, `0`
-    /// uses the available hardware parallelism.
-    pub threads: usize,
-}
-
-impl Default for SweepConfig {
-    fn default() -> Self {
-        SweepConfig {
-            base: GeneratorConfig::paper(5),
-            axis: SweepAxis::NodeCount(vec![2, 5, 10, 20]),
-            apps_per_point: 3,
-            algos: Algo::ALL.to_vec(),
-            params: OptParams::default(),
-            sa: SaParams::default(),
-            seed0: 42,
-            threads: 0,
-        }
-    }
-}
-
-impl SweepConfig {
-    /// The effective worker-thread count: `threads`, with `0` resolved
-    /// to the available hardware parallelism.
-    #[must_use]
-    pub fn worker_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.threads
-        }
-    }
-
-    /// Index of the deviation reference within
-    /// [`SweepConfig::algos`]: SA when present, else none.
-    #[must_use]
-    pub fn reference(&self) -> Option<usize> {
-        self.algos.iter().position(|&a| a == Algo::Sa)
-    }
-}
-
-/// All configured algorithms on one axis point.
-#[derive(Debug, Clone, Default)]
-pub struct SweepPoint {
-    /// Axis label of the point (e.g. `nodes=20`).
-    pub label: String,
-    /// Per-algorithm stats, in [`SweepConfig::algos`] order.
-    pub algos: Vec<(String, AlgoStats)>,
-}
-
-impl SweepPoint {
-    /// Equality over the deterministic fields (everything except the
-    /// measured wall-clock times) — the invariant the parallel runner
-    /// must preserve against a serial run.
-    #[must_use]
-    pub fn deterministic_eq(&self, other: &SweepPoint) -> bool {
-        self.label == other.label
-            && self.algos.len() == other.algos.len()
-            && self.algos.iter().zip(&other.algos).all(|(a, b)| {
-                a.0 == b.0
-                    && a.1.schedulable == b.1.schedulable
-                    && a.1.total == b.1.total
-                    && a.1.avg_deviation_pct == b.1.avg_deviation_pct
-                    && a.1.avg_evaluations == b.1.avg_evaluations
-            })
-    }
-}
-
-/// Runs the sweep: every axis point, `apps_per_point` seeded
-/// applications each, every configured algorithm per application —
-/// executed as a degenerate one-axis [`grid`](crate::grid), so the
-/// `(point, seed)` units share the work-stealing pool and the seed
-/// schedule (`seed0 + 1000·p + i`) of the factorial engine. The
-/// deterministic output is bit-identical to the pre-grid single-axis
-/// implementation (locked down by the differential suite in
-/// `tests/grid.rs`).
-///
-/// # Errors
-///
-/// Propagates generator errors (including invalid derived
-/// configurations) and rejects empty axes and algorithm sets.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepPoint>, ModelError> {
-    if cfg.axis.is_empty() {
-        return Err(ModelError::InvalidConfig("sweep axis has no points".into()));
-    }
-    if cfg.algos.is_empty() {
-        return Err(ModelError::InvalidConfig(
-            "sweep algorithm set is empty".into(),
-        ));
-    }
-    let grid = crate::grid::GridConfig {
-        base: cfg.base.clone(),
-        axes: vec![cfg.axis.clone()],
-        apps_per_point: cfg.apps_per_point,
-        algos: cfg.algos.clone(),
-        params: cfg.params.clone(),
-        sa: cfg.sa,
-        seed0: cfg.seed0,
-        seed_policy: crate::grid::SeedPolicy::PointIndex,
-        threads: cfg.threads,
-        workload: None,
-    };
-    Ok(crate::grid::run_grid(&grid)?
-        .into_iter()
-        .map(|p| SweepPoint {
-            label: p.label,
-            algos: p.algos,
-        })
-        .collect())
-}
-
 /// Renders a sweep as one text table. `reference` is the name of the
-/// deviation reference algorithm ([`SweepConfig::reference`]); without
-/// one, the deviation column is marked absent instead of printing
-/// misleading zeros.
+/// deviation reference algorithm
+/// ([`GridConfig::reference`](crate::grid::GridConfig::reference));
+/// without one, the deviation column is marked absent instead of
+/// printing misleading zeros.
 #[must_use]
-pub fn render(axis_name: &str, reference: Option<&str>, points: &[SweepPoint]) -> String {
+pub fn render(axis_name: &str, reference: Option<&str>, points: &[GridPoint]) -> String {
     let mut rows = Vec::new();
     for point in points {
         for (name, s) in &point.algos {
@@ -592,6 +457,7 @@ pub fn render(axis_name: &str, reference: Option<&str>, points: &[SweepPoint]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{run_grid, GridConfig, SeedPolicy};
     use std::time::Duration;
 
     fn fake(schedulable: bool, value: f64) -> OptResult {
@@ -610,10 +476,10 @@ mod tests {
         }
     }
 
-    fn fast_cfg(axis: SweepAxis) -> SweepConfig {
-        SweepConfig {
+    fn fast_cfg(axis: SweepAxis) -> GridConfig {
+        GridConfig {
             base: GeneratorConfig::small(3),
-            axis,
+            axes: vec![axis],
             apps_per_point: 2,
             algos: vec![Algo::Bbc, Algo::Sa],
             params: OptParams {
@@ -628,7 +494,9 @@ mod tests {
                 ..SaParams::default()
             },
             seed0: 7,
+            seed_policy: SeedPolicy::PointIndex,
             threads: 1,
+            workload: None,
         }
     }
 
@@ -704,7 +572,7 @@ mod tests {
         ] {
             let name = axis.name();
             let cfg = fast_cfg(axis);
-            let points = run_sweep(&cfg).expect("sweep runs");
+            let points = run_grid(&cfg).expect("sweep runs");
             assert_eq!(points.len(), 2, "axis {name}");
             for point in &points {
                 assert_eq!(point.algos.len(), 2);
@@ -724,12 +592,12 @@ mod tests {
     #[test]
     fn parallel_sweep_equals_serial() {
         let serial = fast_cfg(SweepAxis::GatewayFraction(vec![0.0, 0.5]));
-        let parallel = SweepConfig {
+        let parallel = GridConfig {
             threads: 4,
             ..serial.clone()
         };
-        let s = run_sweep(&serial).expect("serial");
-        let p = run_sweep(&parallel).expect("parallel");
+        let s = run_grid(&serial).expect("serial");
+        let p = run_grid(&parallel).expect("parallel");
         assert_eq!(s.len(), p.len());
         for (a, b) in s.iter().zip(&p) {
             assert!(a.deterministic_eq(b), "{a:?} vs {b:?} diverged");
@@ -739,10 +607,10 @@ mod tests {
     #[test]
     fn empty_axis_and_empty_algo_set_are_rejected() {
         let cfg = fast_cfg(SweepAxis::NodeCount(vec![]));
-        assert!(run_sweep(&cfg).is_err());
+        assert!(run_grid(&cfg).is_err());
         let mut cfg = fast_cfg(SweepAxis::NodeCount(vec![2]));
         cfg.algos.clear();
-        assert!(run_sweep(&cfg).is_err());
+        assert!(run_grid(&cfg).is_err());
     }
 
     #[test]

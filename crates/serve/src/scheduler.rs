@@ -169,10 +169,7 @@ pub struct JobResult {
 }
 
 fn units_per_point(spec: &JobSpec) -> usize {
-    match &spec.kind {
-        JobKind::Grid(cfg) => cfg.apps_per_point,
-        JobKind::Fuzz(cfg) => cfg.apps_per_point,
-    }
+    spec.kind.grid().apps_per_point
 }
 
 /// Whether a unit must actually compute: terminal jobs and units of
@@ -208,9 +205,8 @@ fn compute_unit(job: &ScheduledJob, unit: usize, control: &ServeControl) -> Unit
             Err(e) => UnitOutcome::Failed(e.to_string()),
         },
         JobKind::Fuzz(cfg) => {
-            let grid = cfg.grid();
-            let spec = grid.point(point);
-            match fuzz_app(cfg, &spec, app, grid.seed(spec.index, app)) {
+            let spec = cfg.grid.point(point);
+            match fuzz_app(cfg, &spec, app, cfg.grid.seed(spec.index, app)) {
                 Ok(outcome) => {
                     let evals = outcome.evaluations as u64;
                     UnitOutcome::Computed(Computed::Fuzz(outcome), evals)
@@ -250,7 +246,7 @@ fn aggregate_point(spec: &JobSpec, point: usize, outcomes: Vec<Computed>) -> Jso
                     Computed::Grid(_) => unreachable!("fuzz job computes fuzz units"),
                 })
                 .collect();
-            FuzzPoint::from_apps(&cfg.grid().point(point), apps).to_json()
+            FuzzPoint::from_apps(&cfg.grid.point(point), apps).to_json()
         }
     }
 }

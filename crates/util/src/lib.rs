@@ -1,47 +1,29 @@
 //! # flexray-util
 //!
 //! Dependency-free plumbing shared across the workspace: the scoped
-//! work-stealing worker pool that drives the `fig9`, `sweep`, `grid`
-//! and `fuzz` harnesses of `flexray-bench`, the per-worker-state
-//! variant ([`scoped_map_with`]) behind the multi-session `Evaluator`
-//! pool of `flexray-opt`, and the streaming per-worker-state form
-//! ([`scoped_consume_with`]) behind the `flexray-serve` job
-//! dispatcher, and its quit-aware form ([`scoped_consume_until`])
-//! behind the daemon's graceful stop. All are projections of one
-//! primitive: [`scoped_consume_until`].
-//!
-//! The pool lived in `flexray_bench::sweep` originally.
+//! work-stealing worker pool ([`scoped_consume`]) that drives the
+//! `grid`, `sweep`, `fig9` and `fuzz` harnesses of `flexray-bench`, the
+//! per-worker-state variant ([`scoped_map_with`]) behind the
+//! multi-session `Evaluator` pool of `flexray-opt`, and the streaming
+//! per-worker-state form ([`scoped_consume_with`]) behind the
+//! `flexray-serve` job dispatcher, and its quit-aware form
+//! ([`scoped_consume_until`]) behind the daemon's graceful stop. All
+//! are projections of one primitive: [`scoped_consume_until`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-/// Runs `f(0..n_items)` over `threads` scoped worker threads and
-/// returns the results in index order.
+/// Runs `f(0..n_items)` over `threads` scoped worker threads, handing
+/// each result to `consume(i, result)` on the calling thread as it
+/// lands: in completion order (nondeterministic across runs — index
+/// order only on the serial path).
 ///
 /// `threads <= 1` runs serially. Workers *steal* the next unclaimed
 /// index from a shared atomic cursor (rather than owning pre-assigned
-/// subsets), so a few slow items cannot idle the rest of the pool;
-/// results still land by index, keeping the merge deterministic.
-pub fn scoped_map<T, F>(n_items: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut slots: Vec<Option<T>> = (0..n_items).map(|_| None).collect();
-    scoped_consume(n_items, threads, f, |i, item| slots[i] = Some(item));
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index is claimed by exactly one worker"))
-        .collect()
-}
-
-/// The pool behind [`scoped_map`], exposing completion instead of
-/// collection: `consume(i, result)` runs on the calling thread and
-/// *owns* each result, in completion order (nondeterministic across
-/// runs — index order only on the serial path). This is the streaming
-/// hook the grid engine uses to aggregate points and emit report
-/// records while later units are still being solved, without holding a
-/// second copy of the results.
+/// subsets), so a few slow items cannot idle the rest of the pool. This
+/// is the streaming hook the grid engine uses to aggregate points and
+/// emit report records while later units are still being solved,
+/// without holding a second copy of the results.
 pub fn scoped_consume<T, F, C>(n_items: usize, threads: usize, f: F, consume: C)
 where
     T: Send,
@@ -157,15 +139,15 @@ pub fn scoped_consume_until<S, T, F, C>(
 }
 
 /// Runs `f(state, i)` over `0..n_items` with one exclusively owned
-/// *worker state* per thread — the generalisation of [`scoped_map`]
-/// behind the multi-session `Evaluator`: each worker brings a warm
+/// *worker state* per thread, collecting the results in index order —
+/// the pool behind the multi-session `Evaluator`: each worker brings a warm
 /// state (e.g. an analysis session) to every index it steals, so
 /// expensive per-worker setup happens once, not per item.
 ///
 /// One scoped thread is spawned per element of `states` (capped at
 /// `n_items`); a single state runs serially on the calling thread.
 /// Indices are work-stolen from a shared atomic cursor exactly like
-/// [`scoped_map`], and results land in index order regardless of which
+/// [`scoped_consume`], and results land in index order regardless of which
 /// worker claimed which index — callers whose `f(_, i)` is a pure
 /// function of `i` therefore get output bit-identical to the serial
 /// run for any state count.
@@ -191,15 +173,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scoped_map_is_order_preserving_for_any_thread_count() {
-        for threads in [0, 1, 2, 3, 7, 64] {
-            let out = scoped_map(17, threads, |i| i * i);
-            assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
-        }
-        assert!(scoped_map(0, 4, |i| i).is_empty());
-    }
 
     #[test]
     fn scoped_consume_hands_over_every_item_exactly_once() {

@@ -56,8 +56,8 @@ fn fig_binaries_exit_zero() {
         "--bin",
         "fig9",
         "--",
-        "1",
-        "3",
-        "fast",
+        "apps=1",
+        "nodes=2,3",
+        "mode=fast",
     ]);
 }
