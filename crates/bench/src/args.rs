@@ -28,10 +28,15 @@
 //! configuration, seeded by node count. `eval_threads=` applies after
 //! `mode=` whatever their order, since `mode=` replaces the optimiser
 //! parameters wholesale.
+//!
+//! [`Plan`] holds the one per-kind dispatch of the daemon's units→points
+//! [`engine`](crate::engine) jobs: solve a unit, fold a point, write
+//! the report header.
 
 use crate::fig9;
-use crate::fuzz::FuzzConfig;
-use crate::grid::{GridConfig, WorkloadSource};
+use crate::fuzz::{fuzz_app, FuzzAppOutcome, FuzzConfig, FuzzPoint};
+use crate::grid::{solve_app, AppRun, GridConfig, GridPoint, WorkloadSource};
+use crate::report::{point_to_json, GridReportHeader, Json};
 use crate::sweep::{parse_algo_set, parse_thread_count, search_mode, SweepAxis};
 use crate::workload::Workload;
 use flexray_model::ModelError;
@@ -120,6 +125,78 @@ impl Plan {
         match self {
             Plan::Grid(cfg) => cfg.validate(),
             Plan::Fuzz(cfg) => cfg.validate(),
+        }
+    }
+
+    /// The plan's report header line (no newline).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the non-finite-number error of [`Json::write`].
+    pub fn header_line(&self) -> Result<String, ModelError> {
+        match self {
+            Plan::Grid(cfg) => GridReportHeader::of(cfg).to_line(),
+            Plan::Fuzz(cfg) => cfg.header_line(),
+        }
+    }
+
+    /// Solves application `app` of point `point`: one unit of the
+    /// units→points [`engine`](crate::engine).
+    ///
+    /// # Errors
+    ///
+    /// See [`solve_app`] and [`fuzz_app`].
+    pub fn solve_unit(&self, point: usize, app: usize) -> Result<Unit, ModelError> {
+        let spec = self.grid().point(point);
+        match self {
+            Plan::Grid(cfg) => solve_app(cfg, &spec, app).map(Unit::Grid),
+            Plan::Fuzz(cfg) => fuzz_app(cfg, &spec, app, cfg.grid.seed(point, app)).map(Unit::Fuzz),
+        }
+    }
+
+    /// Folds the units [`Plan::solve_unit`] solved for `point`, in
+    /// application order, into the point's report record — with
+    /// wall-clock times zeroed, the one field of a point that is not a
+    /// function of the plan.
+    #[must_use]
+    pub fn fold_point(&self, point: usize, units: Vec<Unit>) -> Json {
+        let spec = self.grid().point(point);
+        let (mut runs, mut outcomes) = (Vec::new(), Vec::new());
+        for unit in units {
+            match unit {
+                Unit::Grid(run) => runs.push(run),
+                Unit::Fuzz(outcome) => outcomes.push(outcome),
+            }
+        }
+        match self {
+            Plan::Grid(cfg) => {
+                let mut point = GridPoint::from_apps(cfg, &spec, runs);
+                for (_, stats) in &mut point.algos {
+                    stats.avg_time_s = 0.0;
+                }
+                point_to_json(&point)
+            }
+            Plan::Fuzz(_) => FuzzPoint::from_apps(&spec, outcomes).to_json(),
+        }
+    }
+}
+
+/// One solved unit of a [`Plan`].
+#[derive(Debug, Clone)]
+pub enum Unit {
+    /// A grid application run.
+    Grid(AppRun),
+    /// A fuzzed application.
+    Fuzz(FuzzAppOutcome),
+}
+
+impl Unit {
+    /// Optimiser candidate evaluations the unit spent.
+    #[must_use]
+    pub fn evaluations(&self) -> u64 {
+        match self {
+            Unit::Grid((results, _)) => results.iter().map(|r| r.evaluations as u64).sum(),
+            Unit::Fuzz(outcome) => outcome.evaluations as u64,
         }
     }
 }

@@ -27,7 +27,7 @@ fn main() {
         "Fig. 9 — {} applications per point, nodes [{}], {} worker thread(s)",
         cfg.apps_per_point,
         nodes.join(", "),
-        cfg.worker_threads()
+        flexray_util::resolve_threads(cfg.threads)
     );
     match run_grid(&cfg) {
         Ok(points) => println!("{}", render(&points)),

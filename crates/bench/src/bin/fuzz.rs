@@ -34,21 +34,16 @@
 
 use flexray_bench::args::{parse_env_or_exit, Kind, Plan};
 use flexray_bench::fuzz::{render, run_fuzz};
-use std::io::Write;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("fuzz: {msg}");
-    std::process::exit(1);
-}
+use flexray_bench::report::{fail, ReportWriter};
 
 fn main() {
     let args = parse_env_or_exit(Kind::Fuzz);
-    let Plan::Fuzz(cfg) = args.plan else {
+    let Plan::Fuzz(cfg) = &args.plan else {
         unreachable!("fuzz arguments describe a fuzz campaign")
     };
     let out_path = args.out;
     if let Err(e) = cfg.validate() {
-        fail(&e.to_string());
+        fail(Kind::Fuzz, &e.to_string());
     }
 
     eprintln!(
@@ -63,32 +58,14 @@ fn main() {
         cfg.grid.seed0,
     );
 
-    let mut sink: Box<dyn Write> = match &out_path {
-        Some(path) => match std::fs::File::create(path) {
-            Ok(file) => Box::new(std::io::BufWriter::new(file)),
-            Err(e) => fail(&format!("cannot write report '{path}': {e}")),
-        },
-        None => Box::new(std::io::stdout().lock()),
-    };
-    let write_line = |sink: &mut dyn Write, line: &str| {
-        if let Err(e) = writeln!(sink, "{line}").and_then(|()| sink.flush()) {
-            fail(&format!("report write failed: {e}"));
-        }
-    };
-    let render_line = |line: Result<String, flexray_model::ModelError>| match line {
-        Ok(line) => line,
-        Err(e) => fail(&format!("report encode failed: {e}")),
-    };
-    write_line(sink.as_mut(), &render_line(cfg.header_line()));
-
-    let result = run_fuzz(&cfg, |point| {
-        write_line(sink.as_mut(), &render_line(point.to_line()));
-    });
+    let mut report = ReportWriter::create(Kind::Fuzz, out_path.as_deref());
+    report.line(args.plan.header_line());
+    let result = run_fuzz(cfg, |point| report.line(point.to_line()));
     let points = match result {
         Ok(points) => points,
-        Err(e) => fail(&format!("run failed: {e}")),
+        Err(e) => fail(Kind::Fuzz, &format!("run failed: {e}")),
     };
-    drop(sink);
+    drop(report);
 
     if out_path.is_some() {
         eprintln!("{}", render(&points));
@@ -101,7 +78,7 @@ fn main() {
                 eprintln!("fuzz: DIVERGENCE: {d}");
             }
         }
-        fail(&format!("{divergences} divergence(s) found"));
+        fail(Kind::Fuzz, &format!("{divergences} divergence(s) found"));
     }
     let runs: usize = points.iter().map(|p| p.runs).sum();
     eprintln!("fuzz: {runs} simulation run(s), no divergences");

@@ -43,24 +43,24 @@
 
 use flexray_bench::args::{parse_env_or_exit, Kind, Plan};
 use flexray_bench::grid::{render, run_grid_resumed, GridPoint};
-use flexray_bench::report::{from_jsonl, point_to_line, to_csv, GridReportHeader};
-use std::io::Write;
+use flexray_bench::report::{
+    self, from_jsonl, point_to_line, to_csv, GridReportHeader, ReportWriter,
+};
 
 fn fail(msg: &str) -> ! {
-    eprintln!("grid: {msg}");
-    std::process::exit(1);
+    report::fail(Kind::Grid, msg)
 }
 
 fn main() {
     let args = parse_env_or_exit(Kind::Grid);
-    let Plan::Grid(cfg) = args.plan else {
+    let Plan::Grid(cfg) = &args.plan else {
         unreachable!("grid arguments describe a grid")
     };
     let (mut out_path, csv_path, resume_path) = (args.out, args.csv, args.resume);
     if let Err(e) = cfg.validate() {
         fail(&e.to_string());
     }
-    let header = GridReportHeader::of(&cfg);
+    let header = GridReportHeader::of(cfg);
 
     // Recover the completed points of a partial report.
     let mut done: Vec<GridPoint> = Vec::new();
@@ -93,7 +93,7 @@ fn main() {
         cfg.total_points(),
         cfg.apps_per_point,
         cfg.algos.iter().map(|a| a.name()).collect::<Vec<_>>(),
-        cfg.worker_threads(),
+        flexray_util::resolve_threads(cfg.threads),
         cfg.seed0,
         if done.is_empty() {
             String::new()
@@ -128,32 +128,14 @@ fn main() {
             path.clone()
         }
     });
-    let mut sink: Box<dyn Write> = match &stream_path {
-        Some(path) => match std::fs::File::create(path) {
-            Ok(file) => Box::new(std::io::BufWriter::new(file)),
-            Err(e) => fail(&format!("cannot write report '{path}': {e}")),
-        },
-        None => Box::new(std::io::stdout().lock()),
-    };
-    let write_line = |sink: &mut dyn Write, line: &str| {
-        if let Err(e) = writeln!(sink, "{line}").and_then(|()| sink.flush()) {
-            fail(&format!("report write failed: {e}"));
-        }
-    };
-    let render_line = |line: Result<String, flexray_model::ModelError>| match line {
-        Ok(line) => line,
-        Err(e) => fail(&format!("report encode failed: {e}")),
-    };
-    write_line(sink.as_mut(), &render_line(header.to_line()));
-
-    let result = run_grid_resumed(&cfg, done, |point| {
-        write_line(sink.as_mut(), &render_line(point_to_line(point)));
-    });
+    let mut report = ReportWriter::create(Kind::Grid, stream_path.as_deref());
+    report.line(args.plan.header_line());
+    let result = run_grid_resumed(cfg, done, |point| report.line(point_to_line(point)));
     let points = match result {
         Ok(points) => points,
         Err(e) => fail(&format!("run failed: {e}")),
     };
-    drop(sink);
+    drop(report);
     if rewrites_resume_source {
         let (tmp, path) = (
             stream_path.as_ref().expect("streamed to a file"),

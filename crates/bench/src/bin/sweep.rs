@@ -38,7 +38,7 @@ fn main() {
         axis.len(),
         cfg.apps_per_point,
         cfg.algos.iter().map(|a| a.name()).collect::<Vec<_>>(),
-        cfg.worker_threads(),
+        flexray_util::resolve_threads(cfg.threads),
         cfg.params.eval_threads,
         cfg.seed0,
     );

@@ -21,12 +21,13 @@
 //!
 //! Points are enumerated and seeded exactly like the grid engine
 //! ([`GridConfig::point`] / [`GridConfig::seed`]), and the campaign
-//! runs on the grid engine's units→points driver: `(point, app)` units
-//! fan out over the shared work-stealing pool and the report streams as
-//! JSON lines (`flexray-fuzz` schema v1) in point order.
+//! runs on the units→points [`engine`](crate::engine): `(point, app)`
+//! units fan out over the shared work-stealing pool and the report
+//! streams as JSON lines (`flexray-fuzz` schema v1) in point order.
 
-use crate::grid::{drive, GridConfig, PointSpec, SeedPolicy};
-use crate::report::{arr_field, field, malformed, num_field, str_field, Json};
+use crate::engine::run_job;
+use crate::grid::{GridConfig, PointSpec, SeedPolicy};
+use crate::report::Json;
 use crate::sweep::Algo;
 use flexray_analysis::{analyse, Analysis, AnalysisConfig};
 use flexray_gen::{generate, GeneratorConfig};
@@ -245,7 +246,7 @@ impl FuzzPoint {
 
     /// Aggregates the fuzz outcomes of one point (in application
     /// order) into its [`FuzzPoint`] — the completion half of
-    /// [`fuzz_app`], shared by [`run_fuzz`] and external dispatchers.
+    /// [`fuzz_app`].
     #[must_use]
     pub fn from_apps(spec: &PointSpec, apps: Vec<FuzzAppOutcome>) -> FuzzPoint {
         let mut point = FuzzPoint {
@@ -274,65 +275,10 @@ impl FuzzPoint {
         point.divergences.dedup();
         point
     }
-
-    /// Parses one point record — the inverse of [`FuzzPoint::to_line`],
-    /// used by journal replay.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidConfig`] on syntax errors or
-    /// missing / mistyped fields.
-    pub fn parse(line: &str) -> Result<FuzzPoint, ModelError> {
-        FuzzPoint::from_json(&Json::parse(line)?)
-    }
-
-    /// Parses one point record from an already-decoded JSON value.
-    ///
-    /// # Errors
-    ///
-    /// See [`FuzzPoint::parse`].
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    pub fn from_json(json: &Json) -> Result<FuzzPoint, ModelError> {
-        let coords = match field(json, "coords")? {
-            Json::Obj(members) => members
-                .iter()
-                .map(|(name, value)| match value {
-                    Json::Str(s) => Ok((name.clone(), s.clone())),
-                    _ => Err(malformed(&format!(
-                        "fuzz coordinate '{name}' is not a string"
-                    ))),
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(malformed("'coords' is not an object")),
-        };
-        let divergences = arr_field(json, "divergences")?
-            .iter()
-            .map(|d| match d {
-                Json::Str(s) => Ok(s.clone()),
-                _ => Err(malformed("divergence is not a string")),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let min_margin_us = match field(json, "min_margin_us")? {
-            Json::Null => None,
-            Json::Num(m) => Some(*m),
-            _ => return Err(malformed("'min_margin_us' is not a number or null")),
-        };
-        Ok(FuzzPoint {
-            index: num_field(json, "point")? as usize,
-            label: str_field(json, "label")?.to_owned(),
-            coords,
-            apps: num_field(json, "apps")? as usize,
-            schedulable: num_field(json, "schedulable")? as usize,
-            runs: num_field(json, "runs")? as usize,
-            order_sensitive: num_field(json, "order_sensitive")? as usize,
-            divergences,
-            min_margin_us,
-        })
-    }
 }
 
 /// Result of one `(point, app)` unit — the fuzz analogue of
-/// [`crate::grid::AppRun`], public for external dispatchers.
+/// [`crate::grid::AppRun`].
 #[derive(Debug, Clone)]
 pub struct FuzzAppOutcome {
     /// Whether the optimiser made the application schedulable.
@@ -392,10 +338,9 @@ fn audit_run(
 }
 
 /// Generates, optimises and fuzz-simulates one application — the
-/// single work unit of the campaign, exposed so external dispatchers
-/// (the `flexray-serve` daemon) can drive fuzz jobs on their own
-/// worker pool. Seeds follow [`GridConfig::seed`] of
-/// [`FuzzConfig::grid`].
+/// single work unit of the campaign, in [`run_fuzz`] and in
+/// [`Plan::solve_unit`](crate::args::Plan::solve_unit). Seeds follow
+/// [`GridConfig::seed`] of [`FuzzConfig::grid`].
 ///
 /// # Errors
 ///
@@ -484,21 +429,26 @@ pub fn fuzz_app(
 ///
 /// Propagates campaign validation, per-point generator-configuration
 /// validation, and generation/analysis/simulation errors.
-pub fn run_fuzz<S>(cfg: &FuzzConfig, sink: S) -> Result<Vec<FuzzPoint>, ModelError>
+pub fn run_fuzz<S>(cfg: &FuzzConfig, mut sink: S) -> Result<Vec<FuzzPoint>, ModelError>
 where
     S: FnMut(&FuzzPoint),
 {
     cfg.validate()?;
     let grid = &cfg.grid;
     let specs = grid.point_specs()?;
-    drive(
-        grid,
-        &specs,
-        (0..specs.len()).map(|_| None).collect(),
-        |spec, app| fuzz_app(cfg, spec, app, grid.seed(spec.index, app)),
-        FuzzPoint::from_apps,
-        sink,
-    )
+    let mut points = Vec::with_capacity(specs.len());
+    run_job(
+        vec![false; specs.len()],
+        grid.apps_per_point,
+        grid.threads,
+        |p, app| fuzz_app(cfg, &specs[p], app, grid.seed(p, app)),
+        |p, outcomes| {
+            let point = FuzzPoint::from_apps(&specs[p], outcomes.expect("no point is done"));
+            sink(&point);
+            points.push(point);
+        },
+    )?;
+    Ok(points)
 }
 
 /// Renders the campaign as one text table.

@@ -4,10 +4,9 @@
 //! axes** (node count × graph depth × gateway fraction × bus
 //! utilisation × cluster count): a [`GridConfig`] enumerates the
 //! product deterministically, every `(point, seed)` pair becomes one
-//! work unit on the shared work-stealing
-//! [`flexray_util::scoped_consume`] pool — so workers steal across
-//! *points*, not just across the seeds of one point — and each
-//! completed point carries the per-algorithm [`AlgoStats`] **and** the
+//! work unit of the units→points [`engine`](crate::engine) — so workers
+//! steal across *points*, not just across the seeds of one point — and
+//! each completed point carries the per-algorithm [`AlgoStats`] **and** the
 //! achieved generator statistics ([`AggregatedGenStats`]: bus/CPU
 //! utilisation, relay and message counts, graph-depth histogram) of its
 //! instances.
@@ -15,8 +14,8 @@
 //! The single-axis [`sweep`](crate::sweep) and [`fig9`](crate::fig9)
 //! are grids too: a one-axis grid, and the node-count preset
 //! [`fig9::grid`](crate::fig9::grid). The `fuzz` campaign enumerates
-//! and seeds its points by a grid as well, and runs on the same
-//! units→points driver as [`run_grid_resumed`].
+//! and seeds its points by a grid as well, and runs on the same engine
+//! as [`run_grid_resumed`].
 //!
 //! # Determinism and ordering
 //!
@@ -38,12 +37,12 @@
 //! engine re-emits them to the sink in place, so the final report of a
 //! killed-and-resumed run equals a full run's.
 
+use crate::engine::run_job;
 use crate::sweep::{aggregate_algos, Algo, AlgoStats, SweepAxis};
 use crate::workload::Workload;
 use flexray_gen::{generate, AggregatedGenStats, GenStats, GeneratorConfig};
 use flexray_model::ModelError;
 use flexray_opt::{NetworkTopology, OptParams, OptResult, SaParams};
-use flexray_util::scoped_consume;
 
 /// How the base seed of a grid point is derived.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,17 +138,6 @@ impl GridConfig {
     #[must_use]
     pub fn total_points(&self) -> usize {
         self.axes.iter().map(SweepAxis::len).product()
-    }
-
-    /// The effective worker-thread count: `threads`, with `0` resolved
-    /// to the available hardware parallelism.
-    #[must_use]
-    pub fn worker_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.threads
-        }
     }
 
     /// Index of the deviation reference within [`GridConfig::algos`]:
@@ -347,9 +335,9 @@ impl GridPoint {
 pub type AppRun = (Vec<OptResult>, GenStats);
 
 /// Generates and solves application `app` of grid point `spec` — the
-/// single work unit of the grid engine, exposed so external dispatchers
-/// (the `flexray-serve` daemon) can drive grid jobs on their own worker
-/// pool. The seed follows [`GridConfig::seed`].
+/// single work unit of a grid, in [`run_grid_resumed`] and in
+/// [`Plan::solve_unit`](crate::args::Plan::solve_unit). The seed
+/// follows [`GridConfig::seed`].
 ///
 /// With a [`GridConfig::workload`] the fixed imported scenario is
 /// solved instead of a generated one; either way a multi-cluster
@@ -402,8 +390,7 @@ pub fn solve_app(cfg: &GridConfig, spec: &PointSpec, app: usize) -> Result<AppRu
 impl GridPoint {
     /// Aggregates the solved applications of one grid point (in
     /// application order) into its [`GridPoint`] — the completion half
-    /// of [`solve_app`], shared by [`run_grid_resumed`] and external
-    /// dispatchers.
+    /// of [`solve_app`].
     #[must_use]
     pub fn from_apps(cfg: &GridConfig, spec: &PointSpec, apps: Vec<AppRun>) -> GridPoint {
         let names: Vec<&str> = cfg.algos.iter().map(|a| a.name()).collect();
@@ -438,7 +425,10 @@ pub fn run_grid(cfg: &GridConfig) -> Result<Vec<GridPoint>, ModelError> {
 ///
 /// Work units are `(point, application)` pairs fanned out over the
 /// shared work-stealing pool, so long-running points overlap with their
-/// neighbours instead of serialising the grid.
+/// neighbours instead of serialising the grid. A failing unit ends the
+/// run with the error of the first failing unit in unit order: the
+/// units after it are skipped, and the sink sees exactly the points
+/// before its point, whatever the thread count.
 ///
 /// # Errors
 ///
@@ -449,7 +439,7 @@ pub fn run_grid(cfg: &GridConfig) -> Result<Vec<GridPoint>, ModelError> {
 pub fn run_grid_resumed<S>(
     cfg: &GridConfig,
     done: Vec<GridPoint>,
-    sink: S,
+    mut sink: S,
 ) -> Result<Vec<GridPoint>, ModelError>
 where
     S: FnMut(&GridPoint),
@@ -494,118 +484,21 @@ where
         slots[index] = Some(point);
     }
 
-    drive(
-        cfg,
-        &specs,
-        slots,
-        |spec, app| solve_app(cfg, spec, app),
-        |spec, runs| GridPoint::from_apps(cfg, spec, runs),
-        sink,
-    )
-}
-
-/// The units→points driver behind [`run_grid_resumed`] and
-/// [`run_fuzz`](crate::fuzz::run_fuzz).
-///
-/// Every point without a recovered `slots` entry is split into
-/// `(point, app)` units, `solve(spec, app)` runs them on the shared
-/// work-stealing pool, and `aggregate(spec, outcomes)` folds a point's
-/// outcomes (in application order) once its last unit lands. A reorder
-/// buffer emits every point — recovered or computed — to `sink` in
-/// point order as soon as its prefix is complete.
-///
-/// A failed unit aborts the run: later units bail out immediately
-/// instead of burning the rest of a long grid before the error is
-/// finally reported. Units already in flight still finish, and the
-/// first error consumed is returned.
-pub(crate) fn drive<U, P, F, A, S>(
-    cfg: &GridConfig,
-    specs: &[PointSpec],
-    mut slots: Vec<Option<P>>,
-    solve: F,
-    mut aggregate: A,
-    mut sink: S,
-) -> Result<Vec<P>, ModelError>
-where
-    U: Send,
-    F: Fn(&PointSpec, usize) -> Result<U, ModelError> + Sync,
-    A: FnMut(&PointSpec, Vec<U>) -> P,
-    S: FnMut(&P),
-{
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let apps = cfg.apps_per_point;
-    let units: Vec<(usize, usize)> = (0..slots.len())
-        .filter(|&p| slots[p].is_none())
-        .flat_map(|p| (0..apps).map(move |i| (p, i)))
-        .collect();
-    let mut pending: Vec<Vec<Option<U>>> = slots
-        .iter()
-        .map(|slot| match slot {
-            Some(_) => Vec::new(),
-            None => (0..apps).map(|_| None).collect(),
-        })
-        .collect();
-    let mut next_emit = 0usize;
-    let mut first_error: Option<ModelError> = None;
-
-    // Emit the ready prefix (recovered points, then completed ones).
-    let flush = |slots: &[Option<P>], next_emit: &mut usize, sink: &mut S| {
-        while let Some(Some(point)) = slots.get(*next_emit) {
-            sink(point);
-            *next_emit += 1;
-        }
-    };
-    flush(&slots, &mut next_emit, &mut sink);
-
-    let abort = AtomicBool::new(false);
-    let abort = &abort;
-    let solve_unit = |u: usize| -> Result<U, ModelError> {
-        if abort.load(Ordering::Relaxed) {
-            return Err(ModelError::InvalidConfig(
-                "run aborted after an earlier unit failed".into(),
-            ));
-        }
-        let (p, i) = units[u];
-        solve(&specs[p], i)
-    };
-
-    scoped_consume(
-        units.len(),
-        cfg.worker_threads(),
-        solve_unit,
-        |u, outcome| {
-            let (p, i) = units[u];
-            match outcome {
-                Err(e) => {
-                    abort.store(true, Ordering::Relaxed);
-                    // the first consumed error is a real one: abort
-                    // placeholders only exist after the flag is set
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-                Ok(run) => {
-                    let outcomes = &mut pending[p];
-                    outcomes[i] = Some(run);
-                    if outcomes.iter().all(Option::is_some) {
-                        let runs: Vec<U> = outcomes
-                            .iter_mut()
-                            .map(|o| o.take().expect("checked above"))
-                            .collect();
-                        slots[p] = Some(aggregate(&specs[p], runs));
-                        flush(&slots, &mut next_emit, &mut sink);
-                    }
-                }
+    run_job(
+        slots.iter().map(Option::is_some).collect(),
+        cfg.apps_per_point,
+        cfg.threads,
+        |p, app| solve_app(cfg, &specs[p], app),
+        |p, runs| {
+            if let Some(runs) = runs {
+                slots[p] = Some(GridPoint::from_apps(cfg, &specs[p], runs));
             }
+            sink(slots[p].as_ref().expect("a point is done or computed"));
         },
-    );
-
-    if let Some(e) = first_error {
-        return Err(e);
-    }
+    )?;
     Ok(slots
         .into_iter()
-        .map(|slot| slot.expect("every point is recovered or computed"))
+        .map(|slot| slot.expect("every point is done or computed"))
         .collect())
 }
 
@@ -836,6 +729,31 @@ mod tests {
         assert_eq!(s.len(), p.len());
         for (a, b) in s.iter().zip(&p) {
             assert!(a.deterministic_eq(b), "{a:?} vs {b:?} diverged");
+        }
+    }
+
+    #[test]
+    fn a_failing_grid_reports_its_first_failing_unit_for_any_thread_count() {
+        // a node homed on a cluster the network lacks fails every unit
+        let generated = generate(&GeneratorConfig::small(3), 1).expect("scenario");
+        let mut workload = crate::workload::Workload::of_generated(&generated);
+        (workload.clusters, workload.node_cluster) = (2, vec![0, 5, 1]);
+        let name = "w".into();
+        let mut cfg = GridConfig {
+            workload: Some(WorkloadSource { name, workload }),
+            apps_per_point: 3,
+            ..fast_grid(Vec::new())
+        };
+        for threads in [1usize, 2, 4] {
+            cfg.threads = threads;
+            let mut streamed = 0usize;
+            let err = run_grid_resumed(&cfg, Vec::new(), |_| streamed += 1).expect_err("fails");
+            let want = "invalid configuration: node homed on cluster 5, network has 2 clusters";
+            assert_eq!(
+                (err.to_string().as_str(), streamed),
+                (want, 0),
+                "threads={threads}"
+            );
         }
     }
 

@@ -15,6 +15,9 @@
 //!   statistics and a streaming, resumable JSON-lines/CSV [`report`];
 //! * [`args`] — the one `key=value` argument grammar of the `grid`,
 //!   `sweep`, `fig9` and `fuzz` binaries and the serve job specs;
+//! * [`engine`] — the one units→points executor (static event plan,
+//!   reorder walk, first-failing-unit errors) behind `grid`, `fuzz` and
+//!   the `flexray-serve` daemon;
 //! * [`fuzz`] — a grid-driven divergence-hunting campaign that fuzzes
 //!   the simulator's execution order of simultaneous events across
 //!   generator corners and audits every run against the analysis;
@@ -36,6 +39,7 @@
 pub mod ablation;
 pub mod args;
 pub mod cruise;
+pub mod engine;
 pub mod fig3;
 pub mod fig4;
 pub mod fig7;

@@ -4,10 +4,11 @@
 //! describing the grid (schema version, axes, algorithm set, seeds)
 //! followed by one line per completed [`GridPoint`] in point order — so
 //! a killed run leaves a well-formed prefix that
-//! [`read_report`] can recover and
+//! [`from_jsonl`] can recover and
 //! [`run_grid_resumed`](crate::grid::run_grid_resumed) can complete.
 //! The CSV rendering is a flat, spreadsheet-friendly projection of the
-//! same records (one row per point × algorithm).
+//! same records (one row per point × algorithm). The `grid` and `fuzz`
+//! binaries stream their reports through one [`ReportWriter`].
 //!
 //! The build environment has no crates.io access (the workspace links a
 //! no-op `serde` shim, see `vendor/README.md`), so the codec is a small
@@ -21,10 +22,12 @@
 //! `tests/grid.rs` breaks on purpose when that happens — update the
 //! golden file together with the version.
 
+use crate::args::Kind;
 use crate::grid::{GridConfig, GridPoint};
 use crate::sweep::AlgoStats;
 use flexray_gen::AggregatedGenStats;
 use flexray_model::{ModelError, UtilSummary};
+use std::io::Write;
 
 /// Schema identifier carried by every report header.
 pub const GRID_SCHEMA: &str = "flexray-grid";
@@ -660,18 +663,7 @@ pub fn point_to_json(point: &GridPoint) -> Json {
 /// Returns [`ModelError::InvalidConfig`] on malformed JSON or a missing
 /// or mistyped field.
 pub fn point_from_line(line: &str) -> Result<GridPoint, ModelError> {
-    point_from_json(&Json::parse(line)?)
-}
-
-/// Parses one grid-point record from an already-parsed JSON value —
-/// the form the `flexray-serve` journal uses, where point records are
-/// embedded as the `data` member of a journal line.
-///
-/// # Errors
-///
-/// Returns [`ModelError::InvalidConfig`] on a missing or mistyped
-/// field.
-pub fn point_from_json(json: &Json) -> Result<GridPoint, ModelError> {
+    let json = &Json::parse(line)?;
     let coords = match field(json, "coords")? {
         Json::Obj(members) => members
             .iter()
@@ -857,6 +849,48 @@ fn csv_cell(s: &str) -> String {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_owned()
+    }
+}
+
+/// Ends a harness binary on a run error: prints `<kind>: <msg>` to
+/// stderr and exits with status 1.
+pub fn fail(kind: Kind, msg: &str) -> ! {
+    eprintln!("{}: {msg}", kind.name());
+    std::process::exit(1);
+}
+
+/// The JSON-lines report a harness binary streams, to a file or to
+/// stdout: every line is flushed as it is written, so a killed run
+/// leaves a well-formed prefix. Any IO or encoding failure ends the
+/// process through [`fail`].
+pub struct ReportWriter {
+    kind: Kind,
+    sink: Box<dyn Write>,
+}
+
+impl ReportWriter {
+    /// Creates the report at `path`, or streams to stdout without one.
+    #[must_use]
+    pub fn create(kind: Kind, path: Option<&str>) -> Self {
+        let sink: Box<dyn Write> = match path {
+            Some(path) => match std::fs::File::create(path) {
+                Ok(file) => Box::new(std::io::BufWriter::new(file)),
+                Err(e) => fail(kind, &format!("cannot write report '{path}': {e}")),
+            },
+            None => Box::new(std::io::stdout().lock()),
+        };
+        ReportWriter { kind, sink }
+    }
+
+    /// Writes and flushes one encoded line.
+    pub fn line(&mut self, line: Result<String, ModelError>) {
+        let line = match line {
+            Ok(line) => line,
+            Err(e) => fail(self.kind, &format!("report encode failed: {e}")),
+        };
+        if let Err(e) = writeln!(self.sink, "{line}").and_then(|()| self.sink.flush()) {
+            fail(self.kind, &format!("report write failed: {e}"));
+        }
     }
 }
 

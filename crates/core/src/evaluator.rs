@@ -19,7 +19,7 @@
 
 use flexray_analysis::{Analysis, AnalysisConfig, AnalysisSession, Cost};
 use flexray_model::{Application, BusConfig, MessageClass, Platform, Time};
-use flexray_util::scoped_map_with;
+use flexray_util::{resolve_threads, scoped_map_with};
 
 /// Evaluates candidate bus configurations against one fixed platform and
 /// application, counting evaluations (the dominant cost of every
@@ -134,12 +134,7 @@ impl Evaluator {
         analysis_cfg: AnalysisConfig,
         threads: usize,
     ) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            threads
-        };
-        let workers = (1..threads)
+        let workers = (1..resolve_threads(threads))
             .map(|_| AnalysisSession::new(platform.clone(), app.clone(), analysis_cfg))
             .collect();
         Evaluator {

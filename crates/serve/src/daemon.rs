@@ -27,7 +27,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use flexray_bench::report::{GridReportHeader, Json};
+use flexray_bench::report::Json;
 use flexray_model::ModelError;
 
 use crate::control::{stop_path, ServeControl};
@@ -35,7 +35,7 @@ use crate::journal::{
     line_fp, read_journal, JobStatus, JournalSink, JournalState, Record, SERVE_SCHEMA_VERSION,
 };
 use crate::scheduler::{run_schedule, ScheduledJob};
-use crate::spec::{parse_job, JobKind, JobSpec};
+use crate::spec::{parse_job, JobSpec};
 
 /// One drain's inputs: where the queue, journal and reports live, and
 /// how wide to dispatch.
@@ -114,15 +114,6 @@ impl JournalSink for JournalWriter {
     }
 }
 
-/// Effective worker count: `threads`, or all cores when 0.
-fn worker_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    }
-}
-
 /// Writes `reports/<id>.jsonl` — the job's schema header followed by
 /// its point lines, straight from journal data. The codec's
 /// parse→write round trip is byte-stable, so a report rewritten from
@@ -132,10 +123,7 @@ fn write_report<'a>(
     spec: &JobSpec,
     points: impl Iterator<Item = &'a Json>,
 ) -> Result<(), ModelError> {
-    let mut out = match &spec.kind {
-        JobKind::Grid(cfg) => GridReportHeader::of(cfg).to_line()?,
-        JobKind::Fuzz(cfg) => cfg.header_line()?,
-    };
+    let mut out = spec.kind.header_line()?;
     out.push('\n');
     for data in points {
         out.push_str(&data.write()?);
@@ -300,7 +288,7 @@ pub fn run_serve_with(
     let (results, stopped) = run_schedule(
         &jobs,
         cfg.jobs.max(1),
-        worker_threads(cfg.threads),
+        cfg.threads,
         control,
         Some(&stop_file),
         &mut journal,
@@ -333,8 +321,10 @@ mod tests {
 
     #[test]
     fn worker_threads_resolves_zero_to_all_cores() {
-        assert!(worker_threads(0) >= 1);
-        assert_eq!(worker_threads(3), 3);
+        // `threads=0` reaches the engine as is; the engine reads it as
+        // all cores through the one shared resolution.
+        assert!(flexray_util::resolve_threads(0) >= 1);
+        assert_eq!(flexray_util::resolve_threads(3), 3);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! A crash-safe analysis-as-a-service daemon over the DATE'07
 //! optimisation stack: jobs (grid sweeps, single-axis sweeps, fig9
 //! runs, fuzz campaigns) are read from a file-based JSONL job queue,
-//! dispatched onto the shared work-stealing pool
-//! ([`flexray_util::scoped_consume_with`], per-worker state; each
-//! unit's candidate evaluations additionally fan out across the warm
-//! multi-session `Evaluator` pool via `eval_threads`), and every
+//! run on the units→points engine the `grid` and `fuzz` harnesses run
+//! on ([`flexray_bench::engine`], over the shared work-stealing pool;
+//! each unit's candidate evaluations additionally fan out across the
+//! warm multi-session `Evaluator` pool via `eval_threads`), and every
 //! completed point is streamed to an append-only, schema-versioned
 //! JSONL *journal* ([`journal`]) the moment it lands.
 //!
@@ -28,9 +28,9 @@
 //!
 //! [`spec`] defines the job-spec line format (`flexray-serve-job`
 //! schema v1), [`journal`] the journal record format (`flexray-serve`
-//! schema v2), [`scheduler`] the static-plan concurrent job scheduler
-//! (up to `jobs=K` jobs share the pool while the journal stays a
-//! deterministic function of `(queue, K)`), [`control`] the shared
+//! schema v2), [`scheduler`] what the engine's steps journal (up to
+//! `jobs=K` jobs share the pool while the journal stays a deterministic
+//! function of `(queue, K)`), [`control`] the shared
 //! shutdown/cancel/status surface, [`socket`] the line-oriented JSONL
 //! TCP front-end (`submit`/`status`/`cancel`/`drain`/`shutdown`), and
 //! [`daemon`] the queue-draining engine behind the `flexray-serve`
@@ -52,6 +52,6 @@ pub use daemon::{run_serve, run_serve_with, JobSummary, ServeConfig, ServeOutcom
 pub use journal::{
     read_journal, JobStatus, JournalSink, JournalState, Record, SERVE_SCHEMA, SERVE_SCHEMA_VERSION,
 };
-pub use scheduler::{plan_events, run_schedule, Event, JobResult, PlanShape, ScheduledJob};
+pub use scheduler::{run_schedule, JobResult, ScheduledJob};
 pub use socket::{handle_request, spawn_listener, SocketShared};
 pub use spec::{parse_job, JobKind, JobSpec, JOB_SCHEMA, JOB_SCHEMA_VERSION};

@@ -1,81 +1,38 @@
 //! # flexray-util
 //!
 //! Dependency-free plumbing shared across the workspace: the scoped
-//! work-stealing worker pool ([`scoped_consume`]) that drives the
-//! `grid`, `sweep`, `fig9` and `fuzz` harnesses of `flexray-bench`, the
-//! per-worker-state variant ([`scoped_map_with`]) behind the
-//! multi-session `Evaluator` pool of `flexray-opt`, and the streaming
-//! per-worker-state form ([`scoped_consume_with`]) behind the
-//! `flexray-serve` job dispatcher, and its quit-aware form
-//! ([`scoped_consume_until`]) behind the daemon's graceful stop. All
-//! are projections of one primitive: [`scoped_consume_until`].
+//! work-stealing worker pool ([`scoped_consume_until`]) that runs the
+//! units→points engine of `flexray-bench` — the `grid`, `sweep`, `fig9`
+//! and `fuzz` harnesses and the `flexray-serve` daemon — and its
+//! index-ordered projection ([`scoped_map_with`]) behind the
+//! multi-session `Evaluator` pool of `flexray-opt`. [`resolve_threads`]
+//! is the one reading of a `threads = 0` ("all cores") setting.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-/// Runs `f(0..n_items)` over `threads` scoped worker threads, handing
-/// each result to `consume(i, result)` on the calling thread as it
-/// lands: in completion order (nondeterministic across runs — index
-/// order only on the serial path).
-///
-/// `threads <= 1` runs serially. Workers *steal* the next unclaimed
-/// index from a shared atomic cursor (rather than owning pre-assigned
-/// subsets), so a few slow items cannot idle the rest of the pool. This
-/// is the streaming hook the grid engine uses to aggregate points and
-/// emit report records while later units are still being solved,
-/// without holding a second copy of the results.
-pub fn scoped_consume<T, F, C>(n_items: usize, threads: usize, f: F, consume: C)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    C: FnMut(usize, T),
-{
-    let threads = threads.max(1).min(n_items.max(1));
-    let mut states = vec![(); threads];
-    scoped_consume_with(&mut states, n_items, |(), i| f(i), consume);
+/// The effective worker-thread count of a `threads` setting: `threads`
+/// itself, with `0` resolved to the available hardware parallelism.
+#[must_use]
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        threads
+    }
 }
 
-/// The most general form of the pool: per-worker owned *state*
-/// ([`scoped_map_with`]) combined with streaming completion
-/// ([`scoped_consume`]). One scoped thread is spawned per element of
-/// `states` (capped at `n_items`; a single state runs serially on the
-/// calling thread); workers steal indices from a shared atomic cursor,
-/// and `consume(i, result)` runs on the calling thread in completion
-/// order, owning each result as it lands.
+/// Runs `f(state, i)` over `0..n_items` on one scoped worker thread per
+/// element of `states` (capped at `n_items`; a single state runs
+/// serially on the calling thread), handing each result to
+/// `consume(i, result)` on the calling thread in completion order.
+/// Workers *steal* the next unclaimed index from a shared atomic
+/// cursor, so a few slow items cannot idle the rest of the pool, and
+/// bring their own exclusively owned state to every index they claim.
 ///
-/// This is the dispatcher primitive of the `flexray-serve` daemon: work
-/// units stream into the journal the moment they complete while every
-/// worker keeps its own warm state.
-///
-/// Does nothing when `n_items == 0`.
-///
-/// # Panics
-///
-/// Panics if `states` is empty while `n_items > 0`: there would be no
-/// worker to run the items on.
-pub fn scoped_consume_with<S, T, F, C>(states: &mut [S], n_items: usize, f: F, consume: C)
-where
-    S: Send,
-    T: Send,
-    F: Fn(&mut S, usize) -> T + Sync,
-    C: FnMut(usize, T),
-{
-    let quit = std::sync::atomic::AtomicBool::new(false);
-    scoped_consume_until(states, n_items, &quit, f, consume);
-}
-
-/// [`scoped_consume_with`] with a cooperative *quit flag*: once `quit`
-/// reads `true`, no worker claims another index. Indices already being
-/// computed run to completion and are still handed to `consume`; the
-/// remaining unclaimed indices are simply never run, leaving the caller
-/// with a gap it can detect (its result buffer stays empty there).
-///
-/// This is the graceful-stop primitive of the `flexray-serve` daemon:
-/// a stop file or a socket `shutdown` request sets the flag, in-flight
-/// units finish and are journaled, and the pool winds down without
-/// abandoning any result it already paid for. The flag is only
-/// *observed* here — the caller decides when to set it (typically from
-/// inside `consume`, which runs on the calling thread).
+/// Once `quit` reads `true`, no worker claims another index: indices
+/// already being computed still reach `consume`, the rest never run.
+/// The caller sets the flag, typically from inside `consume`.
 ///
 /// # Panics
 ///
@@ -138,24 +95,16 @@ pub fn scoped_consume_until<S, T, F, C>(
     });
 }
 
-/// Runs `f(state, i)` over `0..n_items` with one exclusively owned
-/// *worker state* per thread, collecting the results in index order —
-/// the pool behind the multi-session `Evaluator`: each worker brings a warm
-/// state (e.g. an analysis session) to every index it steals, so
-/// expensive per-worker setup happens once, not per item.
-///
-/// One scoped thread is spawned per element of `states` (capped at
-/// `n_items`); a single state runs serially on the calling thread.
-/// Indices are work-stolen from a shared atomic cursor exactly like
-/// [`scoped_consume`], and results land in index order regardless of which
-/// worker claimed which index — callers whose `f(_, i)` is a pure
-/// function of `i` therefore get output bit-identical to the serial
-/// run for any state count.
+/// [`scoped_consume_until`] without a quit flag, collecting the results
+/// in index order — the pool behind the multi-session `Evaluator`: each
+/// worker brings a warm state (e.g. an analysis session) to every index
+/// it steals, so expensive per-worker setup happens once, not per item.
+/// Callers whose `f(_, i)` is a pure function of `i` get output
+/// bit-identical to the serial run for any state count.
 ///
 /// # Panics
 ///
-/// Panics if `states` is empty while `n_items > 0`: there would be no
-/// worker to run the items on.
+/// Panics if `states` is empty while `n_items > 0`.
 pub fn scoped_map_with<S, T, F>(states: &mut [S], n_items: usize, f: F) -> Vec<T>
 where
     S: Send,
@@ -163,7 +112,8 @@ where
     F: Fn(&mut S, usize) -> T + Sync,
 {
     let mut slots: Vec<Option<T>> = (0..n_items).map(|_| None).collect();
-    scoped_consume_with(states, n_items, f, |i, item| slots[i] = Some(item));
+    let quit = std::sync::atomic::AtomicBool::new(false);
+    scoped_consume_until(states, n_items, &quit, f, |i, item| slots[i] = Some(item));
     slots
         .into_iter()
         .map(|slot| slot.expect("every index is claimed by exactly one worker"))
@@ -173,15 +123,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn scoped_consume_hands_over_every_item_exactly_once() {
+        let quit = AtomicBool::new(false);
         for threads in [1usize, 4] {
             let mut seen = [0usize; 9];
-            scoped_consume(
+            scoped_consume_until(
+                &mut vec![(); threads],
                 9,
-                threads,
-                |i| i * 2,
+                &quit,
+                |(), i| i * 2,
                 |i, item| {
                     assert_eq!(item, i * 2, "consumer owns the right item");
                     seen[i] += 1;
@@ -223,12 +176,14 @@ mod tests {
 
     #[test]
     fn scoped_consume_with_streams_every_item_with_worker_state() {
+        let quit = AtomicBool::new(false);
         for workers in [1usize, 2, 5] {
             let mut states: Vec<usize> = vec![0; workers];
             let mut seen = [0usize; 13];
-            scoped_consume_with(
+            scoped_consume_until(
                 &mut states,
                 13,
+                &quit,
                 |claimed, i| {
                     *claimed += 1;
                     i * 7
@@ -246,12 +201,12 @@ mod tests {
     #[test]
     fn scoped_consume_with_empty_items_is_a_no_op() {
         let mut none: Vec<u8> = Vec::new();
-        scoped_consume_with(&mut none, 0, |_, i| i, |_, _| panic!("no items"));
+        let quit = AtomicBool::new(false);
+        scoped_consume_until(&mut none, 0, &quit, |_, i| i, |_, _| panic!("no items"));
     }
 
     #[test]
     fn scoped_consume_until_serial_stops_exactly_at_the_quit() {
-        use std::sync::atomic::{AtomicBool, Ordering};
         let quit = AtomicBool::new(false);
         let mut states: Vec<()> = vec![()];
         let mut landed = 0usize;
@@ -275,7 +230,6 @@ mod tests {
 
     #[test]
     fn scoped_consume_until_parallel_stops_claiming_once_quit_is_set() {
-        use std::sync::atomic::{AtomicBool, Ordering};
         let quit = AtomicBool::new(false);
         let mut states: Vec<()> = vec![(); 3];
         let mut seen = vec![false; 300];
@@ -307,7 +261,6 @@ mod tests {
 
     #[test]
     fn scoped_consume_until_with_quit_preset_runs_nothing() {
-        use std::sync::atomic::AtomicBool;
         let quit = AtomicBool::new(true);
         let mut states: Vec<()> = vec![(); 2];
         scoped_consume_until(
