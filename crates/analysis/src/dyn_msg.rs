@@ -11,6 +11,10 @@
 //! minislot counter past the latest-transmission-start bound before slot
 //! `FrameID_m` begins.
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
 use flexray_model::{ActivityId, MessageClass, SystemView, Time};
 
 /// How the latest-transmission-start check is performed.
@@ -299,6 +303,19 @@ struct DpChoice {
 /// accumulated sum, plus the arena tail of the choices reaching it.
 type DpCell = Option<(u32, usize)>;
 
+/// Key of the Exact-mode selection memo: the index of the message whose
+/// pool is packed, the cycle's `need_extra`, and the mask of pool levels
+/// with pending instances (bit `k` = level `k`).
+type SelectKey = (u32, u32, u64);
+
+/// Hasher of the selection memo: fixed keys, so every process hashes
+/// and probes the same way (the memo is private, never fed by input).
+type SelectHasher = BuildHasherDefault<DefaultHasher>;
+
+/// Most pool levels the selection memo can key (one mask bit each);
+/// larger pools run the DP on every selection.
+const MEMO_MAX_LEVELS: usize = 64;
+
 /// Reusable scratch state of the dynamic-message busy-window fixed
 /// point: the interference pool, the per-`hp(m)` arrival counts and the
 /// packing/DP buffers. A fresh scratch per call reproduces the plain
@@ -339,6 +356,28 @@ pub struct DynScratch {
     /// Calls where the fill bound proved Exact cannot differ from
     /// Greedy, so the DP was skipped for the whole call.
     exact_short_circuits: u64,
+    /// Index of the message whose pool the scratch currently holds (the
+    /// memo key's first component).
+    msg: u32,
+    /// First entry index of each *level* of the current pool — a
+    /// maximal run of entries sharing `(id, extra)` — in pool order,
+    /// which is ascending identifier. Filled per Exact-mode call.
+    levels: Vec<u32>,
+    /// Exact-mode selection memo: [`SelectKey`] → mask of the levels
+    /// the DP chose (0 = the pending pool cannot fill the cycle). The
+    /// DP reads only each entry's `id`, `extra` and whether it is still
+    /// pending, and the pool skeleton is fixed per (message,
+    /// generation), so within one scope a selection is a pure function
+    /// of its key — tie-breaks included. Scope: one candidate under
+    /// session management (cleared by [`DynScratch::begin_candidate`]),
+    /// one call otherwise; that bounds its size to one candidate's
+    /// distinct selections. Pools of more than [`MEMO_MAX_LEVELS`]
+    /// levels bypass it.
+    memo: HashMap<SelectKey, u64, SelectHasher>,
+    /// Cycle selections the DP actually ran (memo misses and bypasses).
+    dp_runs: u64,
+    /// Cycle selections answered by the memo.
+    memo_hits: u64,
     /// Session-managed per-message pool skeletons (entries with counts
     /// zeroed) flattened into one arena, valid for one `skel_gen`.
     skel_arena: Vec<LfEntry>,
@@ -347,17 +386,19 @@ pub struct DynScratch {
     skel_range: Vec<(u32, u32)>,
     /// Generation of the cached skeletons: 0 = unmanaged (every call
     /// rebuilds), set by the owning session via
-    /// [`DynScratch::set_generation`].
+    /// [`DynScratch::begin_candidate`].
     skel_gen: u64,
 }
 
 impl DynScratch {
-    /// Declares the (frame-assignment, phy) generation of subsequent
-    /// calls. Pool skeletons are pure functions of that pair, so they
-    /// survive while the generation does and are dropped when it moves
-    /// on. Only the session calls this; a plain scratch stays at
-    /// generation 0 and rebuilds on every call.
-    pub(crate) fn set_generation(&mut self, generation: u64) {
+    /// Starts one candidate of the session under the (frame-assignment,
+    /// phy) `generation`. Pool skeletons are pure functions of that
+    /// pair, so they survive while the generation does and are dropped
+    /// when it moves on; the selection memo is dropped on every
+    /// candidate. Only the session calls this; a plain scratch stays at
+    /// generation 0 and rebuilds (and forgets) on every call.
+    pub(crate) fn begin_candidate(&mut self, generation: u64) {
+        self.memo.clear();
         if self.skel_gen != generation {
             self.skel_gen = generation;
             self.skel_arena.clear();
@@ -371,7 +412,9 @@ impl DynScratch {
     fn begin(&mut self, sys: SystemView<'_>, m: ActivityId, hp: &[ActivityId], lf: &[ActivityId]) {
         self.hp_arrivals.clear();
         self.hp_arrivals.resize(hp.len(), 0);
+        self.msg = u32::try_from(m.index()).expect("activity index fits u32");
         if self.skel_gen == 0 {
+            self.memo.clear();
             self.pool.rebuild(sys, lf);
             return;
         }
@@ -462,7 +505,7 @@ impl DynScratch {
     fn fill_exact(&mut self, need_extra: u32) -> i64 {
         let mut filled: i64 = 0;
         while self.pool.has_pending() {
-            if !self.select_cycle_exact(need_extra) {
+            if !self.select_cycle(need_extra) {
                 break;
             }
             let repeats = self
@@ -488,6 +531,78 @@ impl DynScratch {
             }
             filled += repeats;
         }
+        filled
+    }
+
+    /// Records the level starts of the current pool (see
+    /// [`DynScratch::levels`]).
+    fn index_levels(&mut self) {
+        self.levels.clear();
+        let entries = &self.pool.entries;
+        for (i, e) in entries.iter().enumerate() {
+            if i == 0 || (entries[i - 1].id, entries[i - 1].extra) != (e.id, e.extra) {
+                self.levels.push(u32::try_from(i).expect("pool fits u32"));
+            }
+        }
+    }
+
+    /// Mask of the levels that still hold a pending instance.
+    fn pending_levels(&self) -> u64 {
+        let entries = &self.pool.entries;
+        let mut mask = 0u64;
+        for (k, &start) in self.levels.iter().enumerate() {
+            let end = self
+                .levels
+                .get(k + 1)
+                .map_or(entries.len(), |&e| e as usize);
+            if entries[start as usize..end].iter().any(|e| e.remaining > 0) {
+                mask |= 1 << k;
+            }
+        }
+        mask
+    }
+
+    /// [`DynScratch::select_cycle_exact`] behind the selection memo:
+    /// a hit rebuilds `self.choices` from the memoised level mask in
+    /// level order — ascending identifier, the order the DP emits — and
+    /// a miss runs the DP and records its answer.
+    fn select_cycle(&mut self, need_extra: u32) -> bool {
+        if self.levels.len() > MEMO_MAX_LEVELS {
+            self.dp_runs += 1;
+            return self.select_cycle_exact(need_extra);
+        }
+        let key = (self.msg, need_extra, self.pending_levels());
+        if let Some(&chosen) = self.memo.get(&key) {
+            self.memo_hits += 1;
+            self.choices.clear();
+            let mut bits = chosen;
+            while bits != 0 {
+                let e = self.pool.entries[self.levels[bits.trailing_zeros() as usize] as usize];
+                self.choices.push((e.id, e.extra));
+                bits &= bits - 1;
+            }
+            #[cfg(debug_assertions)]
+            {
+                let memoised = std::mem::take(&mut self.choices);
+                let filled = self.select_cycle_exact(need_extra);
+                assert_eq!(filled, chosen != 0, "memo hit disagrees with the DP");
+                assert_eq!(memoised, self.choices, "memo hit disagrees with the DP");
+            }
+            return chosen != 0;
+        }
+        self.dp_runs += 1;
+        let filled = self.select_cycle_exact(need_extra);
+        let mut chosen = 0u64;
+        if filled {
+            for &(id, extra) in &self.choices {
+                let k = self.levels.partition_point(|&start| {
+                    let e = &self.pool.entries[start as usize];
+                    e.id < id || (e.id == id && e.extra > extra)
+                });
+                chosen |= 1 << k;
+            }
+        }
+        self.memo.insert(key, chosen);
         filled
     }
 
@@ -663,10 +778,22 @@ impl DynScratch {
         (self.exact_calls, self.exact_short_circuits)
     }
 
-    /// Resets the [`DynScratch::exact_stats`] counters.
+    /// `(dp_runs, memo_hits)` of the Exact-mode cycle selections
+    /// observed by this scratch: how many ran the packing DP and how
+    /// many the selection memo answered. Deterministic, and identical
+    /// in debug and release builds.
+    #[must_use]
+    pub fn select_stats(&self) -> (u64, u64) {
+        (self.dp_runs, self.memo_hits)
+    }
+
+    /// Resets the [`DynScratch::exact_stats`] and
+    /// [`DynScratch::select_stats`] counters.
     pub fn reset_exact_stats(&mut self) {
         self.exact_calls = 0;
         self.exact_short_circuits = 0;
+        self.dp_runs = 0;
+        self.memo_hits = 0;
     }
 }
 
@@ -779,6 +906,8 @@ pub(crate) fn dyn_delay_with(
         if max_fill < u64::from(need_extra) {
             scratch.exact_short_circuits += 1;
             mode = DynAnalysisMode::Greedy;
+        } else {
+            scratch.index_levels();
         }
     }
     let mut hp_filled: i64 = 0;

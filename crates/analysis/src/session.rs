@@ -265,7 +265,8 @@ pub(crate) fn analyse_core(
     // DYN interference sets depend only on the frame-identifier
     // assignment; refresh them when it changes. The scratch's pool
     // skeletons additionally depend on the physical layer, so their
-    // generation moves with either.
+    // generation moves with either; its cycle-selection memo lives for
+    // one candidate.
     if st.dyn_sets_key.as_ref() != Some(&sys.bus.frame_ids) {
         st.dyn_sets.clear();
         st.dyn_sets.resize(n, (Vec::new(), Vec::new()));
@@ -279,7 +280,7 @@ pub(crate) fn analyse_core(
         st.skel_phy = Some(sys.bus.phy);
         st.skel_gen = st.skel_gen.wrapping_add(1);
     }
-    st.dyn_scratch.set_generation(st.skel_gen);
+    st.dyn_scratch.begin_candidate(st.skel_gen);
     // Every analysed candidate may carry a different bus: DYN-message
     // memos (whose delay reads the bus directly) start cold, FPS memos
     // survive for as long as the availabilities they were computed
@@ -600,6 +601,17 @@ impl AnalysisSession {
     #[must_use]
     pub fn dyn_exact_stats(&self) -> (u64, u64) {
         self.state.dyn_scratch.exact_stats()
+    }
+
+    /// `(dp_runs, memo_hits)` of the Exact-mode cycle selections over
+    /// this session's lifetime: how many ran the packing DP, and how
+    /// many the per-candidate selection memo answered (see
+    /// [`DynScratch::select_stats`](crate::DynScratch::select_stats)).
+    /// Deterministic work counters; `(0, 0)` under
+    /// [`DynAnalysisMode::Greedy`](crate::DynAnalysisMode).
+    #[must_use]
+    pub fn dyn_select_stats(&self) -> (u64, u64) {
+        self.state.dyn_scratch.select_stats()
     }
 
     /// The analysis configuration applied to every call.

@@ -514,3 +514,108 @@ fn exact_consumes_no_more_than_greedy_per_cycle() {
         }
     }
 }
+
+#[test]
+fn exact_session_sweep_with_selection_memo_matches_fresh_analyses() {
+    // An Exact session sweeping the DYN length candidate by candidate,
+    // then switching frame-identifier assignment and back, must
+    // reproduce a fresh one-shot analysis everywhere. The cycle-selection
+    // memo lives for one candidate, so a candidate costs the same DP
+    // work however often, and after whatever other candidates, it is
+    // analysed. The `(dp_runs, memo_hits)` counters are pure functions
+    // of this fixed sequence, so pinning them gates the memo's effect
+    // without timing noise.
+    use flexray::analysis::{AnalysisConfig, AnalysisSession};
+    use flexray::gen::{generate, GeneratorConfig};
+    use flexray::opt::{bbc_skeleton, dyn_sweep_grid, Evaluator};
+    let gen_cfg = GeneratorConfig {
+        tt_fraction: 0.0,
+        ..GeneratorConfig::paper(3)
+    };
+    let generated = generate(&gen_cfg, 0).expect("generates");
+    let (platform, app) = (generated.platform, generated.app);
+    let cfg = AnalysisConfig {
+        dyn_mode: DynAnalysisMode::Exact,
+        ..AnalysisConfig::default()
+    };
+    let template = bbc_skeleton(&platform, &app, gen_cfg.phy);
+    let (min, max) = Evaluator::new(platform.clone(), app.clone(), cfg)
+        .dyn_bounds(&template)
+        .expect("the set has a DYN sweep");
+    let grid = dyn_sweep_grid(min, max, &OptParams::default());
+    let lengths: Vec<u32> = grid.iter().step_by(grid.len() / 24).copied().collect();
+    assert!(lengths.len() >= 20, "{} lengths", lengths.len());
+
+    let mut session = AnalysisSession::new(platform.clone(), app.clone(), cfg);
+    // Analyses one candidate, checks it against a fresh analysis and
+    // returns the selection work it took.
+    let run = |session: &mut AnalysisSession, bus: &BusConfig, reanalyse: bool| {
+        bus.validate_for(&app, platform.len())
+            .expect("valid candidate");
+        let (runs0, hits0) = session.dyn_select_stats();
+        let cost = if reanalyse {
+            session.reanalyse_dyn_length(bus.n_minislots)
+        } else {
+            session.analyse_into(bus)
+        }
+        .expect("analyses");
+        let sys = System {
+            platform: platform.clone(),
+            app: app.clone(),
+            bus: bus.clone(),
+        };
+        let fresh = analyse(&sys, &cfg).expect("fresh analysis");
+        let n = bus.n_minislots;
+        assert_eq!(cost, fresh.cost, "n = {n}");
+        assert_eq!(session.responses(), &fresh.responses[..], "n = {n}");
+        assert_eq!(session.diverged(), &fresh.diverged[..], "n = {n}");
+        let (runs1, hits1) = session.dyn_select_stats();
+        (runs1 - runs0, hits1 - hits0)
+    };
+    let mut bus = template.clone();
+    let mut busiest = (0, (0, 0));
+    for (k, &n) in lengths.iter().enumerate() {
+        bus.n_minislots = n;
+        let work = run(&mut session, &bus, k > 0);
+        if work.0 > busiest.1 .0 {
+            busiest = (n, work);
+        }
+    }
+    let (n, work) = busiest;
+    assert!(
+        work.0 > 0 && work.1 > 0,
+        "the sweep must run the DP and hit the memo"
+    );
+    bus.n_minislots = n;
+    assert_eq!(
+        run(&mut session, &bus, true),
+        work,
+        "the same candidate again: the memo must have been reset"
+    );
+
+    // A different frame-identifier assignment (the used identifiers
+    // mirrored, on the longest segment) moves the skeleton generation;
+    // back on the original one the candidate again costs exactly what
+    // it did the first time.
+    let original = bus.clone();
+    bus.n_minislots = *lengths.last().expect("lengths");
+    let mut used: Vec<FrameId> = bus.frame_ids.values().copied().collect();
+    used.sort_unstable();
+    used.dedup();
+    for fid in bus.frame_ids.values_mut() {
+        let k = used.binary_search(fid).expect("used identifier");
+        *fid = used[used.len() - 1 - k];
+    }
+    assert_ne!(bus.frame_ids, original.frame_ids, "assignment changed");
+    run(&mut session, &bus, false);
+    assert_eq!(
+        run(&mut session, &original, false),
+        work,
+        "back on the original assignment: the memo must have been reset"
+    );
+
+    let (dp_runs, memo_hits) = session.dyn_select_stats();
+    assert!(memo_hits > dp_runs, "the memo must answer most selections");
+    assert_eq!((dp_runs, memo_hits), (1207, 50_140));
+    assert_eq!(session.dyn_exact_stats(), (9627, 7974));
+}
