@@ -13,7 +13,7 @@
 //! The build environment has no crates.io access (the workspace links a
 //! no-op `serde` shim, see `vendor/README.md`), so the codec is a small
 //! hand-rolled JSON value type with a writer and a recursive-descent
-//! parser — swap it for `serde_json` if registry access appears.
+//! parser.
 //!
 //! # Schema stability
 //!

@@ -15,7 +15,7 @@ use crate::evaluator::Evaluator;
 use crate::newton::NewtonPoly;
 use crate::params::OptParams;
 use flexray_analysis::Cost;
-use flexray_model::{BusConfig, Time};
+use flexray_model::{Application, BusConfig, Time, MAX_CYCLE, MAX_MINISLOTS};
 use std::collections::BTreeMap;
 
 /// Strategy for choosing the dynamic-segment length.
@@ -61,11 +61,30 @@ pub fn determine_dyn_length(
     }
 }
 
+/// Bounds of the dynamic-segment sweep in minislots for a given
+/// frame-identifier assignment and static-segment layout:
+/// `[DYNbus_min, DYNbus_max]` of Fig. 5 line 5. Returns `None` when
+/// no dynamic segment is needed (no dynamic messages) or no length
+/// fits the 16 ms cycle budget left by the static segment.
+pub(crate) fn dyn_bounds(app: &Application, bus: &BusConfig) -> Option<(u32, u32)> {
+    if bus.frame_ids.is_empty() {
+        return None;
+    }
+    let min = bus.min_minislots(app).max(1);
+    let budget = MAX_CYCLE - bus.st_bus();
+    if budget <= Time::ZERO {
+        return None;
+    }
+    let fit = u32::try_from(budget / bus.phy.gd_minislot).unwrap_or(u32::MAX);
+    let max = fit.min(MAX_MINISLOTS);
+    (min <= max).then_some((min, max))
+}
+
 /// The candidate grid [`determine_dyn_length`] sweeps for the given
 /// bounds: `min..=max` with the configured step, widened so the grid
 /// stays within `params.max_dyn_candidates`, always including `max`.
-/// Public so harnesses measuring the sweep (e.g. the evaluator bench)
-/// reproduce exactly the grid the optimisers run.
+/// Public so harnesses measuring the sweep reproduce exactly the grid
+/// the optimisers run.
 #[must_use]
 pub fn dyn_sweep_grid(min: u32, max: u32, params: &OptParams) -> Vec<u32> {
     let span = max.saturating_sub(min);

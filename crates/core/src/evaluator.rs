@@ -307,21 +307,11 @@ impl Evaluator {
     /// Bounds of the dynamic-segment sweep in minislots for a given
     /// frame-identifier assignment and static-segment layout:
     /// `[DYNbus_min, DYNbus_max]` of Fig. 5 line 5. Returns `None` when
-    /// no dynamic segment is needed (no dynamic messages) or the static
-    /// segment already exceeds the 16 ms cycle budget.
+    /// no dynamic segment is needed (no dynamic messages) or no length
+    /// fits the 16 ms cycle budget left by the static segment.
     #[must_use]
     pub fn dyn_bounds(&self, bus: &BusConfig) -> Option<(u32, u32)> {
-        if bus.frame_ids.is_empty() {
-            return None;
-        }
-        let min = bus.min_minislots(self.session.app()).max(1);
-        let budget = flexray_model::MAX_CYCLE - bus.st_bus();
-        if budget <= Time::ZERO {
-            return None;
-        }
-        let fit = u32::try_from(budget / bus.phy.gd_minislot).unwrap_or(u32::MAX);
-        let max = fit.min(flexray_model::MAX_MINISLOTS);
-        (min <= max).then_some((min, max))
+        crate::dyn_search::dyn_bounds(self.session.app(), bus)
     }
 }
 

@@ -15,12 +15,13 @@
 //! the static skeleton stays at its minimal-bandwidth shape while the
 //! dynamic lengths are searched jointly.
 
+use crate::dyn_search::{dyn_bounds, dyn_sweep_grid};
 use crate::frame_assign::assign_frame_ids_by_criticality;
 use crate::params::{OptParams, OptResult};
 use flexray_analysis::{AnalysisSession, Cost};
 use flexray_model::{
     derive_msg_clusters, ActivityId, Application, BusConfig, FrameId, MessageClass, ModelError,
-    Network, NodeId, PhyParams, Platform, Time, MAX_CYCLE, MAX_MINISLOTS,
+    Network, NodeId, PhyParams, Platform, Time,
 };
 use std::time::Instant;
 
@@ -182,20 +183,7 @@ fn cluster_skeleton(
 /// like the single-cluster sweeps. Empty when the cluster has no
 /// dynamic messages.
 fn cluster_grid(app: &Application, bus: &BusConfig, params: &OptParams) -> Vec<u32> {
-    if bus.frame_ids.is_empty() {
-        return Vec::new();
-    }
-    let min = bus.min_minislots(app).max(1);
-    let budget = MAX_CYCLE - bus.st_bus();
-    if budget <= Time::ZERO {
-        return Vec::new();
-    }
-    let fit = u32::try_from(budget / bus.phy.gd_minislot).unwrap_or(u32::MAX);
-    let max = fit.min(MAX_MINISLOTS);
-    if min > max {
-        return Vec::new();
-    }
-    crate::dyn_search::dyn_sweep_grid(min, max, params)
+    dyn_bounds(app, bus).map_or_else(Vec::new, |(min, max)| dyn_sweep_grid(min, max, params))
 }
 
 /// Optimises the bus access of a multi-cluster FlexRay network.

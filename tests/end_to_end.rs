@@ -477,3 +477,45 @@ fn exact_dyn_mode_also_bounds_the_simulation() {
         }
     }
 }
+
+/// Million-cycle soak on the cruise-controller case study: with
+/// hyperperiod compression on, the simulator event-steps only until the
+/// boundary state repeats and fast-forwards over the rest of a horizon
+/// of at least 10^6 bus cycles.
+#[test]
+fn compression_covers_a_million_cruise_cycles_in_two_hyperperiods() {
+    let (platform, app) = gen::cruise_controller(120.0).expect("cruise model");
+    let result = obc(
+        &platform,
+        &app,
+        PhyParams::bmw_like(),
+        &OptParams::default(),
+        DynSearch::CurveFit,
+    );
+    let sys = System {
+        platform,
+        app,
+        bus: result.bus,
+    };
+    let bounds: Vec<_> = sys.app.ids().map(|id| sys.duration_of(id)).collect();
+    let table = analysis::build_schedule(&sys, &bounds).expect("schedule");
+
+    let horizon = sys.app.hyperperiod().expect("hyperperiod");
+    let cycles_per_rep = horizon.div_ceil(sys.bus.gd_cycle()).max(1);
+    let reps = (1_000_000 + cycles_per_rep - 1) / cycles_per_rep;
+    assert!(cycles_per_rep * reps >= 1_000_000);
+
+    let cfg = SimConfig {
+        reps,
+        compress: true,
+        order: ExecutionOrder::Canonical,
+        ..SimConfig::default()
+    };
+    let report = simulate(&sys, &table, &cfg).expect("simulation");
+    assert!(report.is_clean(), "{:?}", report.violations);
+    assert_eq!(
+        report.hyperperiods_simulated + report.hyperperiods_skipped,
+        reps
+    );
+    assert_eq!(report.hyperperiods_simulated, 2, "over {reps} hyperperiods");
+}
