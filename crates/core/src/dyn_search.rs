@@ -10,6 +10,19 @@
 //!   all response times with Newton polynomials, and refine around the
 //!   interpolated optimum (the paper's curve-fitting heuristic,
 //!   5 initial points, `N_max = 10`).
+//!
+//! The curve fit's inner loop costs every pending candidate from its
+//! interpolated responses. It runs column-wise: one activity's
+//! polynomial is evaluated across all candidates at once
+//! ([`NewtonPoly::eval_many`]), and each candidate's `f1`/`f2` are summed
+//! in activity order, as Eq. (5) sums them. The polynomials and scratch
+//! buffers live across refinement rounds and are refilled in place. A
+//! seed candidate next to the best analysed length is costed first, and
+//! any candidate whose partial overshoot already exceeds the seed's is
+//! dropped: overshoot sums only grow, so it could never win. Every
+//! candidate still costed sees the same floating-point operations in the
+//! same order as a plain scan, so the chosen length is bit for bit the
+//! plain scan's; debug builds check this on every round.
 
 use crate::evaluator::Evaluator;
 use crate::newton::NewtonPoly;
@@ -138,22 +151,207 @@ fn exhaustive(ev: &mut Evaluator, template: &BusConfig, candidates: &[u32]) -> O
     best
 }
 
+/// Activities interpolated between two pruning passes of
+/// [`Interpolator::argmin`].
+const PRUNE_BLOCK: usize = 8;
+
+/// An interpolated response (µs) as the cost function sees it: capped
+/// to `[0, 1e12]`, then rounded to whole nanoseconds like
+/// `Time::from_us(v).as_us()`, without its libm call and range asserts.
+fn interp_us(v: f64) -> f64 {
+    // High-degree Newton extrapolation can overflow; an absurd finite
+    // cap keeps the cost comparison sane.
+    let v = if v.is_finite() {
+        v.clamp(0.0, 1e12)
+    } else {
+        1e12
+    };
+    // Round half away from zero, as `f64::round`: `ns` lies in
+    // `[0, 1e15] ⊂ [0, 2^52)`, so the truncation and the fraction
+    // `ns - t` are exact.
+    let ns = v * 1_000.0;
+    let t = ns as i64 as f64;
+    let ns = if ns - t >= 0.5 { t + 1.0 } else { t };
+    let us = ns / 1_000.0;
+    debug_assert_eq!(us.to_bits(), Time::from_us(v).as_us().to_bits());
+    us
+}
+
+/// The interpolation side of [`curve_fit`]: one Newton polynomial per
+/// activity and the scratch of the candidate scan, kept across
+/// refinement rounds so a round allocates nothing.
+#[derive(Debug, Default)]
+struct Interpolator {
+    /// Per-activity polynomials over the analysed points, in x order.
+    polys: Vec<NewtonPoly>,
+    /// Per-activity deadlines in µs (the `D_ij` of Eq. (5)).
+    deadlines: Vec<f64>,
+    /// The candidates not analysed yet, in candidate order.
+    pending: Vec<u32>,
+    /// The candidates still in the running during a scan: length, x,
+    /// partial `f1` and `f2`, and the polynomial values of the activity
+    /// at hand.
+    live: Vec<u32>,
+    live_xs: Vec<f64>,
+    f1: Vec<f64>,
+    f2: Vec<f64>,
+    vals: Vec<f64>,
+}
+
+impl Interpolator {
+    fn new(app: &Application) -> Self {
+        Interpolator {
+            deadlines: app.ids().map(|id| app.deadline_of(id).as_us()).collect(),
+            ..Interpolator::default()
+        }
+    }
+
+    /// Refits every activity's polynomial through the analysed `points`
+    /// that carry responses, and lists the candidates still pending.
+    /// Returns the number of interpolated activities: 0 when no analysed
+    /// point yielded responses.
+    fn rebuild(&mut self, points: &BTreeMap<u32, (Cost, Vec<f64>)>, candidates: &[u32]) -> usize {
+        let n_activities = points.values().map(|(_, r)| r.len()).max().unwrap_or(0);
+        debug_assert!(n_activities == 0 || n_activities == self.deadlines.len());
+        self.polys.resize_with(n_activities, NewtonPoly::new);
+        self.polys.iter_mut().for_each(NewtonPoly::clear);
+        for (&x, (_, responses)) in points {
+            if responses.len() != n_activities {
+                continue; // invalid configuration: no responses stored
+            }
+            for (poly, &r) in self.polys.iter_mut().zip(responses) {
+                poly.add_point(f64::from(x), r);
+            }
+        }
+        self.pending.clear();
+        self.pending
+            .extend(candidates.iter().filter(|c| !points.contains_key(c)));
+        n_activities
+    }
+
+    /// Interpolated cost (Eq. (5)) at `x`, summed in activity order.
+    fn cost_at(&self, x: f64) -> Cost {
+        let (mut f1, mut f2) = (0.0, 0.0);
+        for (poly, &d) in self.polys.iter().zip(&self.deadlines) {
+            let delta = interp_us(poly.eval(x)) - d;
+            if delta > 0.0 {
+                f1 += delta;
+            }
+            f2 += delta;
+        }
+        Cost { f1, f2 }
+    }
+
+    /// The plain scan: the first pending candidate of least interpolated
+    /// cost, each candidate costed in full.
+    #[cfg(any(test, debug_assertions))]
+    fn argmin_plain(&self) -> Option<(u32, Cost)> {
+        let mut best: Option<(u32, Cost)> = None;
+        for &c in &self.pending {
+            let cost = self.cost_at(f64::from(c));
+            if best.is_none_or(|(_, b)| cost.better_than(&b)) {
+                best = Some((c, cost));
+            }
+        }
+        best
+    }
+
+    /// [`Interpolator::argmin_plain`] with exact pruning. The seed —
+    /// the first pending candidate at or after length `near` (the last
+    /// one if none is), or the first pending candidate — is costed in
+    /// full first. Then all candidates are interpolated column-wise,
+    /// [`PRUNE_BLOCK`] activities at a time, and dropped once their
+    /// partial overshoot `f1` exceeds the seed's. Overshoot sums only
+    /// grow, so a dropped candidate ends unschedulable with a larger
+    /// `f1` and can never be `better_than` the seed: the minimum and the
+    /// seed itself survive. Every survivor's cost is summed with the
+    /// operations of [`Interpolator::cost_at`], in the same order, so
+    /// the plain scan over the survivors picks the plain scan's result.
+    fn argmin(&mut self, near: Option<u32>) -> Option<(u32, Cost)> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let s = near.map_or(0, |n| {
+            self.pending
+                .partition_point(|&c| c < n)
+                .min(self.pending.len() - 1)
+        });
+        let bound = self.cost_at(f64::from(self.pending[s])).f1;
+
+        let Interpolator {
+            polys,
+            deadlines,
+            pending,
+            live,
+            live_xs,
+            f1,
+            f2,
+            vals,
+        } = self;
+        live.clone_from(pending);
+        live_xs.clear();
+        live_xs.extend(live.iter().map(|&c| f64::from(c)));
+        for buf in [&mut *f1, &mut *f2, &mut *vals] {
+            buf.clear();
+            buf.resize(live.len(), 0.0);
+        }
+        for (block, block_deadlines) in polys.chunks(PRUNE_BLOCK).zip(deadlines.chunks(PRUNE_BLOCK))
+        {
+            for (poly, &d) in block.iter().zip(block_deadlines) {
+                poly.eval_many(live_xs, vals);
+                for ((&v, f1), f2) in vals.iter().zip(f1.iter_mut()).zip(f2.iter_mut()) {
+                    let delta = interp_us(v) - d;
+                    if delta > 0.0 {
+                        *f1 += delta;
+                    }
+                    *f2 += delta;
+                }
+            }
+            let mut kept = 0;
+            for j in 0..live.len() {
+                if f1[j] <= bound {
+                    live[kept] = live[j];
+                    live_xs[kept] = live_xs[j];
+                    f1[kept] = f1[j];
+                    f2[kept] = f2[j];
+                    kept += 1;
+                }
+            }
+            for buf in [&mut *live_xs, &mut *f1, &mut *f2, &mut *vals] {
+                buf.truncate(kept);
+            }
+            live.truncate(kept);
+        }
+
+        let mut best: Option<(u32, Cost)> = None;
+        for ((&c, &f1), &f2) in live.iter().zip(&*f1).zip(&*f2) {
+            let cost = Cost { f1, f2 };
+            if best.is_none_or(|(_, b)| cost.better_than(&b)) {
+                best = Some((c, cost));
+            }
+        }
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(best, self.argmin_plain(), "pruned scan left the plain one");
+        best
+    }
+}
+
 fn curve_fit(
     ev: &mut Evaluator,
     template: &BusConfig,
     params: &OptParams,
     candidates: &[u32],
 ) -> Option<DynChoice> {
-    // Exactly-analysed points: length -> (cost, response vector).
-    let mut points: BTreeMap<u32, (Cost, Vec<Time>)> = BTreeMap::new();
+    // Exactly-analysed points: length -> (cost, responses in µs).
+    let mut points: BTreeMap<u32, (Cost, Vec<f64>)> = BTreeMap::new();
     let mut best: Option<DynChoice> = None;
     let evaluate_at = |ev: &mut Evaluator,
                        n: u32,
-                       points: &mut BTreeMap<u32, (Cost, Vec<Time>)>,
+                       points: &mut BTreeMap<u32, (Cost, Vec<f64>)>,
                        best: &mut Option<DynChoice>|
      -> Cost {
-        let (cost, analysis) = ev.evaluate(&with_length(template, n));
-        let responses = analysis.map(|a| a.responses).unwrap_or_default();
+        let (cost, responses) = ev.evaluate(&with_length(template, n));
+        let responses = responses.map_or_else(Vec::new, |r| r.iter().map(|t| t.as_us()).collect());
         points.insert(n, (cost, responses));
         if best.is_none_or(|b| cost.better_than(&b.cost)) {
             *best = Some(DynChoice {
@@ -179,47 +377,18 @@ fn curve_fit(
         }
     }
 
+    let mut interp = Interpolator::new(ev.app());
     let mut stale_rounds = 0usize;
     let mut last_best_value = best.map_or(f64::INFINITY, |b| b.cost.value());
     // Hard cap well above N_max so a pathological oscillation terminates.
     for _round in 0..params.cf_max_iterations * 4 {
         // Newton polynomial per activity over the analysed points.
-        let n_activities = points.values().map(|(_, r)| r.len()).max().unwrap_or(0);
-        let mut polys = vec![NewtonPoly::new(); n_activities];
-        for (&x, (_, responses)) in &points {
-            if responses.len() != n_activities {
-                continue; // invalid configuration: no responses stored
-            }
-            for (poly, &r) in polys.iter_mut().zip(responses) {
-                poly.add_point(f64::from(x), r.as_us());
-            }
+        if interp.rebuild(&points, candidates) == 0 {
+            return best; // no analysis yielded responses to interpolate
         }
-
-        // Interpolate the cost at every candidate not yet analysed.
-        let mut interp_best: Option<(u32, Cost)> = None;
-        for &c in candidates {
-            if points.contains_key(&c) {
-                continue;
-            }
-            let responses: Vec<Time> = polys
-                .iter()
-                .map(|p| {
-                    // High-degree Newton extrapolation can overflow; an
-                    // absurd finite cap keeps the cost comparison sane.
-                    let v = p.eval(f64::from(c));
-                    let v = if v.is_finite() {
-                        v.clamp(0.0, 1e12)
-                    } else {
-                        1e12
-                    };
-                    Time::from_us(v)
-                })
-                .collect();
-            let cost = ev.cost_from_responses(&responses);
-            if interp_best.is_none_or(|(_, b)| cost.better_than(&b)) {
-                interp_best = Some((c, cost));
-            }
-        }
+        // Interpolate the cost at every candidate not yet analysed; the
+        // neighbour of the best analysed length seeds the pruning bound.
+        let interp_best = interp.argmin(best.map(|b| b.n_minislots));
 
         // The minimum over exact and interpolated points (Fig. 8 line 11).
         let exact_best = points
@@ -233,30 +402,19 @@ fn curve_fit(
                 }
             })
             .expect("points non-empty");
-
         let interp_wins = interp_best.is_some_and(|(_, c)| c.better_than(&exact_best.1));
-        if interp_wins {
-            let (n, interp_cost) = interp_best.expect("interp_wins");
-            let exact_cost = evaluate_at(ev, n, &mut points, &mut best);
-            if exact_cost.is_schedulable() {
-                return best; // Fig. 8 line 14
-            }
-            let _ = interp_cost;
-        } else {
-            if exact_best.1.is_schedulable() {
-                return best; // Fig. 8 line 12
-            }
-            // Best is an already-analysed, unschedulable point: refine at
-            // the most promising interpolated point instead (lines 18-19).
-            match interp_best {
-                Some((n, _)) => {
-                    let c = evaluate_at(ev, n, &mut points, &mut best);
-                    if c.is_schedulable() {
-                        return best;
-                    }
-                }
-                None => break, // every candidate analysed
-            }
+        if !interp_wins && exact_best.1.is_schedulable() {
+            return best; // Fig. 8 line 12
+        }
+        // Analyse the interpolated optimum: either it beats every
+        // analysed point (lines 13-14), or the best analysed point is
+        // unschedulable and the search refines at the most promising
+        // interpolated point instead (lines 18-19).
+        let Some((n, _)) = interp_best else {
+            break; // every candidate analysed
+        };
+        if evaluate_at(ev, n, &mut points, &mut best).is_schedulable() {
+            return best;
         }
 
         // Termination: N_max rounds without improvement (Fig. 8 line 15).
@@ -438,6 +596,116 @@ mod tests {
     #[test]
     fn candidate_grid_zero_step_is_unit_step() {
         assert_eq!(candidate_lengths(3, 6, 0), vec![3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn curve_fit_without_any_responses_matches_exhaustive() {
+        // Three extra graphs with near-coprime nanosecond periods: the
+        // hyperperiod overflows i64 nanoseconds, so every analysis fails
+        // and no analysed point yields responses to interpolate.
+        let (p, mut a, bus) = dyn_app(3);
+        for (i, ns) in [2_100_001, 2_100_011, 2_100_013].into_iter().enumerate() {
+            let g = a.add_graph(&format!("h{i}"), Time::from_ns(ns), Time::from_ns(ns));
+            a.add_task(
+                g,
+                &format!("h{i}"),
+                NodeId::new(0),
+                Time::from_us(1.0),
+                SchedPolicy::Fps,
+                1,
+            );
+        }
+        let params = OptParams {
+            dyn_step: 1,
+            ..OptParams::default()
+        };
+        let mut ev1 = Evaluator::new(p.clone(), a.clone(), AnalysisConfig::default());
+        let ee = determine_dyn_length(&mut ev1, &bus, &params, DynSearch::Exhaustive);
+        let first = ee.expect("has dynamic messages");
+        assert_eq!(first.cost, Cost::infeasible());
+        let mut ev2 = Evaluator::new(p, a, AnalysisConfig::default());
+        let cf = determine_dyn_length(&mut ev2, &bus, &params, DynSearch::CurveFit);
+        assert_eq!(cf, ee);
+    }
+
+    #[test]
+    fn interp_us_rounds_like_time() {
+        let via_time = |v: f64| Time::from_us(v).as_us().to_bits();
+        let mut fixed = vec![0.0, 1e12, 0.0005, 0.0015, 123.4565, 999.9995, 7.0];
+        // pseudo-random magnitudes across the whole capped range
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..10_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            fixed.push(10f64.powf(unit * 15.0 - 3.0).min(1e12));
+        }
+        for v in fixed {
+            assert_eq!(interp_us(v).to_bits(), via_time(v), "at {v}");
+        }
+        // out of range: clamped to the cap, non-finite mapped to it
+        assert_eq!(interp_us(-3.5).to_bits(), 0.0f64.to_bits());
+        assert_eq!(interp_us(5e13).to_bits(), via_time(1e12));
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(interp_us(v).to_bits(), via_time(1e12), "at {v}");
+        }
+    }
+
+    /// An interpolator over `n_act` activities, each with deadline
+    /// 100 µs and response `shape(x)` at the analysed points x = 0, 10
+    /// and 20, so every activity interpolates the same quadratic.
+    fn interpolator(n_act: usize, pending: &[u32], shape: impl Fn(f64) -> f64) -> Interpolator {
+        let mut it = Interpolator {
+            deadlines: vec![100.0; n_act],
+            ..Interpolator::default()
+        };
+        let mut points = BTreeMap::new();
+        for x in [0u32, 10, 20] {
+            let r = shape(f64::from(x));
+            points.insert(x, (Cost::infeasible(), vec![r; n_act]));
+        }
+        let candidates: Vec<u32> = points
+            .keys()
+            .copied()
+            .chain(pending.iter().copied())
+            .collect();
+        assert_eq!(it.rebuild(&points, &candidates), n_act);
+        assert_eq!(it.pending, pending);
+        it
+    }
+
+    #[test]
+    fn pruned_argmin_keeps_the_first_of_tied_candidates() {
+        // A parabola with its vertex at x = 15, interpolated exactly:
+        // candidates 14 and 16 tie for the minimum and 14 must win,
+        // whichever candidate seeds the bound. 20 activities span three
+        // pruning blocks.
+        let pending = [1, 2, 5, 13, 14, 16, 17, 18, 25];
+        let mut it = interpolator(20, &pending, |x| 150.0 + (x - 15.0) * (x - 15.0));
+        let plain = it.argmin_plain();
+        assert_eq!(plain.map(|(n, _)| n), Some(14));
+        for near in [None, Some(15), Some(18), Some(25), Some(99)] {
+            assert_eq!(it.argmin(near), plain, "seed near {near:?}");
+        }
+
+        // Flat responses: every candidate ties, so the first must win
+        // whichever candidate seeds the bound.
+        let mut flat = interpolator(12, &pending, |_| 120.0);
+        for near in [None, Some(1), Some(13), Some(25)] {
+            assert_eq!(
+                flat.argmin(near).map(|(n, _)| n),
+                Some(1),
+                "seed near {near:?}"
+            );
+        }
+        assert_eq!(flat.argmin(None), flat.argmin_plain());
+
+        // Schedulable everywhere: f1 is 0 for all, so nothing is pruned
+        // and the least laxity sum wins (the quadratic's vertex, x = 5).
+        let mut slack = interpolator(9, &pending, |x| 50.0 + (x - 5.0).abs());
+        assert_eq!(slack.argmin(Some(25)).map(|(n, _)| n), Some(5));
+        assert_eq!(slack.argmin(Some(25)), slack.argmin_plain());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! input-independent work), and results are merged in input order, so
 //! parallel output is bit-identical to serial for any thread count.
 
-use flexray_analysis::{Analysis, AnalysisConfig, AnalysisSession, Cost};
+use flexray_analysis::{AnalysisConfig, AnalysisSession, Cost};
 use flexray_model::{Application, BusConfig, MessageClass, Platform, Time};
 use flexray_util::{resolve_threads, scoped_map_with};
 
@@ -190,11 +190,13 @@ impl Evaluator {
         cost
     }
 
-    /// [`Evaluator::evaluate_cost`] plus an owned snapshot of the full
-    /// analysis (response vector, schedule table) for callers that need
-    /// more than the cost — e.g. the curve-fitting interpolation.
+    /// [`Evaluator::evaluate_cost`] plus the worst-case response times
+    /// of the analysis, indexed by activity and borrowed from the
+    /// session, for callers that need more than the cost — e.g. the
+    /// curve-fitting interpolation. `None` when the configuration is
+    /// invalid or the analysis failed.
     #[must_use]
-    pub fn evaluate(&mut self, bus: &BusConfig) -> (Cost, Option<Analysis>) {
+    pub fn evaluate(&mut self, bus: &BusConfig) -> (Cost, Option<&[Time]>) {
         if bus
             .validate_for(self.session.app(), self.session.platform().len())
             .is_err()
@@ -203,7 +205,7 @@ impl Evaluator {
         }
         self.evals += 1;
         match self.session.analyse_into(bus) {
-            Ok(cost) => (cost, Some(self.session.snapshot())),
+            Ok(cost) => (cost, Some(self.session.responses())),
             Err(_) => (Cost::infeasible(), None),
         }
     }
@@ -274,19 +276,6 @@ impl Evaluator {
             out.extend(costs);
         }
         out
-    }
-
-    /// Applies the cost function of Eq. (5) to an (interpolated)
-    /// response-time vector without running the analysis — the cheap
-    /// inner step of the curve-fitting heuristic.
-    #[must_use]
-    pub fn cost_from_responses(&self, responses: &[Time]) -> Cost {
-        // Eq. (5) only consults the application deadlines, so an empty
-        // placeholder bus serves the borrowed view.
-        let bus = BusConfig::new(flexray_model::PhyParams::default());
-        let view =
-            flexray_model::SystemView::new(self.session.platform(), self.session.app(), &bus);
-        flexray_analysis::cost_of(view, responses)
     }
 
     /// Communication time of the largest static message (the minimal
@@ -379,9 +368,9 @@ mod tests {
         let bus = valid_bus(&a);
         let mut ev = Evaluator::new(p, a, AnalysisConfig::default());
         assert_eq!(ev.evaluations(), 0);
-        let (cost, analysis) = ev.evaluate(&bus);
+        let (cost, responses) = ev.evaluate(&bus);
+        assert_eq!(responses.map(<[Time]>::len), Some(ev.app().ids().count()));
         assert_eq!(ev.evaluations(), 1);
-        assert!(analysis.is_some());
         assert!(cost.is_schedulable(), "cost {cost:?}");
     }
 
@@ -391,9 +380,9 @@ mod tests {
         let mut bus = valid_bus(&a);
         bus.static_slot_owners.clear(); // ST sender loses its slot
         let mut ev = Evaluator::new(p, a, AnalysisConfig::default());
-        let (cost, analysis) = ev.evaluate(&bus);
+        let (cost, responses) = ev.evaluate(&bus);
         assert!(!cost.is_schedulable());
-        assert!(analysis.is_none());
+        assert!(responses.is_none());
         assert_eq!(ev.evaluations(), 0);
     }
 
