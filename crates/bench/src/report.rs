@@ -283,13 +283,53 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, ModelError> {
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number chars");
     let n: f64 = text
         .parse()
-        .map_err(|_| syntax(start, &format!("invalid number '{text}'")))?;
+        .ok()
+        .filter(|_| is_json_number(text.as_bytes()))
+        .ok_or_else(|| syntax(start, &format!("invalid number '{text}'")))?;
     // Overflowing literals like `1e999` parse to infinity, which the
     // writer (rightly) refuses — reject them at the door instead.
     if !n.is_finite() {
         return Err(syntax(start, &format!("number '{text}' overflows f64")));
     }
     Ok(Json::Num(n))
+}
+
+/// `true` if `text` follows the RFC 8259 number grammar,
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` — which
+/// `f64::from_str` alone does not enforce (it takes `+1`, `.5`, `5.`
+/// and `01`).
+fn is_json_number(text: &[u8]) -> bool {
+    let digits = |i: &mut usize| {
+        let start = *i;
+        while text.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i > start
+    };
+    let mut i = usize::from(text.first() == Some(&b'-'));
+    match text.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => {
+            digits(&mut i);
+        }
+        _ => return false,
+    }
+    if text.get(i) == Some(&b'.') {
+        i += 1;
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    if matches!(text.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(text.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    i == text.len()
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ModelError> {
@@ -473,7 +513,7 @@ impl GridReportHeader {
                 "report schema is '{schema}', expected '{GRID_SCHEMA}'"
             )));
         }
-        let version = num_field(&json, "version")? as u32;
+        let version: u32 = count_field(&json, "version")?;
         if version != GRID_SCHEMA_VERSION {
             return Err(ModelError::InvalidConfig(format!(
                 "report schema version {version} unsupported (this build writes \
@@ -498,7 +538,7 @@ impl GridReportHeader {
         Ok(GridReportHeader {
             version,
             axes,
-            apps_per_point: num_field(&json, "apps_per_point")? as usize,
+            apps_per_point: count_field(&json, "apps_per_point")?,
             algos: arr_field(&json, "algos")?
                 .iter()
                 .map(|a| {
@@ -511,7 +551,7 @@ impl GridReportHeader {
                 .parse()
                 .map_err(|_| malformed("field 'seed0' is not an integer string"))?,
             params: str_field(&json, "params")?.to_owned(),
-            total_points: num_field(&json, "total_points")? as usize,
+            total_points: count_field(&json, "total_points")?,
         })
     }
 }
@@ -545,6 +585,29 @@ pub fn num_field(json: &Json, key: &str) -> Result<f64, ModelError> {
     field(json, key)?
         .as_f64()
         .ok_or_else(|| malformed(&format!("field '{key}' is not a number")))
+}
+
+/// `json` as a count: a non-negative integer no larger than 2^53, the
+/// range in which an f64 holds every integer exactly. `None` for a
+/// fraction, a negative, a larger value or a non-number, so a count is
+/// never silently truncated.
+#[must_use]
+#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+pub fn as_count(json: &Json) -> Option<u64> {
+    let n = json.as_f64()?;
+    (n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n)).then_some(n as u64)
+}
+
+/// Count member `key` of an object (see [`as_count`]), as a `T`.
+///
+/// # Errors
+///
+/// Returns [`ModelError::InvalidConfig`] naming the field when it is
+/// missing, not a count, or out of `T`'s range.
+pub fn count_field<T: TryFrom<u64>>(json: &Json, key: &str) -> Result<T, ModelError> {
+    as_count(field(json, key)?)
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| malformed(&format!("field '{key}' is not a non-negative integer")))
 }
 
 /// String member `key` of an object.
@@ -679,7 +742,7 @@ pub fn point_from_line(line: &str) -> Result<GridPoint, ModelError> {
     let gen_json = field(json, "gen")?;
     let node_util = field(gen_json, "node_util")?;
     let gen = AggregatedGenStats {
-        apps: num_field(gen_json, "apps")? as usize,
+        apps: count_field(gen_json, "apps")?,
         avg_tasks: num_field(gen_json, "avg_tasks")?,
         avg_relay_tasks: num_field(gen_json, "avg_relay_tasks")?,
         avg_st_messages: num_field(gen_json, "avg_st_messages")?,
@@ -694,9 +757,9 @@ pub fn point_from_line(line: &str) -> Result<GridPoint, ModelError> {
         depth_histogram: arr_field(gen_json, "depth_histogram")?
             .iter()
             .map(|n| {
-                n.as_f64()
-                    .map(|n| n as usize)
-                    .ok_or_else(|| malformed("histogram entry is not a number"))
+                as_count(n)
+                    .and_then(|n| usize::try_from(n).ok())
+                    .ok_or_else(|| malformed("histogram entry is not a non-negative integer"))
             })
             .collect::<Result<Vec<_>, _>>()?,
     };
@@ -706,8 +769,8 @@ pub fn point_from_line(line: &str) -> Result<GridPoint, ModelError> {
             Ok((
                 str_field(algo, "name")?.to_owned(),
                 AlgoStats {
-                    schedulable: num_field(algo, "schedulable")? as usize,
-                    total: num_field(algo, "total")? as usize,
+                    schedulable: count_field(algo, "schedulable")?,
+                    total: count_field(algo, "total")?,
                     avg_deviation_pct: num_field(algo, "avg_deviation_pct")?,
                     avg_time_s: num_field(algo, "avg_time_s")?,
                     avg_evaluations: num_field(algo, "avg_evaluations")?,
@@ -716,7 +779,7 @@ pub fn point_from_line(line: &str) -> Result<GridPoint, ModelError> {
         })
         .collect::<Result<Vec<_>, ModelError>>()?;
     Ok(GridPoint {
-        index: num_field(json, "point")? as usize,
+        index: count_field(json, "point")?,
         label: str_field(json, "label")?.to_owned(),
         coords,
         algos,
@@ -952,6 +1015,54 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parser_follows_the_json_number_grammar() {
+        for bad in [
+            "+1", ".5", "5.", "01", "-", "-01", "1e", "1e+", "1.e5", "--1",
+        ] {
+            let err = Json::parse(bad).expect_err(bad).to_string();
+            assert!(err.contains("invalid number"), "{bad:?}: {err}");
+        }
+        for (good, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("1.5", 1.5),
+            ("-1.25e-3", -1.25e-3),
+            ("1E+5", 1e5),
+            ("2e0", 2.0),
+        ] {
+            let n = Json::parse(good).expect(good).as_f64().expect("num");
+            assert_eq!(n.to_bits(), f64::to_bits(value), "{good}");
+        }
+        // the golden journal's rejection of a non-JSON queue line
+        let err = Json::parse("garbage line").expect_err("garbage");
+        assert!(
+            err.to_string().ends_with("at byte 0: invalid number ''"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn counts_reject_fractions_negatives_and_values_past_2_pow_53() {
+        let record = |v: &str| Json::parse(&format!("{{\"n\":{v}}}")).expect("json");
+        assert_eq!(count_field::<u64>(&record("0"), "n").ok(), Some(0));
+        assert_eq!(
+            count_field::<u64>(&record("9007199254740992"), "n").ok(),
+            Some(1 << 53)
+        );
+        assert!(count_field::<u8>(&record("256"), "n").is_err());
+        for bad in ["1.5", "-4", "9007199254740993e3", "\"7\"", "null"] {
+            let err = count_field::<u64>(&record(bad), "n").expect_err(bad);
+            assert!(
+                err.to_string()
+                    .contains("field 'n' is not a non-negative integer"),
+                "{bad}: {err}"
+            );
+        }
+        assert_eq!(as_count(&Json::Num(-0.0)), Some(0));
     }
 
     #[test]

@@ -37,12 +37,12 @@
 
 use flexray_gen::Generated;
 use flexray_model::{
-    mix_words, ActivityKind, Application, MessageClass, ModelError, NodeId, PhyParams, Platform,
+    mix_bytes, ActivityKind, Application, MessageClass, ModelError, NodeId, PhyParams, Platform,
     SchedPolicy, Time, WorkloadStats,
 };
 use flexray_opt::NetworkTopology;
 
-use crate::report::Json;
+use crate::report::{as_count, Json};
 
 /// Version of the workgraph record layout; bump on any schema change.
 pub const WORKGRAPH_VERSION: u32 = 1;
@@ -118,17 +118,7 @@ impl Workload {
             self.node_cluster,
             self.gateways
         );
-        let bytes = text.as_bytes();
-        let mut words: Vec<u64> = Vec::with_capacity(bytes.len() / 8 + 2);
-        words.push(bytes.len() as u64);
-        for chunk in bytes.chunks(8) {
-            let mut word = 0u64;
-            for (i, &b) in chunk.iter().enumerate() {
-                word |= u64::from(b) << (8 * i);
-            }
-            words.push(word);
-        }
-        format!("{:016x}", mix_words(&words))
+        format!("{:016x}", mix_bytes(text.as_bytes()))
     }
 
     /// Serialises the workload as workgraph lines (newline-terminated).
@@ -364,15 +354,11 @@ fn reject_unknown(line: usize, kind: &str, found: &[(String, Json)]) -> Result<(
     Ok(())
 }
 
-/// A non-negative integer (exact, within f64's integer range).
-fn as_count(line: usize, key: &str, json: &Json) -> Result<i64, ModelError> {
-    let bad = || at(line, &format!("key '{key}' is not a non-negative integer"));
-    let n = json.as_f64().ok_or_else(bad)?;
-    if !n.is_finite() || n.fract() != 0.0 || !(0.0..=9_007_199_254_740_992.0).contains(&n) {
-        return Err(bad());
-    }
-    #[allow(clippy::cast_possible_truncation)]
-    Ok(n as i64)
+/// A count member (see [`as_count`]).
+fn count_at(line: usize, key: &str, json: &Json) -> Result<i64, ModelError> {
+    as_count(json)
+        .and_then(|n| i64::try_from(n).ok())
+        .ok_or_else(|| at(line, &format!("key '{key}' is not a non-negative integer")))
 }
 
 /// A string member.
@@ -398,7 +384,7 @@ fn take_duration(
             line,
             &format!("record has both '{ns_key}' and '{us_key}'; use one"),
         )),
-        (Some(v), None) => Ok(Time::from_ns(as_count(line, &ns_key, &v)?)),
+        (Some(v), None) => Ok(Time::from_ns(count_at(line, &ns_key, &v)?)),
         (None, Some(v)) => {
             let us = v
                 .as_f64()
@@ -436,7 +422,7 @@ fn parse_record(line: usize, text: &str) -> Result<Record, ModelError> {
     let kind = as_str(line, "kind", &kind_json)?;
     match kind.as_str() {
         "workgraph" => {
-            let version = as_count(line, "version", &take(line, &kind, &mut found, "version")?)?;
+            let version = count_at(line, "version", &take(line, &kind, &mut found, "version")?)?;
             if version != i64::from(WORKGRAPH_VERSION) {
                 return Err(at(
                     line,
@@ -446,9 +432,9 @@ fn parse_record(line: usize, text: &str) -> Result<Record, ModelError> {
                     ),
                 ));
             }
-            let nodes = as_count(line, "nodes", &take(line, &kind, &mut found, "nodes")?)?;
+            let nodes = count_at(line, "nodes", &take(line, &kind, &mut found, "nodes")?)?;
             let clusters = match take_opt(&mut found, "clusters") {
-                Some(v) => as_count(line, "clusters", &v)?,
+                Some(v) => count_at(line, "clusters", &v)?,
                 None => 1,
             };
             let node_cluster = match take_opt(&mut found, "node_cluster") {
@@ -456,7 +442,7 @@ fn parse_record(line: usize, text: &str) -> Result<Record, ModelError> {
                     values
                         .iter()
                         .map(|v| {
-                            let c = as_count(line, "node_cluster", v)?;
+                            let c = count_at(line, "node_cluster", v)?;
                             u16::try_from(c).map_err(|_| {
                                 at(line, &format!("home cluster {c} does not fit in u16"))
                             })
@@ -470,7 +456,7 @@ fn parse_record(line: usize, text: &str) -> Result<Record, ModelError> {
                 Some(Json::Arr(values)) => values
                     .iter()
                     .map(|v| {
-                        as_count(line, "gateways", v).and_then(|g| {
+                        count_at(line, "gateways", v).and_then(|g| {
                             usize::try_from(g)
                                 .map_err(|_| at(line, &format!("gateway {g} out of range")))
                         })
@@ -507,11 +493,11 @@ fn parse_record(line: usize, text: &str) -> Result<Record, ModelError> {
         "task" | "msg" => {
             let id = as_str(line, "id", &take(line, &kind, &mut found, "id")?)?;
             let graph = as_str(line, "graph", &take(line, &kind, &mut found, "graph")?)?;
-            let prio = as_count(line, "prio", &take(line, &kind, &mut found, "prio")?)?;
+            let prio = count_at(line, "prio", &take(line, &kind, &mut found, "prio")?)?;
             let prio = u32::try_from(prio)
                 .map_err(|_| at(line, &format!("priority {prio} out of range")))?;
             let activity_kind = if kind == "task" {
-                let node = as_count(line, "node", &take(line, &kind, &mut found, "node")?)?;
+                let node = count_at(line, "node", &take(line, &kind, &mut found, "node")?)?;
                 let wcet = take_duration(line, &kind, &mut found, "wcet")?;
                 let policy = as_str(line, "policy", &take(line, &kind, &mut found, "policy")?)?;
                 let policy = match policy.as_str() {
@@ -534,7 +520,7 @@ fn parse_record(line: usize, text: &str) -> Result<Record, ModelError> {
                     priority: prio,
                 })
             } else {
-                let bytes = as_count(line, "bytes", &take(line, &kind, &mut found, "bytes")?)?;
+                let bytes = count_at(line, "bytes", &take(line, &kind, &mut found, "bytes")?)?;
                 let class = as_str(line, "class", &take(line, &kind, &mut found, "class")?)?;
                 let class = match class.as_str() {
                     "st" => MessageClass::Static,
@@ -805,6 +791,17 @@ mod tests {
             "round trip changed the workload statistics"
         );
         assert_eq!(back.fingerprint(), original.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // The value grid reports carry as `workload=hand:<fp>` for the
+        // scenario `workload export nodes=5 clusters=2 seed=3` writes.
+        let generated = generate(&GeneratorConfig::clustered(5, 2), 3).expect("scenario");
+        let workload = Workload::of_generated(&generated);
+        assert_eq!(workload.fingerprint(), "442f7e1f85ec0b48");
+        let back = Workload::import(&workload.export().expect("exports")).expect("imports");
+        assert_eq!(back.fingerprint(), "442f7e1f85ec0b48");
     }
 
     #[test]

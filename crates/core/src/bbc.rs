@@ -4,42 +4,73 @@
 //! unique frame identifiers ordered by criticality, one static slot per
 //! static-sender node sized for the largest ST frame, and a sweep of the
 //! dynamic-segment length keeping the best cost.
+//!
+//! That skeleton is the starting point of every optimiser: OBC (Fig. 6)
+//! and the SA reference grow it, and the multi-cluster optimiser builds
+//! one per cluster. [`skeleton`] is the one place it is built.
 
 use crate::evaluator::Evaluator;
-use crate::frame_assign::assign_frame_ids_by_criticality;
+use crate::frame_assign::criticality_frame_ids;
 use crate::params::{OptParams, OptResult};
-use flexray_model::{Application, BusConfig, PhyParams, Platform, Time};
+use flexray_model::{
+    ActivityId, Application, BusConfig, MessageClass, NodeId, PhyParams, Platform, Time,
+};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Builds the BBC bus skeleton (frame ids, minimal static segment) for a
 /// platform/application pair; the dynamic-segment length is left at
-/// zero.
+/// zero. This is cluster 0 of an unpartitioned network, whose empty
+/// cluster map homes every message on cluster 0.
 #[must_use]
 pub fn bbc_skeleton(platform: &Platform, app: &Application, phy: PhyParams) -> BusConfig {
+    skeleton(platform, app, phy, &[], 0)
+}
+
+/// The BBC skeleton of one cluster of a network, whose `msg_cluster`
+/// map homes each message on a cluster (an empty map homes all of them
+/// on cluster 0). The dynamic-segment length is left at zero.
+pub(crate) fn skeleton(
+    platform: &Platform,
+    app: &Application,
+    phy: PhyParams,
+    msg_cluster: &[u16],
+    cluster: u16,
+) -> BusConfig {
+    let homed = |m: ActivityId| msg_cluster.get(m.index()).copied().unwrap_or(0) == cluster;
     let mut bus = BusConfig::new(phy);
-    bus.frame_ids = assign_frame_ids_by_criticality(platform, app, &bus);
-
+    // Unique identifiers, most critical first (Fig. 5 line 1).
+    bus.frame_ids = criticality_frame_ids(platform, app, &bus, homed);
     // One slot per static-sender node, round robin (Fig. 5 lines 2-4).
-    let sys = flexray_model::System {
-        platform: platform.clone(),
-        app: app.clone(),
-        bus: bus.clone(),
-    };
-    let senders = sys.st_sender_nodes();
-    bus.static_slot_owners = senders;
-
+    bus.static_slot_owners = st_quotas(app, homed)
+        .into_iter()
+        .map(|(node, _)| node)
+        .collect();
     // Slot sized for the largest static frame (Fig. 5 line 3).
-    bus.static_slot_len = sys
-        .app
-        .messages_of_class(flexray_model::MessageClass::Static)
-        .map(|m| bus.comm_time(&sys.app, m))
+    bus.static_slot_len = app
+        .messages_of_class(MessageClass::Static)
+        .filter(|&m| homed(m))
+        .map(|m| bus.comm_time(app, m))
         .max()
-        .map(|c| {
-            c.round_up_to(bus.phy.gd_macrotick)
-                .max(bus.phy.gd_macrotick)
-        })
-        .unwrap_or(Time::ZERO);
+        .map_or(Time::ZERO, |c| {
+            c.round_up_to(phy.gd_macrotick).max(phy.gd_macrotick)
+        });
     bus
+}
+
+/// The static senders in node order, each with its number of ST
+/// messages that `homed` keeps: the slot quotas of Fig. 6 line 5.
+pub(crate) fn st_quotas(
+    app: &Application,
+    homed: impl Fn(ActivityId) -> bool,
+) -> Vec<(NodeId, usize)> {
+    let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
+    for m in app.messages_of_class(MessageClass::Static) {
+        if let Some(node) = app.sender_of(m).filter(|_| homed(m)) {
+            *counts.entry(node).or_default() += 1;
+        }
+    }
+    counts.into_iter().collect()
 }
 
 /// Runs the BBC algorithm.
@@ -148,6 +179,19 @@ mod tests {
         assert_eq!(bus.frame_ids.len(), 1);
         assert!(bus.static_slot_len >= bus.phy.frame_duration(8));
         assert!((bus.static_slot_len % bus.phy.gd_macrotick).is_zero());
+    }
+
+    #[test]
+    fn skeleton_of_a_cluster_keeps_only_its_own_traffic() {
+        let (p, a) = two_node_mixed();
+        let phy = PhyParams::bmw_like();
+        // every message on cluster 0: cluster 1 carries none
+        let map = vec![0; a.ids().count()];
+        assert_eq!(skeleton(&p, &a, phy, &map, 0), bbc_skeleton(&p, &a, phy));
+        let empty = skeleton(&p, &a, phy, &map, 1);
+        assert!(empty.frame_ids.is_empty());
+        assert!(empty.static_slot_owners.is_empty());
+        assert_eq!(empty.static_slot_len, Time::ZERO);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! parallel output is bit-identical to serial for any thread count.
 
 use flexray_analysis::{AnalysisConfig, AnalysisSession, Cost};
-use flexray_model::{Application, BusConfig, MessageClass, Platform, Time};
+use flexray_model::{Application, BusConfig, Platform, Time};
 use flexray_util::{resolve_threads, scoped_map_with};
 
 /// Evaluates candidate bus configurations against one fixed platform and
@@ -33,14 +33,25 @@ pub struct Evaluator {
     evals: usize,
 }
 
+/// `true` if `bus` is a valid candidate for the session's cluster 0:
+/// [`BusConfig::validate_for_cluster`] under the session's cluster map,
+/// which on a single-bus session (empty map) is exactly
+/// [`BusConfig::validate_for`].
+fn is_valid(session: &AnalysisSession, bus: &BusConfig) -> bool {
+    bus.validate_for_cluster(
+        session.app(),
+        session.platform().len(),
+        session.cluster_map(),
+        0,
+    )
+    .is_ok()
+}
+
 /// One candidate evaluation against an arbitrary session — the body of
 /// [`Evaluator::evaluate_cost`] without the accounting — returning the
 /// cost and whether an analysis actually ran.
 fn analyse_one(session: &mut AnalysisSession, bus: &BusConfig) -> (Cost, bool) {
-    if bus
-        .validate_for(session.app(), session.platform().len())
-        .is_err()
-    {
+    if !is_valid(session, bus) {
         return (Cost::infeasible(), false);
     }
     let cost = session
@@ -50,15 +61,14 @@ fn analyse_one(session: &mut AnalysisSession, bus: &BusConfig) -> (Cost, bool) {
 }
 
 /// The serial DYN-length sweep of [`Evaluator::evaluate_dyn_lengths`]
-/// against an arbitrary session, returning the per-length costs and how
-/// many candidates were actually analysed.
+/// against an arbitrary session: the cost of each length, `None` where
+/// validation rejected the candidate and nothing was analysed.
 fn sweep_dyn_lengths(
     session: &mut AnalysisSession,
     template: &BusConfig,
     lengths: &[u32],
-) -> (Vec<Cost>, usize) {
+) -> Vec<Option<Cost>> {
     let mut out = Vec::with_capacity(lengths.len());
-    let mut analysed = 0usize;
     let mut candidate: Option<BusConfig> = None;
     // Length of the sweep candidate the session last analysed; set
     // once the session's retained bus is template-shaped.
@@ -71,41 +81,32 @@ fn sweep_dyn_lengths(
                 .last_bus_mut()
                 .expect("analysed_n implies a retained bus")
                 .n_minislots = n;
-            let valid = {
-                let bus = session.last_bus().expect("retained");
-                bus.validate_for(session.app(), session.platform().len())
-                    .is_ok()
-            };
-            if !valid {
+            if !is_valid(session, session.last_bus().expect("retained")) {
                 // Restore the retained bus so it keeps describing
                 // the candidate the session state was analysed for.
                 session.last_bus_mut().expect("retained").n_minislots = prev_n;
-                out.push(Cost::infeasible());
+                out.push(None);
                 continue;
             }
-            analysed += 1;
             analysed_n = Some(n);
-            out.push(
+            out.push(Some(
                 session
                     .reanalyse_dyn_length(n)
                     .unwrap_or_else(|_| Cost::infeasible()),
-            );
+            ));
         } else {
             let bus = candidate.get_or_insert_with(|| template.clone());
             bus.n_minislots = n;
             let (cost, ran) = analyse_one(session, bus);
-            if ran {
-                analysed += 1;
-            }
             // analyse_one stored the bus in the session unless
             // validation rejected the candidate.
-            if session.last_bus() == Some(&*bus) {
+            if ran {
                 analysed_n = Some(n);
             }
-            out.push(cost);
+            out.push(ran.then_some(cost));
         }
     }
-    (out, analysed)
+    out
 }
 
 impl Evaluator {
@@ -140,6 +141,16 @@ impl Evaluator {
         Evaluator {
             session: AnalysisSession::new(platform, app, analysis_cfg),
             workers,
+            evals: 0,
+        }
+    }
+
+    /// A serial evaluator over an existing session — e.g. a
+    /// multi-cluster one, whose candidates are cluster 0's bus.
+    pub(crate) fn over_session(session: AnalysisSession) -> Self {
+        Evaluator {
+            session,
+            workers: Vec::new(),
             evals: 0,
         }
     }
@@ -197,10 +208,7 @@ impl Evaluator {
     /// invalid or the analysis failed.
     #[must_use]
     pub fn evaluate(&mut self, bus: &BusConfig) -> (Cost, Option<&[Time]>) {
-        if bus
-            .validate_for(self.session.app(), self.session.platform().len())
-            .is_err()
-        {
+        if !is_valid(&self.session, bus) {
             return (Cost::infeasible(), None);
         }
         self.evals += 1;
@@ -255,42 +263,39 @@ impl Evaluator {
     /// the *primary worker's* chunk, not of the whole sweep.
     #[must_use]
     pub fn evaluate_dyn_lengths(&mut self, template: &BusConfig, lengths: &[u32]) -> Vec<Cost> {
-        if self.workers.is_empty() || lengths.len() < 2 {
-            let (costs, analysed) = sweep_dyn_lengths(&mut self.session, template, lengths);
-            self.evals += analysed;
-            return costs;
-        }
-        let threads = self.threads().min(lengths.len());
-        let chunk = lengths.len().div_ceil(threads);
-        let chunks: Vec<&[u32]> = lengths.chunks(chunk).collect();
-        let mut sessions: Vec<&mut AnalysisSession> = std::iter::once(&mut self.session)
-            .chain(self.workers.iter_mut())
-            .take(chunks.len())
-            .collect();
-        let results = scoped_map_with(&mut sessions, chunks.len(), |session, i| {
-            sweep_dyn_lengths(session, template, chunks[i])
-        });
-        let mut out = Vec::with_capacity(lengths.len());
-        for (costs, analysed) in results {
-            self.evals += analysed;
-            out.extend(costs);
-        }
-        out
+        let swept = if self.workers.is_empty() || lengths.len() < 2 {
+            sweep_dyn_lengths(&mut self.session, template, lengths)
+        } else {
+            let threads = self.threads().min(lengths.len());
+            let chunk = lengths.len().div_ceil(threads);
+            let chunks: Vec<&[u32]> = lengths.chunks(chunk).collect();
+            let mut sessions: Vec<&mut AnalysisSession> = std::iter::once(&mut self.session)
+                .chain(self.workers.iter_mut())
+                .take(chunks.len())
+                .collect();
+            scoped_map_with(&mut sessions, chunks.len(), |session, i| {
+                sweep_dyn_lengths(session, template, chunks[i])
+            })
+            .concat()
+        };
+        self.evals += swept.iter().flatten().count();
+        swept
+            .into_iter()
+            .map(|cost| cost.unwrap_or_else(Cost::infeasible))
+            .collect()
     }
 
-    /// Communication time of the largest static message (the minimal
-    /// `gdStaticSlot` of Fig. 5 line 3), rounded up to whole macroticks
-    /// of `phy`. `None` if the application has no static messages.
-    #[must_use]
-    pub fn min_static_slot_len(&self, phy: &flexray_model::PhyParams) -> Option<Time> {
-        let app = self.session.app();
-        app.messages_of_class(MessageClass::Static)
-            .map(|m| {
-                let spec = app.activity(m).as_message().expect("message");
-                phy.frame_duration(spec.size_bytes)
-            })
-            .max()
-            .map(|c| c.round_up_to(phy.gd_macrotick).max(phy.gd_macrotick))
+    /// The serial [`Evaluator::evaluate_dyn_lengths`] on the primary
+    /// session, with `None` for each length validation rejected — a
+    /// candidate that was neither analysed nor counted.
+    pub(crate) fn evaluate_valid_dyn_lengths(
+        &mut self,
+        template: &BusConfig,
+        lengths: &[u32],
+    ) -> Vec<Option<Cost>> {
+        let swept = sweep_dyn_lengths(&mut self.session, template, lengths);
+        self.evals += swept.iter().flatten().count();
+        swept
     }
 
     /// Bounds of the dynamic-segment sweep in minislots for a given
@@ -384,16 +389,6 @@ mod tests {
         assert!(!cost.is_schedulable());
         assert!(responses.is_none());
         assert_eq!(ev.evaluations(), 0);
-    }
-
-    #[test]
-    fn min_static_slot_covers_largest_frame() {
-        let (p, a) = small_app();
-        let ev = Evaluator::new(p, a, AnalysisConfig::default());
-        let phy = PhyParams::bmw_like();
-        let len = ev.min_static_slot_len(&phy).expect("has ST messages");
-        assert!(len >= phy.frame_duration(8));
-        assert!((len % phy.gd_macrotick).is_zero());
     }
 
     #[test]

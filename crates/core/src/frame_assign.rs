@@ -6,7 +6,9 @@
 //! `lf(m)`/`ms(m)` delays).
 
 use flexray_analysis::longest_path_from_source;
-use flexray_model::{ActivityId, Application, BusConfig, FrameId, MessageClass, Platform, System};
+use flexray_model::{
+    ActivityId, Application, BusConfig, FrameId, MessageClass, Platform, SystemView,
+};
 use std::collections::BTreeMap;
 
 /// Assigns unique frame identifiers to all dynamic messages of `app`,
@@ -19,17 +21,27 @@ pub fn assign_frame_ids_by_criticality(
     app: &Application,
     bus_template: &BusConfig,
 ) -> BTreeMap<ActivityId, FrameId> {
+    criticality_frame_ids(platform, app, bus_template, |_| true)
+}
+
+/// [`assign_frame_ids_by_criticality`] over the dynamic messages
+/// `selected` keeps: dense identifiers from 1, in the same criticality
+/// order.
+pub(crate) fn criticality_frame_ids(
+    platform: &Platform,
+    app: &Application,
+    bus_template: &BusConfig,
+    selected: impl Fn(ActivityId) -> bool,
+) -> BTreeMap<ActivityId, FrameId> {
     // Longest paths need message durations, which need a bus: use the
     // template's physical layer (identifier order only depends on
     // relative criticality, which is insensitive to the exact slot
     // layout).
-    let sys = System {
-        platform: platform.clone(),
-        app: app.clone(),
-        bus: bus_template.clone(),
-    };
-    let lp = longest_path_from_source(&sys);
-    let mut msgs: Vec<ActivityId> = app.messages_of_class(MessageClass::Dynamic).collect();
+    let lp = longest_path_from_source(SystemView::new(platform, app, bus_template));
+    let mut msgs: Vec<ActivityId> = app
+        .messages_of_class(MessageClass::Dynamic)
+        .filter(|&m| selected(m))
+        .collect();
     msgs.sort_by_key(|&m| (app.deadline_of(m) - lp[m.index()], m.index()));
     msgs.iter()
         .enumerate()

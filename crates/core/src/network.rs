@@ -2,26 +2,29 @@
 //!
 //! The paper optimises a single FlexRay cluster. Real vehicle networks
 //! couple several clusters through gateway nodes; this module extends
-//! the bus access optimisation to such networks: every cluster gets a
-//! BBC-style skeleton (per-cluster criticality frame identifiers, one
-//! static slot per static-sender node sized for the cluster's largest
-//! ST frame), and the dynamic-segment lengths are then optimised by
-//! coordinate descent — each cluster's length is swept in turn against
-//! the *network-wide* cost of Eq. (5) while the other clusters are held
-//! fixed, repeating until a full round no longer improves the cost.
+//! the bus access optimisation to such networks: every cluster gets
+//! BBC's own skeleton, restricted to the cluster's messages
+//! (criticality frame identifiers, one static slot per static-sender
+//! node sized for the cluster's largest ST frame), and the
+//! dynamic-segment lengths are then optimised by coordinate descent —
+//! each cluster's length is swept in turn against the *network-wide*
+//! cost of Eq. (5) while the other clusters are held fixed, repeating
+//! until a full round no longer improves the cost. Each sweep is the
+//! [`Evaluator`]'s DYN-length sweep over a network session in which the
+//! swept cluster sits at position 0.
 //!
 //! This is deliberately the BBC/OBCEE treatment of the DYN axis lifted
 //! to N clusters, not the full OBC slot-count/slot-length exploration:
 //! the static skeleton stays at its minimal-bandwidth shape while the
 //! dynamic lengths are searched jointly.
 
-use crate::dyn_search::{dyn_bounds, dyn_sweep_grid};
-use crate::frame_assign::assign_frame_ids_by_criticality;
+use crate::bbc::skeleton;
+use crate::dyn_search::dyn_sweep_grid;
+use crate::evaluator::Evaluator;
 use crate::params::{OptParams, OptResult};
 use flexray_analysis::{AnalysisSession, Cost};
 use flexray_model::{
-    derive_msg_clusters, ActivityId, Application, BusConfig, FrameId, MessageClass, ModelError,
-    Network, NodeId, PhyParams, Platform, Time,
+    derive_msg_clusters, Application, BusConfig, ModelError, Network, NodeId, PhyParams, Platform,
 };
 use std::time::Instant;
 
@@ -126,69 +129,9 @@ fn unrotate_extra(p: usize, candidate: usize) -> usize {
     }
 }
 
-/// BBC-style skeleton of one cluster: dense criticality-ordered frame
-/// identifiers for the cluster's dynamic messages, one static slot per
-/// static-sender node, sized for the cluster's largest ST frame.
-fn cluster_skeleton(
-    app: &Application,
-    phy: PhyParams,
-    msg_cluster: &[u16],
-    global_fids: &std::collections::BTreeMap<ActivityId, FrameId>,
-    cluster: u16,
-) -> BusConfig {
-    let mut bus = BusConfig::new(phy);
-
-    // Per-cluster frame identifiers: keep the global criticality order,
-    // re-ranked densely from 1 within the cluster.
-    let mut msgs: Vec<(ActivityId, FrameId)> = global_fids
-        .iter()
-        .filter(|(m, _)| msg_cluster[m.index()] == cluster)
-        .map(|(&m, &f)| (m, f))
-        .collect();
-    msgs.sort_by_key(|&(_, f)| f.number());
-    bus.frame_ids = msgs
-        .into_iter()
-        .enumerate()
-        .map(|(i, (m, _))| {
-            let fid = FrameId::new(u16::try_from(i + 1).expect("fewer than 65535 dyn messages"));
-            (m, fid)
-        })
-        .collect();
-
-    // One static slot per node sending ST traffic on this cluster.
-    let mut senders: Vec<NodeId> = app
-        .messages_of_class(MessageClass::Static)
-        .filter(|&m| msg_cluster[m.index()] == cluster)
-        .filter_map(|m| app.sender_of(m))
-        .collect();
-    senders.sort_unstable();
-    senders.dedup();
-    bus.static_slot_owners = senders;
-
-    bus.static_slot_len = app
-        .messages_of_class(MessageClass::Static)
-        .filter(|&m| msg_cluster[m.index()] == cluster)
-        .map(|m| bus.comm_time(app, m))
-        .max()
-        .map(|c| {
-            c.round_up_to(bus.phy.gd_macrotick)
-                .max(bus.phy.gd_macrotick)
-        })
-        .unwrap_or(Time::ZERO);
-    bus
-}
-
-/// The DYN-length candidate grid of one cluster: `[DYNbus_min,
-/// DYNbus_max]` under the cluster's own 16 ms cycle budget, stepped
-/// like the single-cluster sweeps. Empty when the cluster has no
-/// dynamic messages.
-fn cluster_grid(app: &Application, bus: &BusConfig, params: &OptParams) -> Vec<u32> {
-    dyn_bounds(app, bus).map_or_else(Vec::new, |(min, max)| dyn_sweep_grid(min, max, params))
-}
-
 /// Optimises the bus access of a multi-cluster FlexRay network.
 ///
-/// Builds a BBC-style skeleton per cluster, then runs up to
+/// Builds BBC's skeleton per cluster, then runs up to
 /// `max_rounds` rounds of coordinate descent on the dynamic-segment
 /// lengths: each round sweeps every cluster's length in turn against
 /// the network-wide cost (all other clusters held fixed), stopping
@@ -232,12 +175,10 @@ pub fn optimise_network(
 
     // Per-cluster skeletons, seeded at each cluster's minimal feasible
     // dynamic length.
-    let template = BusConfig::new(phy);
-    let global_fids = assign_frame_ids_by_criticality(platform, app, &template);
     let mut buses: Vec<BusConfig> = (0..k)
         .map(|c| {
             let c = u16::try_from(c).expect("validated cluster count");
-            let mut bus = cluster_skeleton(app, phy, &msg_cluster, &global_fids, c);
+            let mut bus = skeleton(platform, app, phy, &msg_cluster, c);
             if !bus.frame_ids.is_empty() {
                 bus.n_minislots = bus.min_minislots(app).max(1);
             }
@@ -257,34 +198,30 @@ pub fn optimise_network(
                 .map(|p| buses[unrotate_extra(p, c)].clone())
                 .collect();
             let map: Vec<u16> = msg_cluster.iter().map(|&x| rotate(x, cu)).collect();
-            let mut session = AnalysisSession::with_network(
+            let mut ev = Evaluator::over_session(AnalysisSession::with_network(
                 platform.clone(),
                 app.clone(),
                 extra,
-                map.clone(),
+                map,
                 params.analysis,
-            );
+            ));
 
-            let mut candidates = vec![buses[c].n_minislots];
-            candidates.extend(
-                cluster_grid(app, &buses[c], params)
-                    .into_iter()
-                    .filter(|&n| n != buses[c].n_minislots),
-            );
+            // The current length first, then the cluster's grid without
+            // it (empty when the cluster has no dynamic messages).
+            let current = buses[c].n_minislots;
+            let mut lengths = vec![current];
+            if let Some((min, max)) = ev.dyn_bounds(&buses[c]) {
+                lengths.extend(
+                    dyn_sweep_grid(min, max, params)
+                        .into_iter()
+                        .filter(|&n| n != current),
+                );
+            }
+            let costs = ev.evaluate_valid_dyn_lengths(&buses[c], &lengths);
+            evaluations += ev.evaluations();
             let mut local_best: Option<(u32, Cost)> = None;
-            let mut candidate = buses[c].clone();
-            for n in candidates {
-                candidate.n_minislots = n;
-                if candidate
-                    .validate_for_cluster(app, platform.len(), &map, 0)
-                    .is_err()
-                {
-                    continue;
-                }
-                let cost = session
-                    .analyse_into(&candidate)
-                    .unwrap_or_else(|_| Cost::infeasible());
-                evaluations += 1;
+            for (&n, cost) in lengths.iter().zip(costs) {
+                let Some(cost) = cost else { continue };
                 if local_best.is_none_or(|(_, b)| cost.better_than(&b)) {
                     local_best = Some((n, cost));
                 }
@@ -316,7 +253,7 @@ pub fn optimise_network(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexray_model::SchedPolicy;
+    use flexray_model::{MessageClass, SchedPolicy, Time};
 
     /// Two clusters bridged by node 4: an ST pipeline on cluster 0 and
     /// a DYN pipeline on cluster 1, linked through a gateway relay, plus

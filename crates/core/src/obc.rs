@@ -9,14 +9,12 @@
 //! exhaustively (OBCEE) or with the curve-fitting heuristic (OBCCF).
 //! The search stops at the first schedulable configuration.
 
-use crate::bbc::bbc_skeleton;
+use crate::bbc::{bbc_skeleton, st_quotas};
 use crate::dyn_search::{determine_dyn_length, DynSearch};
 use crate::evaluator::Evaluator;
 use crate::params::{OptParams, OptResult};
 use flexray_analysis::Cost;
-use flexray_model::{
-    Application, MessageClass, NodeId, PhyParams, Platform, System, Time, MAX_STATIC_SLOTS,
-};
+use flexray_model::{Application, NodeId, PhyParams, Platform, Time, MAX_STATIC_SLOTS};
 use std::time::Instant;
 
 /// Runs OBC with the given dynamic-segment search strategy.
@@ -41,39 +39,21 @@ pub fn obc(
     let skeleton = bbc_skeleton(platform, app, phy);
 
     // Static-message counts per node drive the slot quotas.
-    let sys = System {
-        platform: platform.clone(),
-        app: app.clone(),
-        bus: skeleton.clone(),
-    };
-    let senders = sys.st_sender_nodes();
-    let st_counts: Vec<(NodeId, usize)> = senders
-        .iter()
-        .map(|&n| {
-            let count = app
-                .messages_of_class(MessageClass::Static)
-                .filter(|&m| app.sender_of(m) == Some(n))
-                .count();
-            (n, count.max(1))
-        })
-        .collect();
+    let st_counts = st_quotas(app, |_| true);
 
-    let min_slots = senders.len().max(usize::from(!senders.is_empty()));
+    let min_slots = st_counts.len();
     let max_slots = (min_slots + usize::from(params.max_extra_slots))
         .min(usize::from(MAX_STATIC_SLOTS))
         .max(min_slots);
     let slot_len_min = skeleton.static_slot_len.max(phy.gd_macrotick);
-    let slot_len_step = phy
-        .static_slot_step()
-        .round_up_to(phy.gd_macrotick)
-        .max(phy.gd_macrotick);
+    let slot_len_step = slot_len_step(phy);
     let slot_len_max = params.max_slot_len(&phy);
 
     let mut best_bus = skeleton.clone();
     let mut best_cost = Cost::infeasible();
 
     // Degenerate case: no static messages at all — single skeleton layout.
-    let slot_counts: Vec<usize> = if senders.is_empty() {
+    let slot_counts: Vec<usize> = if st_counts.is_empty() {
         vec![0]
     } else {
         (min_slots..=max_slots).collect()
@@ -129,6 +109,14 @@ pub fn obc(
     }
 }
 
+/// The static-slot length step of the search: `20 · gdBit` of payload
+/// (Fig. 6 line 4), rounded up to whole macroticks.
+pub(crate) fn slot_len_step(phy: PhyParams) -> Time {
+    phy.static_slot_step()
+        .round_up_to(phy.gd_macrotick)
+        .max(phy.gd_macrotick)
+}
+
 /// Distributes `n_slots` static slots over the sender nodes with quotas
 /// proportional to their static-message counts (each sender gets at
 /// least one), interleaved round robin (Fig. 6 line 5).
@@ -178,7 +166,7 @@ pub fn assign_slots_round_robin(n_slots: usize, st_counts: &[(NodeId, usize)]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexray_model::SchedPolicy;
+    use flexray_model::{MessageClass, SchedPolicy};
 
     #[test]
     fn round_robin_single_slot_each() {

@@ -6,12 +6,13 @@
 //! assignment of slots to nodes, and assignment of frame identifiers to
 //! messages.
 
+use crate::bbc::st_quotas;
 use crate::evaluator::Evaluator;
-use crate::obc::assign_slots_round_robin;
+use crate::obc::{assign_slots_round_robin, slot_len_step};
 use crate::params::{OptParams, OptResult};
 use flexray_analysis::Cost;
 use flexray_model::{
-    Application, BusConfig, FrameId, MessageClass, NodeId, PhyParams, Platform, System,
+    ActivityId, Application, BusConfig, FrameId, MessageClass, NodeId, PhyParams, Platform, Time,
     MAX_STATIC_SLOTS,
 };
 use rand::rngs::StdRng;
@@ -83,23 +84,15 @@ pub fn simulated_annealing(
     let mut best = state.clone();
     let mut best_cost = state_cost;
 
-    let sys = System {
-        platform: platform.clone(),
-        app: app.clone(),
-        bus: state.clone(),
+    let moves = Moves {
+        st_counts: st_quotas(app, |_| true),
+        dyn_msgs: app.messages_of_class(MessageClass::Dynamic).collect(),
+        dyn_step: params.dyn_step,
+        slot_step: slot_len_step(phy),
+        // The BBC start keeps the skeleton's minimal slot length.
+        slot_min: state.static_slot_len.max(phy.gd_macrotick),
+        slot_max: params.max_slot_len(&phy),
     };
-    let st_counts: Vec<(NodeId, usize)> = sys
-        .st_sender_nodes()
-        .into_iter()
-        .map(|n| {
-            let count = app
-                .messages_of_class(MessageClass::Static)
-                .filter(|&m| app.sender_of(m) == Some(n))
-                .count();
-            (n, count.max(1))
-        })
-        .collect();
-    let dyn_msgs: Vec<_> = app.messages_of_class(MessageClass::Dynamic).collect();
 
     // Neighbourhood stepping: per temperature step, k moves are
     // proposed from the *same* current state (all RNG draws happen
@@ -117,9 +110,7 @@ pub fn simulated_annealing(
         remaining -= batch;
         candidates.clear();
         for _ in 0..batch {
-            candidates.push(propose(
-                &state, &st_counts, &dyn_msgs, &ev, &mut rng, params, phy,
-            ));
+            candidates.push(propose(&state, &moves, &ev, &mut rng));
         }
         let costs = ev.evaluate_batch(&candidates);
         for (candidate, cand_cost) in candidates.drain(..).zip(costs) {
@@ -157,16 +148,24 @@ fn scalar(cost: &Cost) -> f64 {
     }
 }
 
+/// The fixed inputs of the move set, computed once per run.
+struct Moves {
+    /// Static senders with their ST-message counts (the slot quotas).
+    st_counts: Vec<(NodeId, usize)>,
+    /// The dynamic messages, whose frame identifiers get swapped.
+    dyn_msgs: Vec<ActivityId>,
+    /// Local step of a dynamic-segment resize, in minislots.
+    dyn_step: u32,
+    /// Step and bounds of a static-slot resize.
+    slot_step: Time,
+    slot_min: Time,
+    slot_max: Time,
+}
+
 /// One random neighbourhood move.
-fn propose(
-    state: &BusConfig,
-    st_counts: &[(NodeId, usize)],
-    dyn_msgs: &[flexray_model::ActivityId],
-    ev: &Evaluator,
-    rng: &mut StdRng,
-    params: &OptParams,
-    phy: PhyParams,
-) -> BusConfig {
+fn propose(state: &BusConfig, moves: &Moves, ev: &Evaluator, rng: &mut StdRng) -> BusConfig {
+    let st_counts = &moves.st_counts;
+    let dyn_msgs = &moves.dyn_msgs;
     let mut bus = state.clone();
     let n_moves = 6;
     match rng.gen_range(0..n_moves) {
@@ -177,7 +176,7 @@ fn propose(
                 if rng.gen_bool(0.25) {
                     bus.n_minislots = rng.gen_range(min..=max);
                 } else {
-                    let span = i64::from(params.dyn_step.max(1)) * rng.gen_range(1..=8i64);
+                    let span = i64::from(moves.dyn_step.max(1)) * rng.gen_range(1..=8i64);
                     let delta = if rng.gen_bool(0.5) { span } else { -span };
                     let n = i64::from(bus.n_minislots) + delta;
                     bus.n_minislots =
@@ -188,18 +187,12 @@ fn propose(
         // Resize static slots.
         1 => {
             if !bus.static_slot_owners.is_empty() {
-                let step = phy
-                    .static_slot_step()
-                    .round_up_to(phy.gd_macrotick)
-                    .max(phy.gd_macrotick);
-                let min_len = ev.min_static_slot_len(&phy).unwrap_or(phy.gd_macrotick);
-                let max_len = params.max_slot_len(&phy);
                 let next = if rng.gen_bool(0.5) {
-                    bus.static_slot_len + step
+                    bus.static_slot_len + moves.slot_step
                 } else {
-                    bus.static_slot_len - step
+                    bus.static_slot_len - moves.slot_step
                 };
-                bus.static_slot_len = next.clamp(min_len, max_len);
+                bus.static_slot_len = next.clamp(moves.slot_min, moves.slot_max);
             }
         }
         // Add a static slot.
@@ -261,7 +254,7 @@ fn propose(
 /// Frame-identifier helper used by tests and examples: the identity
 /// permutation over the dynamic messages in id order.
 #[must_use]
-pub fn identity_frame_ids(app: &Application) -> Vec<(flexray_model::ActivityId, FrameId)> {
+pub fn identity_frame_ids(app: &Application) -> Vec<(ActivityId, FrameId)> {
     app.messages_of_class(MessageClass::Dynamic)
         .enumerate()
         .map(|(i, m)| (m, FrameId::new(u16::try_from(i + 1).expect("small"))))

@@ -38,6 +38,20 @@ pub fn mix_words(words: &[u64]) -> u64 {
     acc
 }
 
+/// Folds a byte string via [`mix_words`]: its length, then its bytes
+/// eight to a little-endian word, the last word zero-padded.
+#[must_use]
+pub fn mix_bytes(bytes: &[u8]) -> u64 {
+    let mut words: Vec<u64> = Vec::with_capacity(bytes.len() / 8 + 2);
+    words.push(bytes.len() as u64);
+    words.extend(bytes.chunks(8).map(|chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(word)
+    }));
+    mix_words(&words)
+}
+
 /// The SplitMix64 generator: a tiny deterministic `u64` stream for
 /// seeded shuffles. Unlike the `rand` shim this is `const`-friendly,
 /// dependency-free and cheap enough to re-seed per event batch.
@@ -131,6 +145,11 @@ mod tests {
         // different word orders give different folds
         assert_ne!(mix_words(&[1, 2]), mix_words(&[2, 1]));
         assert_eq!(mix_words(&[]), mix_words(&[]));
+        // a byte string is its length, then little-endian words
+        assert_eq!(
+            mix_bytes(b"abcdefghi"),
+            mix_words(&[9, u64::from_le_bytes(*b"abcdefgh"), u64::from(b'i')])
+        );
     }
 
     #[test]

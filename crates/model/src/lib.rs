@@ -66,7 +66,7 @@ pub use application::{
 };
 pub use bus::BusConfig;
 pub use error::ModelError;
-pub use fingerprint::{mix64, mix_words, Fingerprint, SplitMix64};
+pub use fingerprint::{mix64, mix_bytes, mix_words, Fingerprint, SplitMix64};
 pub use ids::{ActivityId, FrameId, GraphId, NodeId, SlotId};
 pub use network::{derive_msg_clusters, Network};
 pub use protocol::{

@@ -30,8 +30,8 @@
 //! (start before point/end, contiguous point indices, nothing after
 //! end).
 
-use flexray_bench::report::{malformed, num_field, str_field, Json};
-use flexray_model::{mix_words, ModelError};
+use flexray_bench::report::{count_field, malformed, str_field, Json};
+use flexray_model::{mix_bytes, ModelError};
 
 /// Schema identifier carried by the journal header.
 pub const SERVE_SCHEMA: &str = "flexray-serve";
@@ -41,21 +41,10 @@ pub const SERVE_SCHEMA: &str = "flexray-serve";
 pub const SERVE_SCHEMA_VERSION: u32 = 2;
 
 /// Fingerprint of one raw queue line, as the 16-hex-digit string
-/// journal records carry: a [`mix_words`] fold over the line's bytes
-/// (8 per word) and its length.
+/// journal records carry: [`mix_bytes`] of the line.
 #[must_use]
 pub fn line_fp(line: &str) -> String {
-    let bytes = line.as_bytes();
-    let mut words: Vec<u64> = Vec::with_capacity(bytes.len() / 8 + 2);
-    words.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut word = 0u64;
-        for (i, &b) in chunk.iter().enumerate() {
-            word |= u64::from(b) << (8 * i);
-        }
-        words.push(word);
-    }
-    format!("{:016x}", mix_words(&words))
+    format!("{:016x}", mix_bytes(line.as_bytes()))
 }
 
 /// Terminal status of a job.
@@ -187,7 +176,6 @@ impl Record {
     ///
     /// Returns [`ModelError::InvalidConfig`] on malformed JSON, an
     /// unknown `rec` tag, or a missing / mistyped field.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     pub fn parse(line: &str) -> Result<Record, ModelError> {
         let json = Json::parse(line)?;
         if let Some(schema) = json.get("schema") {
@@ -199,7 +187,7 @@ impl Record {
                     "journal schema is '{schema}', expected '{SERVE_SCHEMA}'"
                 )));
             }
-            let version = num_field(&json, "version")? as u32;
+            let version: u32 = count_field(&json, "version")?;
             if version != SERVE_SCHEMA_VERSION {
                 return Err(malformed(&format!(
                     "journal schema version {version} unsupported (this build writes \
@@ -210,7 +198,7 @@ impl Record {
         }
         match str_field(&json, "rec")? {
             "rejected" => Ok(Record::Rejected {
-                line: num_field(&json, "line")? as usize,
+                line: count_field(&json, "line")?,
                 fp: str_field(&json, "fp")?.to_owned(),
                 error: str_field(&json, "error")?.to_owned(),
             }),
@@ -218,7 +206,7 @@ impl Record {
                 job: str_field(&json, "job")?.to_owned(),
                 kind: str_field(&json, "kind")?.to_owned(),
                 fp: str_field(&json, "fp")?.to_owned(),
-                total_points: num_field(&json, "total_points")? as usize,
+                total_points: count_field(&json, "total_points")?,
             }),
             "point" => Ok(Record::Point {
                 job: str_field(&json, "job")?.to_owned(),
@@ -231,7 +219,7 @@ impl Record {
                 let job = str_field(&json, "job")?.to_owned();
                 let status = match str_field(&json, "status")? {
                     "done" => JobStatus::Done {
-                        points: num_field(&json, "points")? as usize,
+                        points: count_field(&json, "points")?,
                     },
                     "failed" => JobStatus::Failed {
                         error: str_field(&json, "error")?.to_owned(),
@@ -388,8 +376,7 @@ impl JournalState {
                     if progress.status.is_some() {
                         return fail(format!("point for job '{job}' after its end"));
                     }
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    let index = num_field(data, "point")? as usize;
+                    let index: usize = count_field(data, "point")?;
                     if index != progress.points.len() {
                         return fail(format!(
                             "job '{job}' point {index} journaled after {} point(s)",
@@ -495,6 +482,49 @@ mod tests {
         let line = stopped.to_line().expect("finite record");
         assert_eq!(line, "{\"rec\":\"stopped\"}");
         assert_eq!(Record::parse(&line).expect("parses"), stopped);
+    }
+
+    #[test]
+    fn counts_are_integers_not_truncated_numbers() {
+        for (line, field) in [
+            (r#"{"schema":"flexray-serve","version":2.9}"#, "version"),
+            (
+                r#"{"rec":"rejected","line":-4,"fp":"0","error":"e"}"#,
+                "line",
+            ),
+            (
+                r#"{"rec":"start","job":"g1","kind":"grid","fp":"0","total_points":1e16}"#,
+                "total_points",
+            ),
+            (
+                r#"{"rec":"end","job":"g1","status":"done","points":1.5}"#,
+                "points",
+            ),
+        ] {
+            let err = Record::parse(line).expect_err(line).to_string();
+            assert!(
+                err.contains(&format!("field '{field}' is not a non-negative integer")),
+                "{line}: {err}"
+            );
+        }
+        let point = Record::Point {
+            job: "g1".into(),
+            data: Json::parse(r#"{"point":0.5}"#).expect("json"),
+        };
+        let records = [
+            Record::Header {
+                version: SERVE_SCHEMA_VERSION,
+            },
+            Record::Start {
+                job: "g1".into(),
+                kind: "grid".into(),
+                fp: "0".into(),
+                total_points: 1,
+            },
+            point,
+        ];
+        let err = JournalState::replay(&records).expect_err("fractional point index");
+        assert!(err.to_string().contains("field 'point'"), "{err}");
     }
 
     #[test]

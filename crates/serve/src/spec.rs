@@ -25,7 +25,7 @@
 //! execution plans: [`JobKind::Grid`] and [`JobKind::Fuzz`].
 
 use flexray_bench::args::{self, Kind};
-use flexray_bench::report::{arr_field, malformed, num_field, str_field, Json};
+use flexray_bench::report::{arr_field, count_field, malformed, str_field, Json};
 use flexray_model::ModelError;
 
 /// Schema identifier carried by every job-spec line.
@@ -102,8 +102,7 @@ pub fn parse_job(line: &str) -> Result<JobSpec, ModelError> {
             "job schema is '{schema}', expected '{JOB_SCHEMA}'"
         )));
     }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let version = num_field(&json, "version")? as u32;
+    let version: u32 = count_field(&json, "version")?;
     if version != JOB_SCHEMA_VERSION {
         return Err(malformed(&format!(
             "job schema version {version} unsupported (this build reads {JOB_SCHEMA_VERSION})"
@@ -282,6 +281,18 @@ mod tests {
             (
                 line("g", "grid", &["nodes=2"]).replace(":1,", ":9,"),
                 "version 9",
+            ),
+            (
+                line("g", "grid", &["nodes=2"]).replace(":1,", ":1.5,"),
+                "field 'version' is not a non-negative integer",
+            ),
+            (
+                line("g", "grid", &["nodes=2"]).replace(":1,", ":-1,"),
+                "field 'version' is not a non-negative integer",
+            ),
+            (
+                line("g", "grid", &["nodes=2"]).replace(":1,", ":1e16,"),
+                "field 'version' is not a non-negative integer",
             ),
             (line("bad id!", "grid", &["nodes=2"]), "'bad id!'"),
             (line("g", "mystery", &["nodes=2"]), "'mystery'"),

@@ -48,6 +48,10 @@ pub enum ExecutionOrder {
     },
 }
 
+/// CPU-starvation guard: projections beyond `reps · H ·
+/// LIMIT_FACTOR` are treated as never completing.
+pub(crate) const LIMIT_FACTOR: i64 = 4;
+
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
@@ -55,9 +59,6 @@ pub struct SimConfig {
     pub reps: i64,
     /// Latest-transmission-start rule (matches the analysis knob).
     pub latest_tx: LatestTxPolicy,
-    /// CPU-starvation guard: projections beyond `reps · H · factor` are
-    /// treated as never completing.
-    pub limit_factor: i64,
     /// Service order of same-instant, same-phase wake-ups.
     pub order: ExecutionOrder,
     /// Detect repeating hyperperiod boundary states and fast-forward
@@ -70,7 +71,6 @@ impl Default for SimConfig {
         SimConfig {
             reps: 2,
             latest_tx: LatestTxPolicy::default(),
-            limit_factor: 4,
             order: ExecutionOrder::Canonical,
             compress: true,
         }
@@ -177,7 +177,7 @@ impl<'a> Engine<'a> {
         cfg: SimConfig,
     ) -> Result<Self, ModelError> {
         let horizon = sys.hyperperiod()?;
-        let limit = horizon.saturating_mul(cfg.reps.max(1).saturating_mul(cfg.limit_factor.max(1)));
+        let limit = horizon.saturating_mul(cfg.reps.max(1).saturating_mul(LIMIT_FACTOR));
         let jobs = JobStore::new(sys, horizon)?;
         let kernel = Kernel::new(sys, horizon, limit, jobs);
 

@@ -249,7 +249,7 @@ impl JobStore {
 pub(crate) struct Kernel<'a> {
     pub(crate) sys: SystemView<'a>,
     pub(crate) horizon: Time,
-    /// CPU-starvation guard (see [`crate::SimConfig::limit_factor`]).
+    /// CPU-starvation guard (see [`crate::engine::LIMIT_FACTOR`]).
     pub(crate) limit: Time,
     pub(crate) queue: EventQueue,
     /// Zero-latency cross-component signals, drained FIFO after each
