@@ -8,15 +8,27 @@ use flexray_model::Time;
 
 /// The periodic availability of one node: busy windows over one
 /// hyperperiod, repeating forever.
+///
+/// Alongside each window it keeps the free time before the window's
+/// start, so the cumulative free time up to any instant — and its
+/// inverse — is a binary search plus one division by the hyperperiod
+/// (see [`Availability::advance`] and [`Availability::free_between`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Availability {
     horizon: Time,
     /// Sorted, disjoint busy windows within `[0, horizon)`.
-    windows: Vec<(Time, Time)>,
-    /// Precomputed [`Availability::critical_instants`] — consumed once
-    /// per busy-window analysis, so derived eagerly instead of being
-    /// re-sorted on every response-time query.
-    instants: Vec<Time>,
+    windows: Vec<Window>,
+    /// Free time per hyperperiod.
+    free: Time,
+}
+
+/// One busy window and the free time that precedes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Window {
+    start: Time,
+    end: Time,
+    /// Free time in `[0, start)`.
+    free_before: Time,
 }
 
 impl Availability {
@@ -28,37 +40,50 @@ impl Availability {
     /// Panics if the horizon is not positive or a window exceeds it.
     #[must_use]
     pub fn new(horizon: Time, windows: Vec<(Time, Time)>) -> Self {
-        assert!(horizon > Time::ZERO, "horizon must be positive");
-        for &(s, f) in &windows {
-            assert!(
-                Time::ZERO <= s && s <= f && f <= horizon,
-                "window out of range"
-            );
-        }
-        debug_assert!(
-            windows.windows(2).all(|w| w[0].1 <= w[1].0),
-            "windows sorted"
-        );
-        let mut instants = vec![Time::ZERO];
-        for &(s, f) in &windows {
-            instants.push(s);
-            if f < horizon {
-                instants.push(f);
-            }
-        }
-        instants.sort_unstable();
-        instants.dedup();
-        Availability {
-            horizon,
-            windows,
-            instants,
-        }
+        let mut avail = Availability::idle(horizon);
+        avail.refill(horizon, &windows);
+        avail
     }
 
     /// A node with no static load.
     #[must_use]
     pub fn idle(horizon: Time) -> Self {
-        Availability::new(horizon, Vec::new())
+        assert!(horizon > Time::ZERO, "horizon must be positive");
+        Availability {
+            horizon,
+            windows: Vec::new(),
+            free: horizon,
+        }
+    }
+
+    /// Rebuilds `self` as [`Availability::new`]`(horizon, windows)`,
+    /// reusing its buffer.
+    ///
+    /// # Panics
+    ///
+    /// As [`Availability::new`].
+    pub(crate) fn refill(&mut self, horizon: Time, windows: &[(Time, Time)]) {
+        assert!(horizon > Time::ZERO, "horizon must be positive");
+        debug_assert!(
+            windows.windows(2).all(|w| w[0].1 <= w[1].0),
+            "windows sorted"
+        );
+        self.horizon = horizon;
+        self.windows.clear();
+        let mut busy = Time::ZERO;
+        for &(start, end) in windows {
+            assert!(
+                Time::ZERO <= start && start <= end && end <= horizon,
+                "window out of range"
+            );
+            self.windows.push(Window {
+                start,
+                end,
+                free_before: start - busy,
+            });
+            busy += end - start;
+        }
+        self.free = horizon - busy;
     }
 
     /// The repeating period of the availability pattern.
@@ -70,13 +95,13 @@ impl Availability {
     /// Total busy time per hyperperiod.
     #[must_use]
     pub fn busy_per_period(&self) -> Time {
-        self.windows.iter().map(|&(s, f)| f - s).sum()
+        self.horizon - self.free
     }
 
     /// Total free time per hyperperiod.
     #[must_use]
     pub fn free_per_period(&self) -> Time {
-        self.horizon - self.busy_per_period()
+        self.free
     }
 
     /// Whether the instant `t` (taken modulo the horizon) is free.
@@ -84,7 +109,7 @@ impl Availability {
     pub fn is_free(&self, t: Time) -> bool {
         let t = t % self.horizon;
         let t = if t.is_negative() { t + self.horizon } else { t };
-        !self.windows.iter().any(|&(s, f)| s <= t && t < f)
+        !self.windows.iter().any(|w| w.start <= t && t < w.end)
     }
 
     /// Earliest start `s ≥ from` of a contiguous free interval of length
@@ -96,86 +121,57 @@ impl Availability {
     #[must_use]
     pub fn first_gap(&self, from: Time, len: Time, deadline_abs: Time) -> Option<Time> {
         let mut candidate = from.max(Time::ZERO);
-        for &(s, f) in &self.windows {
-            if f <= candidate {
+        for w in &self.windows {
+            if w.end <= candidate {
                 continue;
             }
-            if candidate + len <= s {
+            if candidate + len <= w.start {
                 break; // fits before this window
             }
-            candidate = candidate.max(f);
+            candidate = candidate.max(w.end);
         }
         (candidate + len <= deadline_abs).then_some(candidate)
     }
 
     /// Completion time of `demand` units of execution started (and
-    /// preemptable) at absolute time `start`, walking the periodic free
-    /// time. Returns `None` if completion would exceed `limit` (divergence
-    /// guard — e.g. a node whose table leaves no slack).
+    /// preemptable) at absolute time `start`: the earliest `c` with
+    /// `free_between(start, c) = demand`.
+    ///
+    /// Returns `None` once the walk passes `limit` (divergence guard —
+    /// e.g. a node whose table leaves no slack). Exactly: the
+    /// free time of each hyperperiod splits into stretches between busy
+    /// windows and period boundaries, and the result is `None` iff the
+    /// stretch in which the demand completes, clipped to `start`, begins
+    /// after `limit`. A positive demand on a node without slack is always
+    /// `None`.
     #[must_use]
     pub fn advance(&self, start: Time, demand: Time, limit: Time) -> Option<Time> {
         if demand <= Time::ZERO {
             return Some(start);
         }
-        let mut remaining = demand;
-        let mut t = start;
-        loop {
-            if t > limit {
-                return None;
-            }
-            let period_index = t.div_floor(self.horizon);
-            let base = self.horizon * period_index;
-            let local = t - base;
-            // Find the free stretch at or after `local` within this period.
-            let mut free_from = local;
-            let mut free_until = self.horizon;
-            let mut inside_busy = false;
-            for &(s, f) in &self.windows {
-                if local >= s && local < f {
-                    // inside a busy window: skip to its end
-                    free_from = f;
-                    inside_busy = true;
-                }
-                if !inside_busy && s >= free_from {
-                    free_until = s;
-                    break;
-                }
-                if inside_busy && s > free_from {
-                    free_until = s;
-                    break;
-                }
-            }
-            if inside_busy {
-                t = base + free_from;
-                if t > limit {
-                    return None;
-                }
-                // re-evaluate the stretch from the window end
-                continue;
-            }
-            let available = free_until - free_from;
-            if available >= remaining {
-                return Some(base + free_from + remaining);
-            }
-            remaining -= available;
-            t = base + free_until;
-            // step over the busy window that begins at free_until (or wrap)
-            if free_until == self.horizon {
-                // wrapped to next period start
-                continue;
-            }
-            let (_, f) = self
-                .windows
-                .iter()
-                .find(|&&(s, _)| s == free_until)
-                .copied()
-                .expect("free stretch ends at a busy window");
-            t = base + f;
+        if self.free <= Time::ZERO {
+            return None;
         }
+        let target = self.free_until(start) + demand;
+        // The completion lies `r` free units into the period `k` with
+        // `k·F < target ≤ (k+1)·F`, in the free stretch that ends at the
+        // first window with at least `r` free time before it (or at the
+        // horizon).
+        let k = (target - Time::NANOSECOND).div_floor(self.free);
+        let r = target - self.free * k;
+        let j = self.windows.partition_point(|w| w.free_before < r);
+        let (stretch, free_at_stretch) = match j.checked_sub(1) {
+            Some(i) => (self.windows[i].end, self.windows[i].free_before),
+            None => (Time::ZERO, Time::ZERO),
+        };
+        let stretch = self.horizon * k + stretch;
+        if stretch.max(start) > limit {
+            return None;
+        }
+        Some(stretch + (r - free_at_stretch))
     }
 
-    /// Amount of free (non-SCS) time in the absolute interval `[a, b)`,
-    /// walking the periodic pattern.
+    /// Amount of free (non-SCS) time in the absolute interval `[a, b)`.
     ///
     /// # Panics
     ///
@@ -183,37 +179,48 @@ impl Availability {
     #[must_use]
     pub fn free_between(&self, a: Time, b: Time) -> Time {
         assert!(b >= a, "interval end before start");
-        let mut free = Time::ZERO;
-        let mut period_index = a.div_floor(self.horizon);
-        loop {
-            let base = self.horizon * period_index;
-            let lo = a.max(base);
-            let hi = b.min(base + self.horizon);
-            if lo >= b {
-                break;
-            }
-            let mut busy = Time::ZERO;
-            for &(s, f) in &self.windows {
-                let ws = base + s;
-                let wf = base + f;
-                let os = ws.max(lo);
-                let of = wf.min(hi);
-                if of > os {
-                    busy += of - os;
-                }
-            }
-            free += (hi - lo) - busy;
-            period_index += 1;
-        }
-        free
+        self.free_until(b) - self.free_until(a)
     }
 
-    /// Candidate critical instants for response-time analysis: the start
-    /// of the table plus every busy-window start and end (the points where
-    /// the slack density changes).
-    #[must_use]
-    pub fn critical_instants(&self) -> &[Time] {
-        &self.instants
+    /// Free time in `[0, t)` (negative for `t < 0`): whole periods plus
+    /// the free time of the last partial one.
+    fn free_until(&self, t: Time) -> Time {
+        let k = t.div_floor(self.horizon);
+        let local = t - self.horizon * k;
+        let j = self.windows.partition_point(|w| w.start <= local);
+        let partial = match j.checked_sub(1) {
+            Some(i) => {
+                let w = &self.windows[i];
+                w.free_before + (local - w.end).clamp_non_negative()
+            }
+            None => local,
+        };
+        self.free * k + partial
+    }
+
+    /// The busy windows `(start, end)` of one hyperperiod.
+    #[cfg(debug_assertions)]
+    pub(crate) fn windows(&self) -> impl Iterator<Item = (Time, Time)> + '_ {
+        self.windows.iter().map(|w| (w.start, w.end))
+    }
+
+    /// Critical instants of the FPS busy-window analysis: every
+    /// busy-window start, or just `0` on a node without windows.
+    ///
+    /// These are the only arrivals the worst case needs. The supply
+    /// `free_between(x, x + t)` does not increase while `x` moves through
+    /// free time (each step gives up a free unit at the front and gains
+    /// at most one at the back), and does not decrease while `x` moves
+    /// through a busy window (it gives up nothing at the front). So every
+    /// arrival `x` has, for every `t` at once, at least the supply of one
+    /// window start: the next one at or after `x` if `x` is free, the
+    /// start of its own window if `x` is busy. Less supply means a larger
+    /// least fixed point of the busy window, infinite included, so the
+    /// worst response, and any divergence, is found at a window start.
+    /// On a node without windows every arrival sees the same supply.
+    pub fn critical_instants(&self) -> impl Iterator<Item = Time> + '_ {
+        let idle = self.windows.is_empty().then_some(Time::ZERO);
+        idle.into_iter().chain(self.windows.iter().map(|w| w.start))
     }
 }
 
@@ -297,8 +304,14 @@ mod tests {
     fn critical_instants_cover_boundaries() {
         let a = avail();
         assert_eq!(
-            a.critical_instants(),
-            vec![us(0.0), us(10.0), us(30.0), us(50.0), us(60.0)]
+            a.critical_instants().collect::<Vec<_>>(),
+            vec![us(10.0), us(50.0)]
+        );
+        // a window at 0 is itself the first start
+        let at_zero = Availability::new(us(100.0), vec![(us(0.0), us(5.0)), (us(40.0), us(100.0))]);
+        assert_eq!(
+            at_zero.critical_instants().collect::<Vec<_>>(),
+            vec![us(0.0), us(40.0)]
         );
     }
 
@@ -315,10 +328,23 @@ mod tests {
     }
 
     #[test]
+    fn refill_equals_new() {
+        let mut a = avail();
+        for (h, w) in [
+            (us(80.0), vec![(us(5.0), us(6.0)), (us(6.0), us(30.0))]),
+            (us(10.0), vec![]),
+            (us(30.0), vec![(us(0.0), us(30.0))]),
+        ] {
+            a.refill(h, &w);
+            assert_eq!(a, Availability::new(h, w));
+        }
+    }
+
+    #[test]
     fn idle_node_is_trivially_free() {
         let a = Availability::idle(us(10.0));
         assert_eq!(a.advance(us(3.0), us(100.0), us(10_000.0)), Some(us(103.0)));
         assert!(a.is_free(us(7.0)));
-        assert_eq!(a.critical_instants(), vec![Time::ZERO]);
+        assert_eq!(a.critical_instants().collect::<Vec<_>>(), vec![Time::ZERO]);
     }
 }

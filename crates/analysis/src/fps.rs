@@ -6,8 +6,15 @@
 //! (Section 2). The analysis is a busy-window fixed point per candidate
 //! critical instant: the demand `C_i + Σ_{j ∈ hp(i)} ⌈(t + J_j)/T_j⌉ C_j`
 //! is pushed through the node's periodic availability function, and the
-//! worst case over all slack-density breakpoints of the table is
-//! reported.
+//! worst case over the busy-window starts of the table is reported.
+//!
+//! The window starts are exact, not a heuristic subset. An arrival in
+//! free time has at least the supply, over every horizon `t` at once,
+//! of the next window start; an arrival inside a busy window has at
+//! least the supply of that window's start (see
+//! [`Availability::critical_instants`]). More supply means a smaller
+//! least fixed point, so the largest response — or the divergence — of
+//! any arrival is found at a window start.
 
 use crate::availability::Availability;
 use flexray_model::{ActivityId, SchedPolicy, SystemView, Time};
@@ -68,10 +75,42 @@ pub(crate) fn fps_local_response_with(
 ) -> Option<Time> {
     let spec = sys.app.activity(task).as_task().expect("fps task");
     debug_assert_eq!(spec.policy, SchedPolicy::Fps);
+    let worst = worst_busy_window(
+        sys,
+        avail,
+        spec.wcet,
+        hp,
+        jitter,
+        avail.critical_instants(),
+        limit,
+    );
+    #[cfg(debug_assertions)]
+    {
+        // Every slack-density breakpoint — the start of the table and
+        // each window start and end — must give the same worst case.
+        let boundaries = std::iter::once(Time::ZERO)
+            .chain(avail.windows().flat_map(|(s, f)| [s, f]))
+            .filter(|&b| b < avail.horizon());
+        let full = worst_busy_window(sys, avail, spec.wcet, hp, jitter, boundaries, limit);
+        assert_eq!(worst, full, "window starts disagree with every breakpoint");
+    }
+    worst
+}
+
+/// Largest busy window over the arrivals `instants` (`None` if any
+/// diverges).
+fn worst_busy_window(
+    sys: SystemView<'_>,
+    avail: &Availability,
+    own_wcet: Time,
+    hp: &[ActivityId],
+    jitter: &[Time],
+    instants: impl Iterator<Item = Time>,
+    limit: Time,
+) -> Option<Time> {
     let mut worst = Time::ZERO;
-    for &s in avail.critical_instants() {
-        let r = busy_window(sys, avail, spec.wcet, hp, jitter, s, limit)?;
-        worst = worst.max(r);
+    for s in instants {
+        worst = worst.max(busy_window(sys, avail, own_wcet, hp, jitter, s, limit)?);
     }
     Some(worst)
 }

@@ -27,7 +27,7 @@
 
 use crate::availability::Availability;
 use crate::priority::longest_path_to_sink;
-use crate::table::{MessageEntry, ScheduleTable, TaskEntry};
+use crate::table::{merge_windows, MessageEntry, ScheduleTable, TaskEntry};
 use flexray_model::{ActivityId, ModelError, PhyParams, SchedPolicy, SlotId, SystemView, Time};
 use std::collections::HashMap;
 
@@ -396,7 +396,8 @@ fn choose_fps_friendly_start(
         let mut tentative = busy.to_vec();
         let pos = tentative.partition_point(|&(s, _)| s < start);
         tentative.insert(pos, (start, start + wcet));
-        let avail = Availability::new(horizon, merge_windows(tentative));
+        merge_windows(&mut tentative);
+        let avail = Availability::new(horizon, tentative);
         let impact: Time = fps_tasks
             .iter()
             .map(|&t| {
@@ -405,19 +406,6 @@ fn choose_fps_friendly_start(
             .sum();
         (impact, start)
     })
-}
-
-/// Merges touching/overlapping sorted windows (tentative placements may
-/// butt against existing ones).
-fn merge_windows(windows: Vec<(Time, Time)>) -> Vec<(Time, Time)> {
-    let mut merged: Vec<(Time, Time)> = Vec::with_capacity(windows.len());
-    for (s, f) in windows {
-        match merged.last_mut() {
-            Some((_, last_f)) if s <= *last_f => *last_f = (*last_f).max(f),
-            _ => merged.push((s, f)),
-        }
-    }
-    merged
 }
 
 /// Earliest start of a contiguous gap of `len` in the sorted busy list,

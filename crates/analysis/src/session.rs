@@ -11,8 +11,9 @@
 //! scratch. An [`AnalysisSession`] owns all of that across calls:
 //!
 //! * [`AnalysisSession::analyse_into`] analyses a *borrowed* candidate
-//!   [`BusConfig`] into the session buffers — no `System` clone, no
-//!   fresh allocations on the steady state;
+//!   [`BusConfig`] into the session buffers — no `System` clone; the
+//!   schedule table, response vectors and per-node availabilities are
+//!   refilled in place;
 //! * [`AnalysisSession::reanalyse_dyn_length`] re-analyses the last
 //!   candidate with only the dynamic-segment length changed — the exact
 //!   shape of the DYN-length sweeps — without touching the rest of the
@@ -74,6 +75,8 @@ pub(crate) struct SessionState {
     jitter: Vec<Time>,
     diverged_next: Vec<ActivityId>,
     avails: Vec<Availability>,
+    /// One node's merged busy windows, on their way into `avails`.
+    windows: Vec<(Time, Time)>,
     /// Key of the cached static side (table, availabilities,
     /// `responses_init`): set only when `static_is_bus_independent`.
     static_key: Option<(PhyParams, ScsPlacement)>,
@@ -138,6 +141,7 @@ impl Default for SessionState {
             jitter: Vec::new(),
             diverged_next: Vec::new(),
             avails: Vec::new(),
+            windows: Vec::new(),
             static_key: None,
             responses_init: Vec::new(),
             dyn_sets_key: None,
@@ -337,13 +341,14 @@ pub(crate) fn analyse_core(
                 }
             }
 
-            // Per-node availability (slack of the static schedule).
-            st.avails.clear();
-            st.avails.extend(
-                sys.platform
-                    .nodes()
-                    .map(|node| Availability::new(horizon, st.table.busy_windows(node))),
-            );
+            // Per-node availability (slack of the static schedule),
+            // refilled in place.
+            st.avails
+                .resize_with(sys.platform.len(), || Availability::idle(horizon));
+            for (node, avail) in sys.platform.nodes().zip(&mut st.avails) {
+                st.table.busy_windows_into(node, &mut st.windows);
+                avail.refill(horizon, &st.windows);
+            }
             st.avail_stamp = st.avail_stamp.wrapping_add(1);
 
             if st.prep.as_ref().expect("prep").static_is_bus_independent {
@@ -649,8 +654,12 @@ impl AnalysisSession {
 
     /// Re-analyses the last candidate with only the dynamic-segment
     /// length changed to `n_minislots` — the candidate loop of the
-    /// DYN-length sweeps. The cached static side (schedule, priorities,
-    /// job order) stays valid; nothing is cloned.
+    /// DYN-length sweeps. Nothing is cloned, and the list-scheduler
+    /// priorities and job order stay valid. The static schedule stays
+    /// cached only where it is bus-independent (see the module docs):
+    /// with static messages it is rebuilt for every length, because
+    /// `gdCycle`, and with it every static slot, moves with the DYN
+    /// segment.
     ///
     /// # Errors
     ///

@@ -157,23 +157,35 @@ impl ScheduleTable {
     /// the SCS task executions scheduled on it.
     #[must_use]
     pub fn busy_windows(&self, node: NodeId) -> Vec<(Time, Time)> {
-        let mut windows: Vec<(Time, Time)> = self
-            .tasks
-            .iter()
-            .filter(|e| e.node == node && e.start < self.horizon)
-            .map(|e| (e.start, e.finish))
-            .collect();
-        windows.sort_unstable();
-        // merge touching/overlapping windows
-        let mut merged: Vec<(Time, Time)> = Vec::with_capacity(windows.len());
-        for (s, f) in windows {
-            match merged.last_mut() {
-                Some((_, last_f)) if s <= *last_f => *last_f = (*last_f).max(f),
-                _ => merged.push((s, f)),
-            }
-        }
-        merged
+        let mut windows = Vec::new();
+        self.busy_windows_into(node, &mut windows);
+        windows
     }
+
+    /// [`ScheduleTable::busy_windows`] written into `out`, reusing its
+    /// buffer.
+    pub(crate) fn busy_windows_into(&self, node: NodeId, out: &mut Vec<(Time, Time)>) {
+        out.clear();
+        out.extend(
+            self.tasks
+                .iter()
+                .filter(|e| e.node == node && e.start < self.horizon)
+                .map(|e| (e.start, e.finish)),
+        );
+        out.sort_unstable();
+        merge_windows(out);
+    }
+}
+
+/// Merges the touching/overlapping windows of a sorted list in place.
+pub(crate) fn merge_windows(windows: &mut Vec<(Time, Time)>) {
+    windows.dedup_by(|next, last| {
+        let touches = next.0 <= last.1;
+        if touches {
+            last.1 = last.1.max(next.1);
+        }
+        touches
+    });
 }
 
 #[cfg(test)]

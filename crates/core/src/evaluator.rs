@@ -6,8 +6,10 @@
 //! clone per call), all analysis scratch state — including the
 //! incremental DYN fixed point's pooled `DynScratch` — is reused across
 //! candidates, and DYN-length sweeps take the session's
-//! [`reanalyse_dyn_length`](AnalysisSession::reanalyse_dyn_length) path,
-//! so the steady state of `evaluate_dyn_lengths` allocates nothing.
+//! [`reanalyse_dyn_length`](AnalysisSession::reanalyse_dyn_length) path.
+//! Where the static schedule is bus-independent, a sweep re-runs only
+//! the event-triggered fixed point per length; with static messages the
+//! list schedule is rebuilt per length into the session's buffers.
 //!
 //! With [`Evaluator::with_threads`] the batch entry points fan
 //! candidates across a small pool of warm sessions — one per worker,

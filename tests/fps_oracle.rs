@@ -1,0 +1,290 @@
+//! Brute-force oracles for the FPS busy-window analysis and the
+//! availability walk it runs on.
+//!
+//! The production analysis starts busy windows only at busy-window
+//! starts and walks the slack in closed form. Here, on nanosecond-scale
+//! tables, the same quantities are re-derived naively:
+//!
+//! * the FPS response is the maximum, over *every* integer arrival in
+//!   one hyperperiod, of the least `t` whose per-nanosecond free count
+//!   covers the demand — no `advance`, no critical-instant list;
+//! * `advance` and `free_between` are compared with the stretch-by-
+//!   stretch walk they replaced, kept below as the reference, including
+//!   the instants where `advance`'s `limit` starts to bite.
+
+use flexray::analysis::{fps_local_response, Availability};
+use flexray::model::{ActivityId, SystemView};
+use flexray::*;
+use proptest::prelude::*;
+
+/// Busy windows over a horizon of `h` ns. `mode` 0 gives no windows
+/// and 1 a saturated node; otherwise windows are laid out from
+/// `(gap, len)` pairs, so a zero gap makes a window start at 0 or touch
+/// its predecessor, and `to_end` stretches the last window to `h`.
+fn windows(h: i64, mode: u8, gaps: &[i64], lens: &[i64], to_end: bool) -> Vec<(Time, Time)> {
+    let mut out = Vec::new();
+    match mode {
+        0 => {}
+        1 => out.push((0, h)),
+        _ => {
+            let mut t = 0;
+            for (&gap, &len) in gaps.iter().zip(lens) {
+                let s = t + gap;
+                let f = (s + len).min(h);
+                if s >= f {
+                    break;
+                }
+                out.push((s, f));
+                t = f;
+            }
+            if to_end {
+                if let Some(last) = out.last_mut() {
+                    last.1 = h;
+                }
+            }
+        }
+    }
+    out.into_iter()
+        .map(|(s, f)| (Time::from_ns(s), Time::from_ns(f)))
+        .collect()
+}
+
+/// The stretch-by-stretch walk `Availability::advance` used to run.
+fn walk_advance(
+    horizon: Time,
+    windows: &[(Time, Time)],
+    start: Time,
+    demand: Time,
+    limit: Time,
+) -> Option<Time> {
+    if demand <= Time::ZERO {
+        return Some(start);
+    }
+    let mut remaining = demand;
+    let mut t = start;
+    loop {
+        if t > limit {
+            return None;
+        }
+        let base = horizon * t.div_floor(horizon);
+        let local = t - base;
+        let mut free_from = local;
+        let mut free_until = horizon;
+        let mut inside_busy = false;
+        for &(s, f) in windows {
+            if local >= s && local < f {
+                free_from = f;
+                inside_busy = true;
+            }
+            if !inside_busy && s >= free_from {
+                free_until = s;
+                break;
+            }
+            if inside_busy && s > free_from {
+                free_until = s;
+                break;
+            }
+        }
+        if inside_busy {
+            t = base + free_from;
+            if t > limit {
+                return None;
+            }
+            continue;
+        }
+        let available = free_until - free_from;
+        if available >= remaining {
+            return Some(base + free_from + remaining);
+        }
+        remaining -= available;
+        t = base + free_until;
+        if free_until == horizon {
+            continue;
+        }
+        let (_, f) = windows
+            .iter()
+            .find(|&&(s, _)| s == free_until)
+            .copied()
+            .expect("free stretch ends at a busy window");
+        t = base + f;
+    }
+}
+
+/// The period-by-period count `Availability::free_between` used to run.
+fn walk_free_between(horizon: Time, windows: &[(Time, Time)], a: Time, b: Time) -> Time {
+    let mut free = Time::ZERO;
+    let mut period_index = a.div_floor(horizon);
+    loop {
+        let base = horizon * period_index;
+        let lo = a.max(base);
+        let hi = b.min(base + horizon);
+        if lo >= b {
+            break;
+        }
+        let mut busy = Time::ZERO;
+        for &(s, f) in windows {
+            let os = (base + s).max(lo);
+            let of = (base + f).min(hi);
+            if of > os {
+                busy += of - os;
+            }
+        }
+        free += (hi - lo) - busy;
+        period_index += 1;
+    }
+    free
+}
+
+/// An FPS task of the brute force: wcet, period, jitter (ns), priority.
+#[derive(Debug, Clone, Copy)]
+struct Task {
+    wcet: i64,
+    period: i64,
+    jitter: i64,
+    priority: u32,
+}
+
+/// Worst local response of `tasks[me]` on one node whose busy pattern
+/// `busy` (one flag per ns) repeats: for every arrival `x` in one
+/// hyperperiod, the least `t ≤ limit` whose free count over `[x, x+t)`
+/// covers the demand of `t`; `None` if some arrival has none.
+fn brute_response(busy: &[bool], tasks: &[Task], me: usize, limit: i64) -> Option<i64> {
+    let h = busy.len() as i64;
+    let own = tasks[me];
+    // hp: higher priority, or equal priority and a lower index.
+    let hp: Vec<Task> = tasks
+        .iter()
+        .enumerate()
+        .filter(|&(j, t)| {
+            j != me && (t.priority > own.priority || (t.priority == own.priority && j < me))
+        })
+        .map(|(_, &t)| t)
+        .collect();
+    let demand = |t: i64| {
+        own.wcet
+            + hp.iter()
+                .map(|j| (t + j.jitter + j.period - 1) / j.period * j.wcet)
+                .sum::<i64>()
+    };
+    let mut worst = 0;
+    for x in 0..h {
+        let mut supply = 0;
+        let mut response = None;
+        for t in 1..=limit {
+            if !busy[((x + t - 1) % h) as usize] {
+                supply += 1;
+            }
+            if supply >= demand(t) {
+                response = Some(t);
+                break;
+            }
+        }
+        worst = worst.max(response?);
+    }
+    Some(worst)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Window starts alone give the worst response over every arrival.
+    #[test]
+    fn fps_response_matches_every_arrival(
+        h in 1i64..=200,
+        mode in 0u8..6,
+        gaps in prop::collection::vec(prop::sample::select(vec![0i64, 0, 1, 2, 3, 7, 19, 40]), 0..8),
+        lens in prop::collection::vec(1i64..40, 8..9),
+        to_end in any::<bool>(),
+        wcets in prop::collection::vec(1i64..=8, 1..5),
+        periods in prop::collection::vec(prop::sample::select(vec![5i64, 8, 13, 20, 32, 50, 100]), 4..5),
+        jitters in prop::collection::vec(prop::sample::select(vec![0i64, 0, 1, 4, 9, 30, 77]), 4..5),
+        priorities in prop::collection::vec(0u32..3, 4..5),
+        me_sel in 0usize..4,
+        limit in 1i64..=600,
+    ) {
+        let windows = windows(h, mode, &gaps, &lens, to_end);
+        let avail = Availability::new(Time::from_ns(h), windows.clone());
+        let mut busy = vec![false; h as usize];
+        for &(s, f) in &windows {
+            for b in &mut busy[s.as_ns() as usize..f.as_ns() as usize] {
+                *b = true;
+            }
+        }
+        let tasks: Vec<Task> = wcets
+            .iter()
+            .enumerate()
+            .map(|(i, &wcet)| Task { wcet, period: periods[i], jitter: jitters[i], priority: priorities[i] })
+            .collect();
+        let me = me_sel % tasks.len();
+
+        let mut app = Application::new();
+        let ids: Vec<ActivityId> = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let period = Time::from_ns(t.period);
+                let g = app.add_graph(&format!("g{i}"), period, period);
+                app.add_task(g, &format!("t{i}"), NodeId::new(0), Time::from_ns(t.wcet), SchedPolicy::Fps, t.priority)
+            })
+            .collect();
+        let platform = Platform::with_nodes(1);
+        let bus = BusConfig::new(PhyParams::unit());
+        let view = SystemView::new(&platform, &app, &bus);
+        let jitter: Vec<Time> = tasks.iter().map(|t| Time::from_ns(t.jitter)).collect();
+
+        let got = fps_local_response(view, &avail, ids[me], &jitter, Time::from_ns(limit));
+        let want = brute_response(&busy, &tasks, me, limit).map(Time::from_ns);
+        prop_assert_eq!(got, want, "windows {:?} over {} ns, tasks {:?}, task {}", windows, h, tasks, me);
+    }
+
+    /// The closed-form walk equals the stretch-by-stretch walk, `limit`
+    /// edges included.
+    #[test]
+    fn closed_form_walk_matches_the_stretch_walk(
+        h in 1i64..=200,
+        mode in 0u8..6,
+        gaps in prop::collection::vec(prop::sample::select(vec![0i64, 0, 1, 2, 3, 7, 19, 40]), 0..8),
+        lens in prop::collection::vec(1i64..40, 8..9),
+        to_end in any::<bool>(),
+        start in -300i64..600,
+        demand_raw in 0i64..=400,
+        points in prop::collection::vec(-400i64..800, 2..16),
+    ) {
+        let windows = windows(h, mode, &gaps, &lens, to_end);
+        let horizon = Time::from_ns(h);
+        let avail = Availability::new(horizon, windows.clone());
+        let free = avail.free_per_period().as_ns();
+
+        for (i, &a) in points.iter().enumerate() {
+            for &b in &points[i..] {
+                let (a, b) = (Time::from_ns(a.min(b)), Time::from_ns(a.max(b)));
+                prop_assert_eq!(avail.free_between(a, b), walk_free_between(horizon, &windows, a, b));
+            }
+        }
+
+        // Keep the completion within a few hyperperiods so the walk and
+        // the limit sweep below stay small.
+        let demand = Time::from_ns(if free > 0 { demand_raw % (3 * free + 2) } else { demand_raw % 4 });
+        let start = Time::from_ns(start);
+        let far = start + horizon * 8;
+        let done = avail.advance(start, demand, far);
+        prop_assert_eq!(done, walk_advance(horizon, &windows, start, demand, far));
+        // Every instant a free stretch can begin at, either side of it:
+        // the limits where the contract flips from `None` to `Some`.
+        let end = done.unwrap_or(far);
+        let mut limits = vec![start - Time::NANOSECOND, start, start + Time::NANOSECOND];
+        for k in start.div_floor(horizon)..=end.div_floor(horizon) + 1 {
+            let base = horizon * k;
+            for edge in std::iter::once(Time::ZERO).chain(windows.iter().map(|w| w.1)) {
+                limits.extend([base + edge - Time::NANOSECOND, base + edge, base + edge + Time::NANOSECOND]);
+            }
+        }
+        for limit in limits {
+            prop_assert_eq!(
+                avail.advance(start, demand, limit),
+                walk_advance(horizon, &windows, start, demand, limit),
+                "advance({}, {}, {}) over {:?} / {} ns", start, demand, limit, windows, h
+            );
+        }
+    }
+}
