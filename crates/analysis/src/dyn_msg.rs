@@ -17,6 +17,8 @@ use std::hash::BuildHasherDefault;
 
 use flexray_model::{ActivityId, MessageClass, SystemView, Time};
 
+use crate::session::JitterSpan;
+
 /// How the latest-transmission-start check is performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LatestTxPolicy {
@@ -35,7 +37,7 @@ pub enum LatestTxPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DynAnalysisMode {
     /// Largest-first greedy packing per cycle — the polynomial heuristic
-    /// of ref [14].
+    /// of ref \[14\].
     #[default]
     Greedy,
     /// Per-cycle optimal packing: a subset-sum DP picks, per cycle, the
@@ -123,6 +125,9 @@ pub fn latest_tx_bound<'a>(
 struct LfEntry {
     /// Message whose pending instances this entry tracks.
     msg: ActivityId,
+    /// Index of `msg` in the `lf(m)` set the pool was built from (its
+    /// [`JitterSpan`] slot).
+    src: u32,
     /// Frame identifier those instances occupy.
     id: u16,
     /// Extra minislots consumed beyond the idle one.
@@ -152,10 +157,11 @@ impl LfPool {
     /// [`LfPool::advance`] to populate them for a busy window.
     fn rebuild(&mut self, sys: SystemView<'_>, lf: &[ActivityId]) {
         self.entries.clear();
-        for &j in lf {
+        for (k, &j) in lf.iter().enumerate() {
             let fid = sys.bus.frame_id_of(j).expect("lf has frame id").number();
             self.entries.push(LfEntry {
                 msg: j,
+                src: u32::try_from(k).expect("lf fits u32"),
                 id: fid,
                 extra: sys.bus.minislots_of(sys.app, j).saturating_sub(1),
                 period: sys.app.period_of(j),
@@ -172,16 +178,62 @@ impl LfPool {
 
     /// Advances the pool to busy window `t`: per entry, the pending
     /// count is bumped to the (monotone) arrival count and the whole
-    /// pending set becomes available for packing again.
-    fn advance(&mut self, t: Time, jitter: &[Time]) {
+    /// pending set becomes available for packing again. Narrows each
+    /// entry's span on the count it reads; returns whether any count
+    /// moved.
+    fn advance(&mut self, t: Time, jitter: &[Time], spans: &mut [JitterSpan]) -> bool {
+        let mut moved = false;
         for e in &mut self.entries {
-            let arrivals = (t + jitter[e.msg.index()])
-                .clamp_non_negative()
-                .div_ceil(e.period);
+            let arrivals = spans[e.src as usize].arrivals(t, jitter[e.msg.index()], e.period);
             debug_assert!(arrivals >= e.arrivals, "arrivals are monotone in t");
+            moved |= arrivals != e.arrivals;
             e.arrivals = arrivals;
             e.remaining = arrivals;
         }
+        moved
+    }
+
+    /// Sum over identifiers of the largest extra (the first, in pool
+    /// order) with an instance pending at window `t` — what
+    /// [`DynScratch::leftover`] returns after [`LfPool::advance`] when no
+    /// cycle is filled. One pass that reads each identifier's entries
+    /// only up to its first pending one, and narrows their spans only
+    /// to the sign of `t + J`.
+    fn pending_heads(&self, t: Time, jitter: &[Time], spans: &mut [JitterSpan]) -> u32 {
+        let mut sum = 0;
+        let mut i = 0;
+        while i < self.entries.len() {
+            let id = self.entries[i].id;
+            while i < self.entries.len() && self.entries[i].id == id {
+                let e = &self.entries[i];
+                i += 1;
+                if spans[e.src as usize].pending(t, jitter[e.msg.index()]) {
+                    sum += e.extra;
+                    break;
+                }
+            }
+            while i < self.entries.len() && self.entries[i].id == id {
+                i += 1;
+            }
+        }
+        sum
+    }
+
+    /// Sum over identifiers of the largest extra any instance can carry:
+    /// the most lf traffic can add to one cycle, whatever the arrival
+    /// counts (the first entry of an identifier carries its largest
+    /// extra).
+    fn max_fill(&self) -> u64 {
+        let mut max_fill = 0u64;
+        let mut i = 0;
+        while i < self.entries.len() {
+            max_fill += u64::from(self.entries[i].extra);
+            let id = self.entries[i].id;
+            while i < self.entries.len() && self.entries[i].id == id {
+                i += 1;
+            }
+        }
+        max_fill
     }
 
     /// One scan over the (sorted) entries collecting, per identifier
@@ -353,8 +405,8 @@ pub struct DynScratch {
     dp_new: Vec<usize>,
     /// Exact-mode busy-window calls observed by this scratch.
     exact_calls: u64,
-    /// Calls where the fill bound proved Exact cannot differ from
-    /// Greedy, so the DP was skipped for the whole call.
+    /// Calls where the fill bound proved no cycle can be filled from
+    /// `lf(m)`, so the whole call took the no-fill path (no packing).
     exact_short_circuits: u64,
     /// Index of the message whose pool the scratch currently holds (the
     /// memo key's first component).
@@ -443,6 +495,21 @@ impl DynScratch {
         self.cand.iter().map(|h| h.extra).sum()
     }
 
+    /// `(filled, leftover)` of packing the current pool on a copy with a
+    /// cold selection memo, so checking a step leaves this scratch's
+    /// memo and counters exactly as they were.
+    #[cfg(debug_assertions)]
+    fn full_step(&self, need_extra: u32, mode: DynAnalysisMode) -> (i64, u32) {
+        let mut copy = DynScratch {
+            pool: self.pool.clone(),
+            msg: self.msg,
+            ..DynScratch::default()
+        };
+        copy.index_levels();
+        let filled = copy.fill(need_extra, mode);
+        (filled, copy.leftover())
+    }
+
     /// Packs filled cycles until the pool can no longer push the
     /// counter past the bound, returning the number of filled cycles.
     /// Cycle-by-cycle identical to a one-cycle-at-a-time formulation:
@@ -456,7 +523,7 @@ impl DynScratch {
         }
     }
 
-    /// Largest-first packing (ref [14]): per cycle, take per-identifier
+    /// Largest-first packing (ref \[14\]): per cycle, take per-identifier
     /// heads in descending extra order until the cycle is filled.
     fn fill_greedy(&mut self, need_extra: u32) -> i64 {
         let mut filled: i64 = 0;
@@ -772,7 +839,7 @@ impl DynScratch {
 
     /// `(exact_calls, exact_short_circuits)` observed by this scratch:
     /// how many Exact-mode busy-window calls ran, and how many of them
-    /// the fill bound resolved entirely on the Greedy path (no DP).
+    /// the fill bound resolved entirely on the no-fill path (no DP).
     #[must_use]
     pub fn exact_stats(&self) -> (u64, u64) {
         (self.exact_calls, self.exact_short_circuits)
@@ -836,7 +903,10 @@ pub fn dyn_delay_pooled<'a>(
     let sys = sys.into();
     let hp = hp_messages(sys, m);
     let lf = lf_messages(sys, m);
-    dyn_delay_with(sys, m, &hp, &lf, jitter, latest_tx, mode, limit, scratch)
+    let mut spans = vec![JitterSpan::ANY; hp.len() + lf.len()];
+    dyn_delay_with(
+        sys, m, &hp, &lf, jitter, latest_tx, mode, limit, scratch, &mut spans,
+    )
 }
 
 /// [`dyn_delay`] with the interference sets precomputed — they depend
@@ -847,7 +917,14 @@ pub fn dyn_delay_pooled<'a>(
 /// The fixed point is incremental across busy-window growth: the
 /// interference pool is built (and sorted) once, the per-step update
 /// only adds the arrival deltas (arrivals are monotone in `t`), and
-/// runs of identical filled cycles are applied as batches.
+/// runs of identical filled cycles are applied as batches. When `lf(m)`
+/// can never fill a cycle, no step packs at all, and a step whose
+/// arrival counts all equal the previous step's returns without
+/// packing again.
+///
+/// `spans` holds one [`JitterSpan`] per member of `hp ++ lf`, narrowed
+/// on every arrival count read: any jitter inside all of them gives the
+/// same result.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dyn_delay_with(
     sys: SystemView<'_>,
@@ -859,6 +936,7 @@ pub(crate) fn dyn_delay_with(
     mode: DynAnalysisMode,
     limit: Time,
     scratch: &mut DynScratch,
+    spans: &mut [JitterSpan],
 ) -> Option<Time> {
     let sys = sys.focused(m);
     let fid = sys.bus.frame_id_of(m).expect("validated dyn message");
@@ -879,60 +957,76 @@ pub(crate) fn dyn_delay_with(
     // and waits out the rest of the cycle.
     let slot_earliest = st_bus + minislot * i64::from(base);
     let sigma = (gd_cycle - slot_earliest).clamp_non_negative();
+    // w(t) from the filled cycles and the final cycle's leftover
+    // lower-identifier traffic, which delays the start of slot
+    // FrameID_m but cannot block it any more.
+    let delay = |filled: i64, leftover: u32| {
+        let leftover = leftover.min(need_extra.saturating_sub(1));
+        let w_final = st_bus + minislot * i64::from(base + leftover);
+        sigma
+            .saturating_add(gd_cycle.saturating_mul(filled))
+            .saturating_add(w_final)
+    };
 
     scratch.begin(sys, m, hp, lf);
-    let mut mode = mode;
+    let (hp_spans, lf_spans) = spans.split_at_mut(hp.len());
+    // Fill bound: sum over identifiers of the largest extra any instance
+    // can carry — a static property of the pool skeleton (arrival counts
+    // only scale how often a level is available, never its extra). If
+    // even that sum cannot push the counter past the bound, no busy
+    // window ever packs a cycle from lf traffic in either mode: filled
+    // cycles are hp(m)'s alone, and the leftover is the sum of the
+    // per-identifier heads of the pending instances.
+    let no_fill = scratch.pool.max_fill() < u64::from(need_extra);
     if mode == DynAnalysisMode::Exact {
         scratch.exact_calls += 1;
-        // Fill bound: sum over identifiers of the largest extra any
-        // instance can carry — a static property of the pool skeleton
-        // (arrival counts only scale how often a level is available,
-        // never its extra). If even that sum cannot push the counter
-        // past the bound, no busy window ever packs a cycle from lf
-        // traffic: both modes fill 0, consume nothing, and compute the
-        // same leftover, so Exact provably equals Greedy for the whole
-        // call and the cheaper path is taken outright.
-        let mut max_fill = 0u64;
-        let entries = &scratch.pool.entries;
-        let mut i = 0;
-        while i < entries.len() {
-            // first entry of an id group carries its largest extra
-            max_fill += u64::from(entries[i].extra);
-            let id = entries[i].id;
-            while i < entries.len() && entries[i].id == id {
-                i += 1;
-            }
-        }
-        if max_fill < u64::from(need_extra) {
+        if no_fill {
             scratch.exact_short_circuits += 1;
-            mode = DynAnalysisMode::Greedy;
         } else {
             scratch.index_levels();
         }
     }
     let mut hp_filled: i64 = 0;
     let mut t = Time::ZERO;
-    for _ in 0..MAX_FIXED_POINT_ITERS {
+    for step in 0..MAX_FIXED_POINT_ITERS {
         // hp(m): each pending instance occupies slot FrameID_m for a
         // cycle; arrivals are monotone in t, so only the delta is added.
+        let hp_before = hp_filled;
         for (k, &j) in hp.iter().enumerate() {
-            let arrivals = (t + jitter[j.index()])
-                .clamp_non_negative()
-                .div_ceil(sys.app.period_of(j));
+            let arrivals = hp_spans[k].arrivals(t, jitter[j.index()], sys.app.period_of(j));
             hp_filled += arrivals - scratch.hp_arrivals[k];
             scratch.hp_arrivals[k] = arrivals;
         }
-        // lf(m)/ms(m): pack transmissions to push the counter past the
-        // bound, cycle by cycle.
-        scratch.pool.advance(t, jitter);
-        let filled = hp_filled + scratch.fill(need_extra, mode);
-        // Final cycle: leftover lower-identifier traffic delays the start
-        // of slot FrameID_m but cannot block it any more.
-        let leftover = scratch.leftover().min(need_extra.saturating_sub(1));
-        let w_final = st_bus + minislot * i64::from(base + leftover);
-        let w = sigma
-            .saturating_add(gd_cycle.saturating_mul(filled))
-            .saturating_add(w_final);
+        let w = if no_fill {
+            let leftover = scratch.pool.pending_heads(t, jitter, lf_spans);
+            #[cfg(debug_assertions)]
+            {
+                let mut any = vec![JitterSpan::ANY; lf.len()];
+                scratch.pool.advance(t, jitter, &mut any);
+                assert_eq!(leftover, scratch.leftover(), "no-fill leftover disagrees");
+            }
+            delay(hp_filled, leftover)
+        } else {
+            // lf(m)/ms(m): pack transmissions to push the counter past
+            // the bound, cycle by cycle.
+            let moved = scratch.pool.advance(t, jitter, lf_spans);
+            if step > 0 && !moved && hp_filled == hp_before {
+                // The same counts as the previous step, which returned
+                // w = t: this step would return t again.
+                #[cfg(debug_assertions)]
+                {
+                    let (filled, leftover) = scratch.full_step(need_extra, mode);
+                    assert_eq!(
+                        delay(hp_filled + filled, leftover),
+                        t,
+                        "converged exit disagrees with the full step"
+                    );
+                }
+                return Some(t);
+            }
+            let filled = hp_filled + scratch.fill(need_extra, mode);
+            delay(filled, scratch.leftover())
+        };
         if w > limit {
             return None;
         }
@@ -1190,6 +1284,7 @@ mod tests {
     fn test_pool() -> LfPool {
         let entry = |extra: u32, remaining: i64| LfEntry {
             msg: ActivityId::new(0),
+            src: 0,
             id: 3,
             extra,
             period: Time::MICROSECOND,

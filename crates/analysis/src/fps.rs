@@ -17,6 +17,7 @@
 //! any arrival is found at a window start.
 
 use crate::availability::Availability;
+use crate::session::JitterSpan;
 use flexray_model::{ActivityId, SchedPolicy, SystemView, Time};
 
 /// Higher-priority FPS tasks on the same node as `task` (the set `hp`).
@@ -59,12 +60,14 @@ pub fn fps_local_response<'a>(
 ) -> Option<Time> {
     let sys = sys.into();
     let hp = hp_tasks(sys, task);
-    fps_local_response_with(sys, avail, task, &hp, jitter, limit)
+    let mut spans = vec![JitterSpan::ANY; hp.len()];
+    fps_local_response_with(sys, avail, task, &hp, jitter, limit, &mut spans)
 }
 
 /// [`fps_local_response`] with the higher-priority set precomputed — the
 /// set depends only on the application, so session-style callers derive
-/// it once and reuse it across every candidate evaluation.
+/// it once and reuse it across every candidate evaluation. Narrows
+/// `spans[k]` on every arrival count of `hp[k]` it reads.
 pub(crate) fn fps_local_response_with(
     sys: SystemView<'_>,
     avail: &Availability,
@@ -72,6 +75,7 @@ pub(crate) fn fps_local_response_with(
     hp: &[ActivityId],
     jitter: &[Time],
     limit: Time,
+    spans: &mut [JitterSpan],
 ) -> Option<Time> {
     let spec = sys.app.activity(task).as_task().expect("fps task");
     debug_assert_eq!(spec.policy, SchedPolicy::Fps);
@@ -83,6 +87,7 @@ pub(crate) fn fps_local_response_with(
         jitter,
         avail.critical_instants(),
         limit,
+        spans,
     );
     #[cfg(debug_assertions)]
     {
@@ -91,7 +96,10 @@ pub(crate) fn fps_local_response_with(
         let boundaries = std::iter::once(Time::ZERO)
             .chain(avail.windows().flat_map(|(s, f)| [s, f]))
             .filter(|&b| b < avail.horizon());
-        let full = worst_busy_window(sys, avail, spec.wcet, hp, jitter, boundaries, limit);
+        let mut any = vec![JitterSpan::ANY; hp.len()];
+        let full = worst_busy_window(
+            sys, avail, spec.wcet, hp, jitter, boundaries, limit, &mut any,
+        );
         assert_eq!(worst, full, "window starts disagree with every breakpoint");
     }
     worst
@@ -99,6 +107,7 @@ pub(crate) fn fps_local_response_with(
 
 /// Largest busy window over the arrivals `instants` (`None` if any
 /// diverges).
+#[allow(clippy::too_many_arguments)]
 fn worst_busy_window(
     sys: SystemView<'_>,
     avail: &Availability,
@@ -107,15 +116,21 @@ fn worst_busy_window(
     jitter: &[Time],
     instants: impl Iterator<Item = Time>,
     limit: Time,
+    spans: &mut [JitterSpan],
 ) -> Option<Time> {
     let mut worst = Time::ZERO;
     for s in instants {
-        worst = worst.max(busy_window(sys, avail, own_wcet, hp, jitter, s, limit)?);
+        worst = worst.max(busy_window(
+            sys, avail, own_wcet, hp, jitter, s, limit, spans,
+        )?);
     }
     Some(worst)
 }
 
 /// Fixed point of the busy window started at candidate instant `s`.
+/// A step whose demand equals the previous step's would complete at the
+/// same `t`, so it returns without walking the availability again.
+#[allow(clippy::too_many_arguments)]
 fn busy_window(
     sys: SystemView<'_>,
     avail: &Availability,
@@ -124,15 +139,24 @@ fn busy_window(
     jitter: &[Time],
     s: Time,
     limit: Time,
+    spans: &mut [JitterSpan],
 ) -> Option<Time> {
     let mut t = own_wcet;
+    let mut prev_demand = None;
     loop {
         let mut demand = own_wcet;
-        for &j in hp {
+        for (&j, span) in hp.iter().zip(spans.iter_mut()) {
             let spec = sys.app.activity(j).as_task().expect("hp task");
             let tj = sys.app.period_of(j);
-            let arrivals = (t + jitter[j.index()]).clamp_non_negative().div_ceil(tj);
-            demand += spec.wcet * arrivals;
+            demand += spec.wcet * span.arrivals(t, jitter[j.index()], tj);
+        }
+        if prev_demand == Some(demand) {
+            debug_assert_eq!(
+                avail.advance(s, demand, s + limit).map(|c| c - s),
+                Some(t),
+                "converged exit disagrees with the full step"
+            );
+            return Some(t);
         }
         let completion = avail.advance(s, demand, s + limit)?;
         let t_next = completion - s;
@@ -142,6 +166,7 @@ fn busy_window(
         if t_next <= t {
             return Some(t_next);
         }
+        prev_demand = Some(demand);
         t = t_next;
     }
 }

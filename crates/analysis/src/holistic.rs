@@ -1,4 +1,4 @@
-//! Holistic scheduling and schedulability analysis (Fig. 2 / ref [14]).
+//! Holistic scheduling and schedulability analysis (Fig. 2 / ref \[14\]).
 //!
 //! One call to [`analyse`] performs the complete evaluation of a bus
 //! configuration:

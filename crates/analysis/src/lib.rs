@@ -3,7 +3,7 @@
 //! Holistic scheduling and schedulability analysis for FlexRay-based
 //! distributed embedded systems, re-implementing Sections 5–5.1 of
 //! *Pop, Pop, Eles, Peng — DATE 2007* (and the underlying analysis of
-//! their ECRTS 2006 paper, ref [14]).
+//! their ECRTS 2006 paper, ref \[14\]).
 //!
 //! The crate provides:
 //!
@@ -63,5 +63,5 @@ pub use fps::{fps_local_response, hp_tasks};
 pub use holistic::{analyse, Analysis, AnalysisConfig};
 pub use priority::{criticality, longest_path_from_source, longest_path_to_sink, ready_list_order};
 pub use scheduler::{build_schedule, build_schedule_with, ScsPlacement};
-pub use session::AnalysisSession;
+pub use session::{AnalysisSession, EtStats};
 pub use table::{MessageEntry, ScheduleTable, TaskEntry};

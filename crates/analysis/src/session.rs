@@ -24,10 +24,19 @@
 //!   the only point where the scheduler consults `gdCycle`), so the
 //!   session caches the schedule table, the per-node availabilities and
 //!   the time-triggered responses outright and only re-runs the
-//!   event-triggered fixed point per candidate.
+//!   event-triggered fixed point per candidate;
+//! * every event-triggered `local` response — an FPS busy window or a
+//!   DYN-message delay — is memoised per activity. It reads the jitter
+//!   of its interference set only through arrival counts
+//!   `⌈max(t + J, 0)/T⌉` at the busy-window steps it visits, so it is a
+//!   pure function of the counts it read, not of the exact jitter. The
+//!   memo keeps, per member, the [`JitterSpan`] over which those counts
+//!   stay put, and recomputes only when a jitter leaves its span.
 //!
 //! Results are bit-identical to [`analyse`](crate::analyse): the session
 //! only skips work it can prove is input-independent, never approximates.
+//! Debug builds re-run the local response on every memo hit and assert
+//! the same result.
 
 use crate::availability::Availability;
 use crate::cost::{cost_of, Cost};
@@ -91,11 +100,11 @@ pub(crate) struct SessionState {
     dyn_sets: Vec<(Vec<ActivityId>, Vec<ActivityId>)>,
     /// Per-activity memo of the expensive `local` response: an FPS
     /// task's busy-window result is a pure function of its node
-    /// availability and the jitter of its `hp` set; a DYN message's
-    /// delay is a pure function of the bus and the jitter of
-    /// `hp(m) ∪ lf(m)`. Unchanged inputs skip the fixed-point body —
-    /// across inner iterations, and across candidates while the cached
-    /// static side stays valid.
+    /// availability and the arrival counts it read of its `hp` set; a
+    /// DYN message's delay is a pure function of the bus and the
+    /// arrival counts it read of `hp(m) ∪ lf(m)`. Jitters that read the
+    /// same counts skip the fixed-point body — across inner iterations,
+    /// and across candidates while the cached static side stays valid.
     et_memo: Vec<EtMemo>,
     /// Bumped whenever the availabilities are rebuilt (invalidates FPS
     /// memos).
@@ -113,19 +122,104 @@ pub(crate) struct SessionState {
     skel_gen: u64,
     /// Physical layer the current skeleton generation was derived for.
     skel_phy: Option<PhyParams>,
+    /// Work counters of the event-triggered fixed point.
+    et_stats: EtStats,
 }
 
 /// One entry of the event-triggered response memo.
+///
+/// A local response reads the jitter `J` of its interference set only
+/// through arrival counts `⌈max(t + J, 0)/T⌉` at the busy-window steps
+/// it visits, so it is a pure function of the counts it read, not of
+/// the exact jitter. Each count pins `J` to an interval, and the memo
+/// keeps their intersection per member: any jitter inside every
+/// member's [`JitterSpan`] reads the same counts and so gets the same
+/// result.
 #[derive(Debug, Clone, Default)]
 struct EtMemo {
     /// `avail_stamp` (tasks) or `bus_stamp` (messages) at compute time.
     stamp: u64,
-    /// Jitter of the interference set at compute time.
-    key: Vec<Time>,
+    /// Per interference-set member, the jitters that read the same
+    /// arrival counts as the ones the result was computed under.
+    spans: Vec<JitterSpan>,
     /// The memoised `local` response (`None` = diverged).
     result: Option<Time>,
     /// False until first computed.
     valid: bool,
+}
+
+/// A half-open jitter interval `(lo, hi]` of one interference-set
+/// member: the jitters under which every arrival count a local response
+/// read of that member stays the same. Reads narrow it; a member never
+/// read keeps [`JitterSpan::ANY`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct JitterSpan {
+    lo: Time,
+    hi: Time,
+}
+
+impl JitterSpan {
+    /// `(−∞, ∞)`: nothing read yet.
+    pub(crate) const ANY: JitterSpan = JitterSpan {
+        lo: Time::from_ns(i64::MIN),
+        hi: Time::MAX,
+    };
+
+    /// `true` when `jitter` lies in `(lo, hi]`.
+    pub(crate) fn contains(self, jitter: Time) -> bool {
+        self.lo < jitter && jitter <= self.hi
+    }
+
+    /// Reads the arrival count `a = ⌈max(t + jitter, 0)/period⌉` of a
+    /// busy window of length `t`, narrowing the span to the jitters with
+    /// the same count: `((a−1)T − t, aT − t]`, or `(−∞, −t]` for `a = 0`.
+    pub(crate) fn arrivals(&mut self, t: Time, jitter: Time, period: Time) -> i64 {
+        let a = (t + jitter).clamp_non_negative().div_ceil(period);
+        if a == 0 {
+            self.hi = self.hi.min(-t);
+        } else {
+            self.lo = self.lo.max(period * (a - 1) - t);
+            self.hi = self.hi.min(period * a - t);
+        }
+        a
+    }
+
+    /// Reads whether an instance is pending at window `t` (`t + jitter
+    /// > 0`, a non-zero arrival count), narrowing the span only to the
+    /// jitters on the same side of `−t`.
+    pub(crate) fn pending(&mut self, t: Time, jitter: Time) -> bool {
+        let pending = t + jitter > Time::ZERO;
+        if pending {
+            self.lo = self.lo.max(-t);
+        } else {
+            self.hi = self.hi.min(-t);
+        }
+        pending
+    }
+
+    /// The span's `(lo, hi]` bounds.
+    #[cfg(test)]
+    pub(crate) fn bounds(self) -> (Time, Time) {
+        (self.lo, self.hi)
+    }
+}
+
+/// Work counters of the event-triggered fixed point, summed over every
+/// analysis of one [`AnalysisSession`]. Deterministic, and identical in
+/// debug and release builds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EtStats {
+    /// FPS local responses computed (ET-memo misses on tasks).
+    pub fps_runs: u64,
+    /// DYN-message delays computed (ET-memo misses on messages).
+    pub dyn_runs: u64,
+    /// Local responses the ET memo answered.
+    pub memo_hits: u64,
+    /// Iterations of the inner (event-triggered) fixed point.
+    pub inner_iters: u64,
+    /// Inner fixed points that stopped at
+    /// [`AnalysisConfig::max_inner_iters`] without converging.
+    pub inner_cap_hits: u64,
 }
 
 impl Default for SessionState {
@@ -152,39 +246,74 @@ impl Default for SessionState {
             dyn_scratch: DynScratch::default(),
             skel_gen: 1,
             skel_phy: None,
+            et_stats: EtStats::default(),
         }
     }
 }
 
 impl EtMemo {
-    /// `true` when the memoised result was computed under `stamp` with
-    /// the same jitter over the (concatenated) interference sets.
+    /// `true` when the memoised result was computed under `stamp` and
+    /// every current jitter of the (concatenated) interference sets lies
+    /// in its member's span.
     fn hit(&self, stamp: u64, set_a: &[ActivityId], set_b: &[ActivityId], jitter: &[Time]) -> bool {
-        if !self.valid || self.stamp != stamp || self.key.len() != set_a.len() + set_b.len() {
+        if !self.valid || self.stamp != stamp || self.spans.len() != set_a.len() + set_b.len() {
             return false;
         }
         set_a
             .iter()
             .chain(set_b)
-            .zip(&self.key)
-            .all(|(&j, &k)| jitter[j.index()] == k)
+            .zip(&self.spans)
+            .all(|(&j, span)| span.contains(jitter[j.index()]))
     }
+}
 
-    /// Records `result` for the current stamp and jitter snapshot.
-    fn store(
-        &mut self,
-        stamp: u64,
-        set_a: &[ActivityId],
-        set_b: &[ActivityId],
-        jitter: &[Time],
-        result: Option<Time>,
-    ) {
-        self.key.clear();
-        self.key
-            .extend(set_a.iter().chain(set_b).map(|&j| jitter[j.index()]));
-        self.stamp = stamp;
-        self.result = result;
-        self.valid = true;
+/// The `local` response of event-triggered activity `id`: its FPS busy
+/// window (interference set `set_a` = `hp`) or its DYN delay plus
+/// transmission time (`set_a` = `hp(m)`, `set_b` = `lf(m)`). Narrows
+/// `spans` (one per member of `set_a ++ set_b`) on every arrival count
+/// it reads.
+#[allow(clippy::too_many_arguments)]
+fn local_response(
+    sys: SystemView<'_>,
+    cfg: &AnalysisConfig,
+    avails: &[Availability],
+    id: ActivityId,
+    set_a: &[ActivityId],
+    set_b: &[ActivityId],
+    jitter: &[Time],
+    limit: Time,
+    scratch: &mut DynScratch,
+    spans: &mut [JitterSpan],
+) -> Option<Time> {
+    match &sys.app.activity(id).kind {
+        flexray_model::ActivityKind::Task(t) => {
+            debug_assert_eq!(t.policy, SchedPolicy::Fps);
+            fps_local_response_with(
+                sys,
+                &avails[t.node.index()],
+                id,
+                set_a,
+                jitter,
+                limit,
+                spans,
+            )
+        }
+        flexray_model::ActivityKind::Message(m) => {
+            debug_assert_eq!(m.class, MessageClass::Dynamic);
+            dyn_delay_with(
+                sys,
+                id,
+                set_a,
+                set_b,
+                jitter,
+                cfg.latest_tx,
+                cfg.dyn_mode,
+                limit,
+                scratch,
+                spans,
+            )
+            .map(|w| w + sys.comm_time(id))
+        }
     }
 }
 
@@ -387,7 +516,9 @@ pub(crate) fn analyse_core(
         // double-count the chain offsets and blow up with depth.
         st.jitter.clear();
         st.jitter.resize(n, Time::ZERO);
+        let mut converged = false;
         for _inner in 0..cfg.max_inner_iters {
+            st.et_stats.inner_iters += 1;
             for id in sys.app.ids() {
                 let a = sys.app.activity(id);
                 let worst_ready = sys
@@ -424,8 +555,9 @@ pub(crate) fn analyse_core(
                     .unwrap_or(Time::ZERO)
                     .max(a.release);
                 // The expensive `local` response is a pure function of
-                // the memo key (interference-set jitter + stamped
-                // environment): recompute only on a changed input.
+                // the arrival counts it reads (plus the stamped
+                // environment): recompute only when a jitter of the
+                // interference set leaves its memoised span.
                 let (stamp, set_a, set_b): (u64, &[ActivityId], &[ActivityId]) = match &a.kind {
                     flexray_model::ActivityKind::Task(_) => (
                         st.avail_stamp,
@@ -437,39 +569,52 @@ pub(crate) fn analyse_core(
                         (st.bus_stamp, hp, lf)
                     }
                 };
-                let local = if st.et_memo[id.index()].hit(stamp, set_a, set_b, &st.jitter) {
-                    st.et_memo[id.index()].result
+                let memo = &mut st.et_memo[id.index()];
+                let local = if memo.hit(stamp, set_a, set_b, &st.jitter) {
+                    st.et_stats.memo_hits += 1;
+                    #[cfg(debug_assertions)]
+                    {
+                        // A fresh scratch and throwaway spans keep the
+                        // check off every counter and memo.
+                        let fresh = local_response(
+                            sys,
+                            cfg,
+                            &st.avails,
+                            id,
+                            set_a,
+                            set_b,
+                            &st.jitter,
+                            limit,
+                            &mut DynScratch::default(),
+                            &mut vec![JitterSpan::ANY; set_a.len() + set_b.len()],
+                        );
+                        assert_eq!(memo.result, fresh, "ET memo hit disagrees");
+                    }
+                    memo.result
                 } else {
-                    let computed = match &a.kind {
-                        flexray_model::ActivityKind::Task(t) => {
-                            debug_assert_eq!(t.policy, SchedPolicy::Fps);
-                            fps_local_response_with(
-                                sys,
-                                &st.avails[t.node.index()],
-                                id,
-                                set_a,
-                                &st.jitter,
-                                limit,
-                            )
-                        }
-                        flexray_model::ActivityKind::Message(m) => {
-                            debug_assert_eq!(m.class, MessageClass::Dynamic);
-                            dyn_delay_with(
-                                sys,
-                                id,
-                                set_a,
-                                set_b,
-                                &st.jitter,
-                                cfg.latest_tx,
-                                cfg.dyn_mode,
-                                limit,
-                                &mut st.dyn_scratch,
-                            )
-                            .map(|w| w + sys.comm_time(id))
-                        }
-                    };
-                    st.et_memo[id.index()].store(stamp, set_a, set_b, &st.jitter, computed);
-                    computed
+                    if a.as_task().is_some() {
+                        st.et_stats.fps_runs += 1;
+                    } else {
+                        st.et_stats.dyn_runs += 1;
+                    }
+                    memo.spans.clear();
+                    memo.spans
+                        .resize(set_a.len() + set_b.len(), JitterSpan::ANY);
+                    memo.result = local_response(
+                        sys,
+                        cfg,
+                        &st.avails,
+                        id,
+                        set_a,
+                        set_b,
+                        &st.jitter,
+                        limit,
+                        &mut st.dyn_scratch,
+                        &mut memo.spans,
+                    );
+                    memo.stamp = stamp;
+                    memo.valid = true;
+                    memo.result
                 };
                 let r = match local {
                     Some(local) => (worst_ready + local).min(limit),
@@ -485,8 +630,12 @@ pub(crate) fn analyse_core(
             }
             std::mem::swap(&mut st.diverged, &mut st.diverged_next);
             if !changed {
+                converged = true;
                 break;
             }
+        }
+        if !converged {
+            st.et_stats.inner_cap_hits += 1;
         }
 
         if !tt_needs_et {
@@ -599,8 +748,8 @@ impl AnalysisSession {
 
     /// `(calls, short_circuits)` of the Exact-mode DYN fill bound over
     /// this session's lifetime: how many Exact busy-window computations
-    /// ran, and how many of them the Greedy bound resolved without
-    /// touching the packing DP (see
+    /// ran (ET-memo hits run none), and how many of them the fill bound
+    /// resolved without touching the packing DP (see
     /// [`DynScratch::exact_stats`](crate::DynScratch::exact_stats)).
     /// `(0, 0)` under [`DynAnalysisMode::Greedy`](crate::DynAnalysisMode).
     #[must_use]
@@ -617,6 +766,13 @@ impl AnalysisSession {
     #[must_use]
     pub fn dyn_select_stats(&self) -> (u64, u64) {
         self.state.dyn_scratch.select_stats()
+    }
+
+    /// Work counters of the event-triggered fixed point over this
+    /// session's lifetime (see [`EtStats`]).
+    #[must_use]
+    pub fn et_stats(&self) -> EtStats {
+        self.state.et_stats
     }
 
     /// The analysis configuration applied to every call.
@@ -749,7 +905,7 @@ impl AnalysisSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyse;
+    use crate::{analyse, DynAnalysisMode, LatestTxPolicy};
     use flexray_model::*;
 
     /// Two nodes with an ET chain (no static messages): the static side
@@ -949,5 +1105,202 @@ mod tests {
             AnalysisConfig::default(),
         );
         let _ = session.reanalyse_dyn_length(10);
+    }
+
+    /// SplitMix64: a deterministic stream for the span property tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            let width = u64::try_from(hi - lo).expect("lo <= hi") + 1;
+            lo + i64::try_from(self.next() % width).expect("width fits i64")
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.range(0, from.len() as i64 - 1) as usize]
+        }
+    }
+
+    /// A random jitter per activity: zero, or up to two of its periods
+    /// at nanosecond resolution.
+    fn random_jitter(rng: &mut Rng, sys: &System) -> Vec<Time> {
+        sys.app
+            .ids()
+            .map(|id| match rng.range(0, 3) {
+                0 => Time::ZERO,
+                _ => Time::from_ns(rng.range(0, 2 * sys.app.period_of(id).as_ns())),
+            })
+            .collect()
+    }
+
+    /// Checks that `j1` lies in its own spans, then that jitters drawn
+    /// inside them — both edges `lo + 1 ns` and `hi` of every member,
+    /// and random mixes of edges and inner points — give `run`'s result
+    /// at `j1`. Spans are clipped to `±cap` so probes stay finite.
+    fn assert_spans_hold(
+        rng: &mut Rng,
+        members: &[ActivityId],
+        j1: &[Time],
+        cap: Time,
+        mut run: impl FnMut(&[Time], &mut [JitterSpan]) -> Option<Time>,
+    ) {
+        let mut spans = vec![JitterSpan::ANY; members.len()];
+        let expected = run(j1, &mut spans);
+        let edges: Vec<(i64, i64)> = members
+            .iter()
+            .zip(&spans)
+            .map(|(&j, span)| {
+                assert!(
+                    span.contains(j1[j.index()]),
+                    "{span:?} misses its own jitter"
+                );
+                let (lo, hi) = span.bounds();
+                let lo = lo.as_ns().saturating_add(1).max(-cap.as_ns());
+                (lo, hi.as_ns().min(cap.as_ns()))
+            })
+            .collect();
+        for probe in 0..12 {
+            let mut j2 = j1.to_vec();
+            for (&j, &(lo, hi)) in members.iter().zip(&edges) {
+                j2[j.index()] = Time::from_ns(match (probe, rng.range(0, 2)) {
+                    (0, _) | (2.., 0) => lo,
+                    (1, _) | (2.., 1) => hi,
+                    _ => rng.range(lo, hi),
+                });
+            }
+            let mut probe_spans = vec![JitterSpan::ANY; members.len()];
+            assert_eq!(run(&j2, &mut probe_spans), expected, "{j1:?} -> {j2:?}");
+        }
+    }
+
+    #[test]
+    fn dyn_delay_is_constant_on_its_jitter_spans() {
+        let phy = PhyParams {
+            gd_bit: Time::from_ns(50),
+            gd_macrotick: Time::MICROSECOND,
+            gd_minislot: Time::MICROSECOND,
+            frame_overhead_bytes: 0,
+        };
+        let mut rng = Rng(20);
+        for _case in 0..150 {
+            // DYN messages (length, frame id, priority, period), each in
+            // its own graph; a frame identifier's sender is fixed by its
+            // parity, as the protocol allows one sender per identifier.
+            let mut app = Application::new();
+            let mut bus = BusConfig::new(phy);
+            bus.static_slot_len = Time::from_us(8.0);
+            bus.static_slot_owners = vec![NodeId::new(0)];
+            let mut ids = Vec::new();
+            let mut segment = 0;
+            for i in 0..rng.range(2, 7) {
+                let (len, fid) = (rng.range(1, 9) as u32, rng.range(1, 6) as u16);
+                let node = usize::from(fid % 2);
+                let period = Time::from_us(rng.pick(&[60.0, 100.0, 150.0, 250.0, 1000.0]));
+                let g = app.add_graph(&format!("g{i}"), period, period);
+                let s = app.add_task(
+                    g,
+                    "s",
+                    NodeId::new(node),
+                    Time::MICROSECOND,
+                    SchedPolicy::Fps,
+                    1,
+                );
+                let r = app.add_task(
+                    g,
+                    "r",
+                    NodeId::new(1 - node),
+                    Time::MICROSECOND,
+                    SchedPolicy::Fps,
+                    1,
+                );
+                let prio = rng.range(0, 2) as u32;
+                let m = app.add_message(g, &format!("m{i}"), 2 * len, MessageClass::Dynamic, prio);
+                app.connect(s, m, r).expect("edges");
+                bus.frame_ids.insert(m, FrameId::new(fid));
+                segment = segment.max(u32::from(fid) - 1 + len);
+                ids.push(m);
+            }
+            bus.n_minislots = segment + rng.range(0, 10) as u32;
+            let sys = System::validated(Platform::with_nodes(2), app, bus).expect("valid");
+            let limit = Time::from_us(100_000.0);
+            let j1 = random_jitter(&mut rng, &sys);
+            for &m in &ids {
+                let (hp, lf) = (hp_messages(&sys, m), lf_messages(&sys, m));
+                let members: Vec<ActivityId> = hp.iter().chain(&lf).copied().collect();
+                for mode in [DynAnalysisMode::Greedy, DynAnalysisMode::Exact] {
+                    let run = |jitter: &[Time], spans: &mut [JitterSpan]| {
+                        dyn_delay_with(
+                            (&sys).into(),
+                            m,
+                            &hp,
+                            &lf,
+                            jitter,
+                            LatestTxPolicy::PerMessage,
+                            mode,
+                            limit,
+                            &mut DynScratch::default(),
+                            spans,
+                        )
+                    };
+                    assert_spans_hold(&mut rng, &members, &j1, limit, run);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fps_response_is_constant_on_its_jitter_spans() {
+        let mut rng = Rng(19);
+        for _case in 0..150 {
+            let mut app = Application::new();
+            let ids: Vec<ActivityId> = (0..rng.range(2, 6))
+                .map(|i| {
+                    let period = Time::from_us(rng.pick(&[50.0, 100.0, 200.0, 400.0]));
+                    let g = app.add_graph(&format!("g{i}"), period, period);
+                    let wcet = Time::from_ns(rng.range(1_000, 20_000));
+                    let prio = rng.range(0, 4) as u32;
+                    app.add_task(g, "t", NodeId::new(0), wcet, SchedPolicy::Fps, prio)
+                })
+                .collect();
+            let sys = System::validated(
+                Platform::with_nodes(1),
+                app,
+                BusConfig::new(PhyParams::unit()),
+            )
+            .expect("valid");
+            // Busy windows of the static schedule over one 400 µs
+            // hyperperiod, from random gaps and lengths.
+            let horizon = Time::from_us(400.0).as_ns();
+            let mut windows = Vec::new();
+            let mut at = 0;
+            for _ in 0..rng.range(0, 4) {
+                let s = at + rng.range(0, 80_000);
+                let f = (s + rng.range(1, 60_000)).min(horizon);
+                if s >= f {
+                    break;
+                }
+                windows.push((Time::from_ns(s), Time::from_ns(f)));
+                at = f;
+            }
+            let avail = Availability::new(Time::from_ns(horizon), windows);
+            let limit = Time::from_ns(10 * horizon);
+            let j1 = random_jitter(&mut rng, &sys);
+            for &task in &ids {
+                let hp = hp_tasks(&sys, task);
+                let run = |jitter: &[Time], spans: &mut [JitterSpan]| {
+                    fps_local_response_with((&sys).into(), &avail, task, &hp, jitter, limit, spans)
+                };
+                assert_spans_hold(&mut rng, &hp, &j1, limit, run);
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Runs the ablation studies for the reproduction's design choices.
 //!
-//! Usage: ablation [n_apps]   (default 5)
+//! Usage: `ablation [n_apps]` (default 5)
 
 use flexray_bench::ablation::{dyn_mode_ablation, frame_id_ablation, placement_ablation, render};
 

@@ -1,6 +1,6 @@
 //! Runs the vehicle cruise-controller case study (Section 7).
 //!
-//! Usage: cruise [wcet_us]   (default 180)
+//! Usage: `cruise [wcet_us]` (default 180)
 
 use flexray_bench::cruise::{render, run_case_study, DEFAULT_WCET_US};
 use flexray_opt::{OptParams, SaParams};

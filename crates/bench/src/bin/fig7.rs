@@ -1,6 +1,6 @@
 //! Regenerates Fig. 7: message response times vs DYN segment length.
 //!
-//! Usage: fig7 [n_points]   (default 21, like the paper's x-axis)
+//! Usage: `fig7 [n_points]` (default 21, like the paper's x-axis)
 
 fn main() {
     let n_points = std::env::args()

@@ -1,6 +1,6 @@
 //! Grid-driven execution-order fuzz campaign for the simulator.
 //!
-//! Usage: fuzz <axis>=<v1,v2,...> [<axis>=...] [key=value options]
+//! Usage: `fuzz <axis>=<v1,v2,...> [<axis>=...] [key=value options]`
 //!
 //! Axes (any non-empty subset, each at most once; the grid is their
 //! cartesian product, first axis slowest):

@@ -1,7 +1,7 @@
 //! Factorial grid sweeps over the v2 generator, with a streaming,
 //! resumable JSON-lines/CSV report.
 //!
-//! Usage: grid <axis>=<v1,v2,...> [<axis>=...] [key=value options]
+//! Usage: `grid <axis>=<v1,v2,...> [<axis>=...] [key=value options]`
 //!
 //! Axes (any non-empty subset, each at most once; the grid is their
 //! cartesian product, first axis slowest):

@@ -158,7 +158,7 @@ impl Algo {
     /// Runs the algorithm on an application with an explicit cluster
     /// topology. Single-cluster topologies dispatch to [`Algo::solve`]
     /// unchanged; multi-cluster ones run
-    /// [`optimise_network`](flexray_opt::optimise_network) — one
+    /// [`optimise_network`] — one
     /// skeleton-building round for [`Algo::Bbc`] (the BBC treatment
     /// lifted to N clusters), a coordinate descent over the per-cluster
     /// dynamic-segment lengths for the optimising algorithms — and

@@ -524,8 +524,10 @@ fn exact_session_sweep_with_selection_memo_matches_fresh_analyses() {
     // work however often, and after whatever other candidates, it is
     // analysed. The `(dp_runs, memo_hits)` counters are pure functions
     // of this fixed sequence, so pinning them gates the memo's effect
-    // without timing noise.
-    use flexray::analysis::{AnalysisConfig, AnalysisSession};
+    // without timing noise. So are the Exact-call counters and the ET
+    // fixed point's work (`et_stats`): a local response is recomputed
+    // only when a jitter leaves the span its arrival counts allow.
+    use flexray::analysis::{AnalysisConfig, AnalysisSession, EtStats};
     use flexray::gen::{generate, GeneratorConfig};
     use flexray::opt::{bbc_skeleton, dyn_sweep_grid, Evaluator};
     let gen_cfg = GeneratorConfig {
@@ -616,6 +618,16 @@ fn exact_session_sweep_with_selection_memo_matches_fresh_analyses() {
 
     let (dp_runs, memo_hits) = session.dyn_select_stats();
     assert!(memo_hits > dp_runs, "the memo must answer most selections");
-    assert_eq!((dp_runs, memo_hits), (1207, 50_140));
-    assert_eq!(session.dyn_exact_stats(), (9627, 7974));
+    assert_eq!((dp_runs, memo_hits), (1207, 33_484));
+    assert_eq!(session.dyn_exact_stats(), (2667, 1242));
+    assert_eq!(
+        session.et_stats(),
+        EtStats {
+            fps_runs: 10_702,
+            dyn_runs: 2667,
+            memo_hits: 15_239,
+            inner_iters: 596,
+            inner_cap_hits: 3,
+        }
+    );
 }
