@@ -140,7 +140,7 @@ impl Component for Releaser {
 
 /// Follows the static schedule verbatim: SCS task starts/finishes and
 /// ST slot deliveries, with precedence auditing (stateless — the table
-/// events are pre-seeded into the queue each hyperperiod).
+/// events come from the queue's hyperperiod template).
 pub(crate) struct StaticSegment {
     id: ComponentId,
 }

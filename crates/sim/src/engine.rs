@@ -29,7 +29,7 @@
 
 use crate::component::{Component, CpuComponent, DynSegment, Releaser, StaticSegment};
 use crate::cpu::Cpu;
-use crate::event::{Entry, JobRef, Signal};
+use crate::event::{Entry, EventQueue, JobRef, Signal};
 use crate::kernel::{JobStore, Kernel};
 use flexray_analysis::{Availability, LatestTxPolicy, ScheduleTable};
 use flexray_model::{mix_words, ActivityId, Fingerprint, ModelError, SplitMix64, SystemView, Time};
@@ -96,6 +96,11 @@ pub struct SimReport {
     pub hyperperiods_simulated: i64,
     /// Hyperperiods skipped by the compression fast-forward.
     pub hyperperiods_skipped: i64,
+    /// Queue wake-ups serviced (immediate signals excluded): the
+    /// engine's deterministic work counter. Like
+    /// `hyperperiods_simulated`, it differs between compressed and
+    /// uncompressed runs of one system.
+    pub wakeups: u64,
 }
 
 impl SimReport {
@@ -125,7 +130,7 @@ pub fn simulate<'a>(
     table: &'a ScheduleTable,
     cfg: &SimConfig,
 ) -> Result<SimReport, ModelError> {
-    Engine::new(sys.into(), table, *cfg)?.run()
+    Ok(Engine::new(sys.into(), table, *cfg)?.run())
 }
 
 /// Convenience: builds the static schedule first (with duration bounds
@@ -160,14 +165,10 @@ const MAX_HISTORY: usize = 4096;
 struct Engine<'a> {
     cfg: SimConfig,
     horizon: Time,
-    table: &'a ScheduleTable,
     kernel: Kernel<'a>,
     components: Vec<Box<dyn Component + 'a>>,
-    /// Per cluster, per cycle: (dynamic-segment start, effective
-    /// minislot budget), hyperperiod-relative (mirrors each dynamic
-    /// segment's copy; the engine needs it to seed the per-cycle slot
-    /// chains).
-    cycle_infos: Vec<Vec<(Time, u32)>>,
+    /// Queue wake-ups serviced so far.
+    wakeups: u64,
 }
 
 impl<'a> Engine<'a> {
@@ -179,7 +180,7 @@ impl<'a> Engine<'a> {
         let horizon = sys.hyperperiod()?;
         let limit = horizon.saturating_mul(cfg.reps.max(1).saturating_mul(LIMIT_FACTOR));
         let jobs = JobStore::new(sys, horizon)?;
-        let kernel = Kernel::new(sys, horizon, limit, jobs);
+        let mut kernel = Kernel::new(sys, horizon, limit, jobs);
 
         // Per-cluster cycle layout over one hyperperiod: start of the
         // dynamic segment and its effective minislot budget (the final
@@ -224,111 +225,29 @@ impl<'a> Engine<'a> {
         }
         components.push(Box::new(Releaser::new(kernel.releaser_id())));
         components.push(Box::new(StaticSegment::new(kernel.static_id())));
-        for (c, info) in cycle_infos.iter().enumerate() {
+        let wakeups = table_wakeups(&kernel, table, &cycle_infos)?;
+        kernel.queue = EventQueue::with_template(horizon, wakeups);
+        for (c, info) in cycle_infos.into_iter().enumerate() {
             #[allow(clippy::cast_possible_truncation)] // n_clusters bounded by u16
             let c = c as u16;
             components.push(Box::new(DynSegment::new(
                 sys.focused_cluster(c),
                 kernel.dyn_id(c),
                 cfg.latest_tx,
-                info.clone(),
+                info,
             )));
         }
 
         Ok(Engine {
             cfg,
             horizon,
-            table,
             kernel,
             components,
-            cycle_infos,
+            wakeups: 0,
         })
     }
 
-    /// Seeds all wake-ups of hyperperiod `rep`: activation tokens,
-    /// table-driven SCS/ST events and the per-cycle dynamic slot
-    /// chains. Unlike the monolithic engine (which materialised every
-    /// hyperperiod up front) seeding is incremental so that compression
-    /// can skip whole hyperperiods without ever instantiating them.
-    fn seed_rep(&mut self, rep: i64) -> Result<(), ModelError> {
-        self.kernel.jobs.seed_slab(rep);
-        let sys = self.kernel.sys;
-        let off = self.horizon.saturating_mul(rep);
-        let releaser = self.kernel.releaser_id();
-        for id in sys.app.ids() {
-            let act = u32::try_from(id.index())
-                .map_err(|_| ModelError::InvalidConfig("activity index out of range".into()))?;
-            let release = sys.app.activity(id).release;
-            let period = sys.app.period_of(id);
-            for k in 0..self.kernel.jobs.iph(act as usize) {
-                let job = JobRef { act, rep, k };
-                let at = off + period * i64::from(k) + release;
-                self.kernel
-                    .queue
-                    .push(at, releaser, Signal::Activate { job });
-            }
-        }
-        let static_id = self.kernel.static_id();
-        for e in self.table.tasks() {
-            let job = self.table_job(e.activity, rep, e.instance)?;
-            self.kernel
-                .queue
-                .push(e.start + off, static_id, Signal::ScsStart { job });
-            self.kernel
-                .queue
-                .push(e.finish + off, static_id, Signal::ScsFinish { job });
-        }
-        for e in self.table.messages() {
-            let job = self.table_job(e.activity, rep, e.instance)?;
-            self.kernel
-                .queue
-                .push(e.slot_end + off, static_id, Signal::StDelivery { job });
-        }
-        for (cluster, info) in self.cycle_infos.iter().enumerate() {
-            #[allow(clippy::cast_possible_truncation)] // n_clusters bounded by u16
-            let cluster = cluster as u16;
-            if sys.bus_of_cluster(cluster).dyn_slot_count() == 0 {
-                continue;
-            }
-            let dyn_id = self.kernel.dyn_id(cluster);
-            for (c, &(dyn_start, eff)) in info.iter().enumerate() {
-                if eff > 0 {
-                    #[allow(clippy::cast_possible_truncation)] // length checked in new()
-                    let cycle = c as u32;
-                    self.kernel.queue.push(
-                        off + dyn_start,
-                        dyn_id,
-                        Signal::DynSlot {
-                            rep,
-                            cycle,
-                            fid: 1,
-                            counter: 1,
-                        },
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn table_job(
-        &self,
-        activity: ActivityId,
-        rep: i64,
-        instance: i64,
-    ) -> Result<JobRef, ModelError> {
-        let act = u32::try_from(activity.index())
-            .map_err(|_| ModelError::InvalidConfig("activity index out of range".into()))?;
-        let k = u32::try_from(instance).map_err(|_| {
-            ModelError::InvalidConfig(format!(
-                "schedule-table instance {instance} of activity '{}' is out of range",
-                self.kernel.sys.app.activity(activity).name
-            ))
-        })?;
-        Ok(JobRef { act, rep, k })
-    }
-
-    fn run(mut self) -> Result<SimReport, ModelError> {
+    fn run(mut self) -> SimReport {
         let reps = self.cfg.reps.max(1);
         let per_rep = self.kernel.jobs.per_rep() as usize;
         let total_jobs = per_rep * usize::try_from(reps).unwrap_or(usize::MAX);
@@ -338,7 +257,12 @@ impl<'a> Engine<'a> {
         let mut simulated = 0i64;
         let mut skipped = 0i64;
         while next_rep < reps {
-            self.seed_rep(next_rep)?;
+            // A hyperperiod's table-driven wake-ups become pending only
+            // when it starts: an empty dynamic slot's jump is bounded
+            // by the next pending wake-up, so seeding ahead would
+            // change the chain's steps.
+            self.kernel.jobs.seed_slab(next_rep);
+            self.kernel.queue.seed(next_rep);
             let boundary = self.horizon.saturating_mul(next_rep + 1);
             self.process_until(boundary);
             simulated += 1;
@@ -375,7 +299,7 @@ impl<'a> Engine<'a> {
         // trail into later hyperperiods; CPU projections are bounded by
         // the starvation limit, dynamic chains by their cycle budgets).
         self.process_until(Time::MAX);
-        Ok(SimReport {
+        SimReport {
             responses: std::mem::take(&mut self.kernel.responses),
             completed_jobs: self.kernel.completed,
             total_jobs,
@@ -384,7 +308,8 @@ impl<'a> Engine<'a> {
                 .collect(),
             hyperperiods_simulated: simulated,
             hyperperiods_skipped: skipped,
-        })
+            wakeups: self.wakeups,
+        }
     }
 
     /// Services queue wake-ups strictly before `bound`.
@@ -392,15 +317,9 @@ impl<'a> Engine<'a> {
         match self.cfg.order {
             ExecutionOrder::Canonical => {
                 // Directly popping the queue reproduces the monolithic
-                // engine's event loop bit for bit: the heap key is the
-                // historical `(time, event)` order.
-                while let Some(t) = self.kernel.queue.peek_time() {
-                    if t >= bound {
-                        return;
-                    }
-                    let Some(e) = self.kernel.queue.pop() else {
-                        return;
-                    };
+                // engine's event loop bit for bit: the queue order is
+                // the historical `(time, event)` order.
+                while let Some(e) = self.kernel.queue.pop_before(bound) {
                     self.dispatch(e);
                 }
             }
@@ -450,6 +369,7 @@ impl<'a> Engine<'a> {
 
     /// Wakes the target component, then drains the immediate FIFO.
     fn dispatch(&mut self, e: Entry) {
+        self.wakeups += 1;
         self.components[e.cid.0].wake(e.time, e.signal, &mut self.kernel);
         while let Some((cid, sig)) = self.kernel.immediates.pop_front() {
             self.components[cid.0].wake(e.time, sig, &mut self.kernel);
@@ -569,12 +489,7 @@ impl<'a> Engine<'a> {
     /// repeats with the hyperperiod.
     fn fast_forward(&mut self, dreps: i64) {
         let dt = self.horizon.saturating_mul(dreps);
-        let entries = self.kernel.queue.drain();
-        for e in entries {
-            self.kernel
-                .queue
-                .push(e.time + dt, e.cid, shift_signal(e.signal, dreps));
-        }
+        self.kernel.queue.shift(dt, dreps);
         for c in &mut self.components {
             c.shift(dt, dreps);
         }
@@ -582,31 +497,82 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Relocates a signal's hyperperiod coordinates `dreps` forward.
-fn shift_signal(s: Signal, dreps: i64) -> Signal {
-    let bump = |j: JobRef| JobRef {
-        rep: j.rep + dreps,
-        ..j
-    };
-    match s {
-        Signal::ScsFinish { job } => Signal::ScsFinish { job: bump(job) },
-        Signal::StDelivery { job } => Signal::StDelivery { job: bump(job) },
-        Signal::DynDelivery { job } => Signal::DynDelivery { job: bump(job) },
-        Signal::Activate { job } => Signal::Activate { job: bump(job) },
-        Signal::ScsStart { job } => Signal::ScsStart { job: bump(job) },
-        Signal::DynSlot {
-            rep,
-            cycle,
-            fid,
-            counter,
-        } => Signal::DynSlot {
-            rep: rep + dreps,
-            cycle,
-            fid,
-            counter,
-        },
-        Signal::FpsCompletion { .. } | Signal::FpsArrive { .. } | Signal::ChiEnqueue { .. } => s,
+/// The table-driven wake-ups of hyperperiod 0, the template every
+/// hyperperiod's are relocated from: activation tokens, SCS starts and
+/// finishes, ST deliveries and the head of each cycle's dynamic-slot
+/// chain.
+fn table_wakeups(
+    kernel: &Kernel<'_>,
+    table: &ScheduleTable,
+    cycle_infos: &[Vec<(Time, u32)>],
+) -> Result<Vec<Entry>, ModelError> {
+    let sys = kernel.sys;
+    let mut wakeups = Vec::new();
+    let mut push = |time, cid, signal| wakeups.push(Entry { time, cid, signal });
+    let releaser = kernel.releaser_id();
+    for id in sys.app.ids() {
+        let act = u32::try_from(id.index())
+            .map_err(|_| ModelError::InvalidConfig("activity index out of range".into()))?;
+        let release = sys.app.activity(id).release;
+        let period = sys.app.period_of(id);
+        for k in 0..kernel.jobs.iph(act as usize) {
+            let job = JobRef { act, rep: 0, k };
+            push(
+                period * i64::from(k) + release,
+                releaser,
+                Signal::Activate { job },
+            );
+        }
     }
+    let static_id = kernel.static_id();
+    for e in table.tasks() {
+        let job = table_job(sys, e.activity, e.instance)?;
+        push(e.start, static_id, Signal::ScsStart { job });
+        push(e.finish, static_id, Signal::ScsFinish { job });
+    }
+    for e in table.messages() {
+        let job = table_job(sys, e.activity, e.instance)?;
+        push(e.slot_end, static_id, Signal::StDelivery { job });
+    }
+    for (cluster, info) in cycle_infos.iter().enumerate() {
+        #[allow(clippy::cast_possible_truncation)] // n_clusters bounded by u16
+        let cluster = cluster as u16;
+        if sys.bus_of_cluster(cluster).dyn_slot_count() == 0 {
+            continue;
+        }
+        let dyn_id = kernel.dyn_id(cluster);
+        for (c, &(dyn_start, eff)) in info.iter().enumerate() {
+            if eff > 0 {
+                #[allow(clippy::cast_possible_truncation)] // length checked in new()
+                let cycle = c as u32;
+                let head = Signal::DynSlot {
+                    rep: 0,
+                    cycle,
+                    fid: 1,
+                    counter: 1,
+                };
+                push(dyn_start, dyn_id, head);
+            }
+        }
+    }
+    Ok(wakeups)
+}
+
+/// The hyperperiod-0 job of a schedule-table entry.
+fn table_job(
+    sys: SystemView<'_>,
+    activity: ActivityId,
+    instance: i64,
+) -> Result<JobRef, ModelError> {
+    let act = u32::try_from(activity.index())
+        .map_err(|_| ModelError::InvalidConfig("activity index out of range".into()))?;
+    let k = u32::try_from(instance).map_err(|_| {
+        ModelError::InvalidConfig(format!(
+            "schedule-table instance {instance} of activity '{}' is out of range",
+            sys.app.activity(activity).name
+        ))
+    })?;
+    Ok(JobRef { act, rep: 0, k })
 }
 
 #[cfg(test)]
