@@ -146,13 +146,27 @@ impl Availability {
     /// `None`.
     #[must_use]
     pub fn advance(&self, start: Time, demand: Time, limit: Time) -> Option<Time> {
+        self.advance_from(start, self.free_until(start), demand, limit)
+    }
+
+    /// [`Availability::advance`] with the free time up to `start`
+    /// already known: `free_at_start` must be `free_until(start)`, as
+    /// [`Availability::window_starts`] hands it out with each start.
+    pub(crate) fn advance_from(
+        &self,
+        start: Time,
+        free_at_start: Time,
+        demand: Time,
+        limit: Time,
+    ) -> Option<Time> {
+        debug_assert_eq!(free_at_start, self.free_until(start), "stale free time");
         if demand <= Time::ZERO {
             return Some(start);
         }
         if self.free <= Time::ZERO {
             return None;
         }
-        let target = self.free_until(start) + demand;
+        let target = free_at_start + demand;
         // The completion lies `r` free units into the period `k` with
         // `k·F < target ≤ (k+1)·F`, in the free stretch that ends at the
         // first window with at least `r` free time before it (or at the
@@ -184,7 +198,7 @@ impl Availability {
 
     /// Free time in `[0, t)` (negative for `t < 0`): whole periods plus
     /// the free time of the last partial one.
-    fn free_until(&self, t: Time) -> Time {
+    pub(crate) fn free_until(&self, t: Time) -> Time {
         let k = t.div_floor(self.horizon);
         let local = t - self.horizon * k;
         let j = self.windows.partition_point(|w| w.start <= local);
@@ -218,9 +232,21 @@ impl Availability {
     /// least fixed point of the busy window, infinite included, so the
     /// worst response, and any divergence, is found at a window start.
     /// On a node without windows every arrival sees the same supply.
+    ///
+    /// Most starts need no busy window of their own, though: a start
+    /// whose supply over the worst response found so far already covers
+    /// the demand at that response cannot exceed it, and the analysis
+    /// settles it with that one supply check (see the `fps` module).
     pub fn critical_instants(&self) -> impl Iterator<Item = Time> + '_ {
-        let idle = self.windows.is_empty().then_some(Time::ZERO);
-        idle.into_iter().chain(self.windows.iter().map(|w| w.start))
+        self.window_starts().map(|(start, _)| start)
+    }
+
+    /// [`Availability::critical_instants`] paired with the free time
+    /// before each, `free_until(start)`, which every window keeps.
+    pub(crate) fn window_starts(&self) -> impl Iterator<Item = (Time, Time)> + '_ {
+        let idle = self.windows.is_empty().then_some((Time::ZERO, Time::ZERO));
+        idle.into_iter()
+            .chain(self.windows.iter().map(|w| (w.start, w.free_before)))
     }
 }
 

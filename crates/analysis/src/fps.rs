@@ -4,7 +4,7 @@
 //! FPS tasks are preemptive and priority-ordered among themselves, and
 //! receive CPU time only where the SCS table leaves the node idle
 //! (Section 2). The analysis is a busy-window fixed point per candidate
-//! critical instant: the demand `C_i + Σ_{j ∈ hp(i)} ⌈(t + J_j)/T_j⌉ C_j`
+//! critical instant: the demand `D(t) = C_i + Σ_{j ∈ hp(i)} ⌈(t + J_j)/T_j⌉ C_j`
 //! is pushed through the node's periodic availability function, and the
 //! worst case over the busy-window starts of the table is reported.
 //!
@@ -15,6 +15,19 @@
 //! [`Availability::critical_instants`]). More supply means a smaller
 //! least fixed point, so the largest response — or the divergence — of
 //! any arrival is found at a window start.
+//!
+//! Most starts are settled by one supply check instead of a busy window.
+//! The starts are walked in order, keeping the worst response `W` so far
+//! and the demand `D(W)` its window read at its fixed point. A start `s`
+//! with `free_between(s, s + W) ≥ D(W)` is skipped: its step map
+//! `f(t) = advance(s, D(t)) − s` is monotone with `f(W) ≤ W`, so every
+//! iterate from `C_i` stays at or below `W`, and the start can neither
+//! raise the maximum nor diverge. A start that fails the check still
+//! iterates from `C_i`, not from `W`: `D` is a step function, so
+//! `f(W) > W` does not put the least fixed point above `W`. A skipped
+//! start reads no arrival count, and its decision depends only on `D(W)`,
+//! whose counts were read at `W`, so the result stays a pure function
+//! of the counts read.
 
 use crate::availability::Availability;
 use crate::session::JitterSpan;
@@ -43,6 +56,26 @@ pub fn hp_tasks<'a>(sys: impl Into<SystemView<'a>>, task: ActivityId) -> Vec<Act
         .collect()
 }
 
+/// One member of an `hp` set, as a busy-window step reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct HpTask {
+    /// Activity index, into the jitter vector.
+    pub(crate) index: usize,
+    pub(crate) wcet: Time,
+    pub(crate) period: Time,
+}
+
+/// The [`HpTask`] of every member of `hp`, in order.
+pub(crate) fn hp_specs(sys: SystemView<'_>, hp: &[ActivityId]) -> Vec<HpTask> {
+    hp.iter()
+        .map(|&j| HpTask {
+            index: j.index(),
+            wcet: sys.app.activity(j).as_task().expect("hp task").wcet,
+            period: sys.app.period_of(j),
+        })
+        .collect()
+}
+
 /// Worst-case local response time (from its own arrival) of one FPS
 /// task, given the node availability and the current jitter estimates of
 /// all activities.
@@ -59,96 +92,103 @@ pub fn fps_local_response<'a>(
     limit: Time,
 ) -> Option<Time> {
     let sys = sys.into();
-    let hp = hp_tasks(sys, task);
+    let spec = sys.app.activity(task).as_task().expect("fps task");
+    debug_assert_eq!(spec.policy, SchedPolicy::Fps);
+    let hp = hp_specs(sys, &hp_tasks(sys, task));
     let mut spans = vec![JitterSpan::ANY; hp.len()];
-    fps_local_response_with(sys, avail, task, &hp, jitter, limit, &mut spans)
+    fps_local_response_with(avail, spec.wcet, &hp, jitter, limit, &mut spans, &mut 0)
 }
 
-/// [`fps_local_response`] with the higher-priority set precomputed — the
-/// set depends only on the application, so session-style callers derive
-/// it once and reuse it across every candidate evaluation. Narrows
-/// `spans[k]` on every arrival count of `hp[k]` it reads.
+/// [`fps_local_response`] of a task with WCET `own_wcet` and the
+/// higher-priority set `hp` precomputed — the set depends only on the
+/// application, so session-style callers derive it once and reuse it
+/// across every candidate evaluation. Narrows `spans[k]` on every
+/// arrival count of `hp[k]` it reads, and adds the busy windows it
+/// iterates to `windows`.
 pub(crate) fn fps_local_response_with(
-    sys: SystemView<'_>,
     avail: &Availability,
-    task: ActivityId,
-    hp: &[ActivityId],
+    own_wcet: Time,
+    hp: &[HpTask],
     jitter: &[Time],
     limit: Time,
     spans: &mut [JitterSpan],
+    windows: &mut u64,
 ) -> Option<Time> {
-    let spec = sys.app.activity(task).as_task().expect("fps task");
-    debug_assert_eq!(spec.policy, SchedPolicy::Fps);
-    let worst = worst_busy_window(
-        sys,
-        avail,
-        spec.wcet,
-        hp,
-        jitter,
-        avail.critical_instants(),
-        limit,
-        spans,
-    );
+    let worst = worst_busy_window(avail, own_wcet, hp, jitter, limit, spans, windows);
     #[cfg(debug_assertions)]
     {
-        // Every slack-density breakpoint — the start of the table and
-        // each window start and end — must give the same worst case.
-        let boundaries = std::iter::once(Time::ZERO)
-            .chain(avail.windows().flat_map(|(s, f)| [s, f]))
-            .filter(|&b| b < avail.horizon());
+        // The plain loop: a busy window at every slack-density
+        // breakpoint — the start of the table and each window start and
+        // end — with no start skipped, must give the same worst case.
         let mut any = vec![JitterSpan::ANY; hp.len()];
-        let full = worst_busy_window(
-            sys, avail, spec.wcet, hp, jitter, boundaries, limit, &mut any,
+        let plain = std::iter::once(Time::ZERO)
+            .chain(avail.windows().flat_map(|(s, f)| [s, f]))
+            .filter(|&b| b < avail.horizon())
+            .try_fold(Time::ZERO, |worst, s| {
+                let free_at_s = avail.free_until(s);
+                let (t, _) =
+                    busy_window(avail, own_wcet, hp, jitter, s, free_at_s, limit, &mut any)?;
+                Some(worst.max(t))
+            });
+        assert_eq!(
+            worst, plain,
+            "skipping starts disagrees with every breakpoint"
         );
-        assert_eq!(worst, full, "window starts disagree with every breakpoint");
     }
     worst
 }
 
-/// Largest busy window over the arrivals `instants` (`None` if any
-/// diverges).
-#[allow(clippy::too_many_arguments)]
+/// Largest busy window over the window starts (`None` if any
+/// diverges), skipping every start whose supply over the worst
+/// response so far covers the demand at it (see the module docs).
 fn worst_busy_window(
-    sys: SystemView<'_>,
     avail: &Availability,
     own_wcet: Time,
-    hp: &[ActivityId],
+    hp: &[HpTask],
     jitter: &[Time],
-    instants: impl Iterator<Item = Time>,
     limit: Time,
     spans: &mut [JitterSpan],
+    windows: &mut u64,
 ) -> Option<Time> {
-    let mut worst = Time::ZERO;
-    for s in instants {
-        worst = worst.max(busy_window(
-            sys, avail, own_wcet, hp, jitter, s, limit, spans,
-        )?);
+    // The worst response so far and the demand its window read at it.
+    let mut worst: Option<(Time, Time)> = None;
+    for (s, free_at_s) in avail.window_starts() {
+        if let Some((w, demand)) = worst {
+            if avail.free_until(s + w) - free_at_s >= demand {
+                continue;
+            }
+        }
+        *windows += 1;
+        let (t, demand) = busy_window(avail, own_wcet, hp, jitter, s, free_at_s, limit, spans)?;
+        if worst.is_none_or(|(w, _)| t > w) {
+            worst = Some((t, demand));
+        }
     }
-    Some(worst)
+    Some(worst.map_or(Time::ZERO, |(w, _)| w))
 }
 
-/// Fixed point of the busy window started at candidate instant `s`.
-/// A step whose demand equals the previous step's would complete at the
-/// same `t`, so it returns without walking the availability again.
+/// Fixed point `t` of the busy window started at candidate instant `s`
+/// (with `free_at_s` free time before it), and the demand `D(t)` read
+/// there. A step whose demand equals the previous step's would complete
+/// at the same `t`, so it returns without walking the availability
+/// again.
 #[allow(clippy::too_many_arguments)]
 fn busy_window(
-    sys: SystemView<'_>,
     avail: &Availability,
     own_wcet: Time,
-    hp: &[ActivityId],
+    hp: &[HpTask],
     jitter: &[Time],
     s: Time,
+    free_at_s: Time,
     limit: Time,
     spans: &mut [JitterSpan],
-) -> Option<Time> {
+) -> Option<(Time, Time)> {
     let mut t = own_wcet;
     let mut prev_demand = None;
     loop {
         let mut demand = own_wcet;
-        for (&j, span) in hp.iter().zip(spans.iter_mut()) {
-            let spec = sys.app.activity(j).as_task().expect("hp task");
-            let tj = sys.app.period_of(j);
-            demand += spec.wcet * span.arrivals(t, jitter[j.index()], tj);
+        for (j, span) in hp.iter().zip(spans.iter_mut()) {
+            demand += j.wcet * span.arrivals(t, jitter[j.index], j.period);
         }
         if prev_demand == Some(demand) {
             debug_assert_eq!(
@@ -156,15 +196,15 @@ fn busy_window(
                 Some(t),
                 "converged exit disagrees with the full step"
             );
-            return Some(t);
+            return Some((t, demand));
         }
-        let completion = avail.advance(s, demand, s + limit)?;
+        let completion = avail.advance_from(s, free_at_s, demand, s + limit)?;
         let t_next = completion - s;
         if t_next > limit {
             return None;
         }
         if t_next <= t {
-            return Some(t_next);
+            return Some((t_next, demand));
         }
         prev_demand = Some(demand);
         t = t_next;

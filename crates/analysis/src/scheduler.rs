@@ -29,7 +29,6 @@ use crate::availability::Availability;
 use crate::priority::longest_path_to_sink;
 use crate::table::{merge_windows, MessageEntry, ScheduleTable, TaskEntry};
 use flexray_model::{ActivityId, ModelError, PhyParams, SchedPolicy, SlotId, SystemView, Time};
-use std::collections::HashMap;
 
 /// How SCS task instances are placed in the static schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,7 +73,9 @@ pub(crate) struct ScheduleBuilder {
     // ---- per-build scratch ----
     ready: Vec<Time>,
     node_busy: Vec<Vec<(Time, Time)>>,
-    slot_usage: HashMap<(u16, i64, SlotId), Time>,
+    /// Frame capacity used per static-slot instance, one flat
+    /// `cycle × slots + slot offset` vector per cluster, grown on demand.
+    slot_usage: Vec<Vec<Time>>,
 }
 
 impl ScheduleBuilder {
@@ -217,7 +218,10 @@ impl ScheduleBuilder {
         for busy in &mut self.node_busy {
             busy.clear();
         }
-        self.slot_usage.clear();
+        self.slot_usage.resize_with(sys.n_clusters(), Vec::new);
+        for usage in &mut self.slot_usage {
+            usage.clear();
+        }
 
         for oi in 0..self.order.len() {
             let job = self.order[oi];
@@ -427,17 +431,17 @@ fn first_gap(busy: &[(Time, Time)], from: Time, len: Time, wall: Time) -> Option
 /// Places one ST message instance in the earliest slot instance of its
 /// sender node with room left in the frame; returns the delivery time
 /// (slot end). The cycle geometry is that of the message's home
-/// cluster (slot instances of different clusters never collide: the
-/// usage map is keyed by cluster).
+/// cluster (slot instances of different clusters never collide: each
+/// cluster keeps its own usage vector).
 fn place_message(
     sys: SystemView<'_>,
     table: &mut ScheduleTable,
-    slot_usage: &mut HashMap<(u16, i64, SlotId), Time>,
+    slot_usage: &mut [Vec<Time>],
     job: Job,
     ready: Time,
     horizon: Time,
 ) -> Result<Time, ModelError> {
-    let cluster = sys.cluster_of(job.activity);
+    let usage = &mut slot_usage[usize::from(sys.cluster_of(job.activity))];
     let sys = sys.focused(job.activity);
     let cm = sys.comm_time(job.activity);
     let sender = sys.app.sender_of(job.activity).ok_or_else(|| {
@@ -446,7 +450,9 @@ fn place_message(
             sys.app.activity(job.activity).name
         ))
     })?;
-    let slots = sys.bus.slots_of(sender);
+    let owners = &sys.bus.static_slot_owners;
+    let slot_id =
+        |offset: usize| SlotId::new(u16::try_from(offset + 1).expect("validated slot count"));
     let gd_cycle = sys.bus.gd_cycle();
     let slot_len = sys.bus.static_slot_len;
     let n_cycles = if gd_cycle > Time::ZERO {
@@ -455,18 +461,20 @@ fn place_message(
         0
     };
 
-    if !slots.is_empty() && gd_cycle > Time::ZERO {
+    if owners.contains(&sender) && gd_cycle > Time::ZERO {
         let first_cycle = (ready.max(Time::ZERO)).div_floor(gd_cycle);
         for cycle in first_cycle..n_cycles {
-            for &slot in &slots {
-                let slot_start = gd_cycle * cycle + sys.bus.slot_start(slot);
+            let row = usize::try_from(cycle).expect("non-negative cycle") * owners.len();
+            for (offset, _) in owners.iter().enumerate().filter(|&(_, &o)| o == sender) {
+                let slot_start = gd_cycle * cycle + slot_len * offset as i64;
                 let slot_end = slot_start + slot_len;
                 if slot_start < ready || slot_end > horizon {
                     continue;
                 }
-                let used = slot_usage
-                    .entry((cluster, cycle, slot))
-                    .or_insert(Time::ZERO);
+                if usage.len() <= row + offset {
+                    usage.resize(row + offset + 1, Time::ZERO);
+                }
+                let used = &mut usage[row + offset];
                 if *used + cm <= slot_len {
                     let tx_start = slot_start + *used;
                     *used += cm;
@@ -474,7 +482,7 @@ fn place_message(
                         activity: job.activity,
                         instance: job.instance,
                         cycle,
-                        slot,
+                        slot: slot_id(offset),
                         tx_start,
                         tx_end: tx_start + cm,
                         slot_end,
@@ -491,7 +499,10 @@ fn place_message(
         activity: job.activity,
         instance: job.instance,
         cycle: n_cycles,
-        slot: slots.first().copied().unwrap_or_else(|| SlotId::new(1)),
+        slot: owners
+            .iter()
+            .position(|&o| o == sender)
+            .map_or_else(|| SlotId::new(1), slot_id),
         tx_start: finish - cm,
         tx_end: finish,
         slot_end: finish,
@@ -857,5 +868,57 @@ mod tests {
                 assert_eq!(table.horizon(), fresh.horizon());
             }
         }
+    }
+
+    #[test]
+    fn clusters_with_one_slot_layout_keep_separate_frames() {
+        // Node 0 sends two 4 µs messages in static slot 1 (6 µs): one
+        // frame holds only one of them. On one cluster the second waits
+        // a cycle; homed on two clusters with the same layout, each
+        // fills its own cluster's frame of the same (cycle, slot).
+        let mut app = Application::new();
+        let g = app.add_graph("g", Time::from_us(100.0), Time::from_us(100.0));
+        let n0 = NodeId::new(0);
+        let n1 = NodeId::new(1);
+        let a = app.add_task(g, "a", n0, Time::from_us(10.0), SchedPolicy::Scs, 0);
+        let b = app.add_task(g, "b", n1, Time::from_us(1.0), SchedPolicy::Scs, 0);
+        let m0 = app.add_message(g, "m0", 4, MessageClass::Static, 0);
+        let m1 = app.add_message(g, "m1", 4, MessageClass::Static, 0);
+        app.connect(a, m0, b).expect("edges");
+        app.connect(a, m1, b).expect("edges");
+        let mut bus = BusConfig::new(PhyParams::unit());
+        bus.static_slot_len = Time::from_us(6.0);
+        bus.static_slot_owners = vec![n0, n1];
+        let platform = Platform::with_nodes(2);
+        let delivery = |table: &ScheduleTable, m: ActivityId| {
+            let e = table
+                .messages()
+                .iter()
+                .find(|e| e.activity == m)
+                .expect("placed");
+            (e.cycle, e.slot, e.slot_end)
+        };
+        let bounds: Vec<Time> = {
+            let sys = SystemView::new(&platform, &app, &bus);
+            app.ids().map(|id| sys.duration_of(id)).collect()
+        };
+
+        // gdCycle = 12 µs: slot 1 of cycle 1 is [12, 18).
+        let one = build_schedule(SystemView::new(&platform, &app, &bus), &bounds).expect("one");
+        let slot1 = SlotId::new(1);
+        assert_eq!(delivery(&one, m0), (1, slot1, Time::from_us(18.0)));
+        assert_eq!(delivery(&one, m1), (2, slot1, Time::from_us(30.0)));
+
+        let extra = [bus.clone()];
+        let mut homes = vec![0u16; app.activities().len()];
+        homes[m1.index()] = 1;
+        let two = build_schedule(
+            SystemView::with_network(&platform, &app, &bus, &extra, &homes),
+            &bounds,
+        )
+        .expect("two");
+        assert_eq!(delivery(&two, m0), (1, slot1, Time::from_us(18.0)));
+        assert_eq!(delivery(&two, m1), (1, slot1, Time::from_us(18.0)));
+        assert_eq!(two.finish_of(b, 0), Some(Time::from_us(19.0)));
     }
 }

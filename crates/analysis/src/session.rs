@@ -41,7 +41,7 @@
 use crate::availability::Availability;
 use crate::cost::{cost_of, Cost};
 use crate::dyn_msg::{dyn_delay_with, hp_messages, lf_messages, DynScratch};
-use crate::fps::{fps_local_response_with, hp_tasks};
+use crate::fps::{fps_local_response_with, hp_specs, hp_tasks, HpTask};
 use crate::holistic::{Analysis, AnalysisConfig};
 use crate::scheduler::{ScheduleBuilder, ScsPlacement};
 use crate::table::ScheduleTable;
@@ -67,6 +67,9 @@ struct Prep {
     /// Higher-priority set of every FPS task (`hp(i)` of the busy-window
     /// analysis), indexed by activity; empty for everything else.
     hp_tasks: Vec<Vec<ActivityId>>,
+    /// The same sets as a busy-window step reads them, so a step does
+    /// no model lookups.
+    hp_specs: Vec<Vec<HpTask>>,
 }
 
 /// The complete mutable state of one holistic analysis, reusable across
@@ -211,6 +214,9 @@ impl JitterSpan {
 pub struct EtStats {
     /// FPS local responses computed (ET-memo misses on tasks).
     pub fps_runs: u64,
+    /// FPS busy windows iterated by those runs, one per window start
+    /// the worst case was taken over.
+    pub fps_windows: u64,
     /// DYN-message delays computed (ET-memo misses on messages).
     pub dyn_runs: u64,
     /// Local responses the ET memo answered.
@@ -268,34 +274,37 @@ impl EtMemo {
 }
 
 /// The `local` response of event-triggered activity `id`: its FPS busy
-/// window (interference set `set_a` = `hp`) or its DYN delay plus
-/// transmission time (`set_a` = `hp(m)`, `set_b` = `lf(m)`). Narrows
-/// `spans` (one per member of `set_a ++ set_b`) on every arrival count
-/// it reads.
+/// window (interference set `set_a` = `hp`, read through `hp_specs`) or
+/// its DYN delay plus transmission time (`set_a` = `hp(m)`, `set_b` =
+/// `lf(m)`). Narrows `spans` (one per member of `set_a ++ set_b`) on
+/// every arrival count it reads; adds the FPS busy windows it iterates
+/// to `fps_windows`.
 #[allow(clippy::too_many_arguments)]
 fn local_response(
     sys: SystemView<'_>,
     cfg: &AnalysisConfig,
     avails: &[Availability],
     id: ActivityId,
+    hp_specs: &[HpTask],
     set_a: &[ActivityId],
     set_b: &[ActivityId],
     jitter: &[Time],
     limit: Time,
     scratch: &mut DynScratch,
     spans: &mut [JitterSpan],
+    fps_windows: &mut u64,
 ) -> Option<Time> {
     match &sys.app.activity(id).kind {
         flexray_model::ActivityKind::Task(t) => {
             debug_assert_eq!(t.policy, SchedPolicy::Fps);
             fps_local_response_with(
-                sys,
                 &avails[t.node.index()],
-                id,
-                set_a,
+                t.wcet,
+                hp_specs,
                 jitter,
                 limit,
                 spans,
+                fps_windows,
             )
         }
         flexray_model::ActivityKind::Message(m) => {
@@ -339,6 +348,10 @@ impl SessionState {
     }
 }
 
+/// Placeholder response of a time-triggered activity before the table
+/// pass raises it to its worst entry.
+const NO_ENTRY: Time = Time::from_ns(i64::MIN);
+
 /// Runs the complete holistic analysis of `sys` into `st`, reusing
 /// whatever `st` already holds. The algorithm is the one documented on
 /// [`analyse`](crate::analyse); see the module docs for what is cached.
@@ -370,7 +383,7 @@ pub(crate) fn analyse_core(
             .messages_of_class(MessageClass::Static)
             .next()
             .is_some();
-        let hp = sys
+        let hp: Vec<Vec<ActivityId>> = sys
             .app
             .ids()
             .map(|id| {
@@ -392,6 +405,7 @@ pub(crate) fn analyse_core(
             topo,
             tt_needs_et,
             static_is_bus_independent: !has_st_messages && !tt_needs_et,
+            hp_specs: hp.iter().map(|set| hp_specs(sys, set)).collect(),
             hp_tasks: hp,
         });
     }
@@ -460,15 +474,34 @@ pub(crate) fn analyse_core(
             st.builder
                 .build_into(sys, &st.responses, cfg.scs_placement, &mut st.table)?;
 
-            // Time-triggered responses straight from the table.
+            // Time-triggered responses straight from the table, in one
+            // pass over its entries: `max_k (finish_k − k·period)`, as
+            // `ScheduleTable::response_of`. Every time-triggered job has
+            // an entry, overflowing ones included.
             for id in sys.app.ids() {
                 if sys.app.activity(id).is_time_triggered() {
-                    let period = sys.app.period_of(id);
-                    if let Some(r) = st.table.response_of(id, period) {
-                        st.responses[id.index()] = r;
-                    }
+                    st.responses[id.index()] = NO_ENTRY;
                 }
             }
+            let tasks = st
+                .table
+                .tasks()
+                .iter()
+                .map(|e| (e.activity, e.instance, e.finish));
+            let messages = st
+                .table
+                .messages()
+                .iter()
+                .map(|e| (e.activity, e.instance, e.slot_end));
+            for (id, instance, finish) in tasks.chain(messages) {
+                let r = finish - sys.app.period_of(id) * instance;
+                let worst = &mut st.responses[id.index()];
+                *worst = (*worst).max(r);
+            }
+            debug_assert!(
+                !st.responses.contains(&NO_ENTRY),
+                "a time-triggered activity without table entries"
+            );
 
             // Per-node availability (slack of the static schedule),
             // refilled in place.
@@ -558,12 +591,12 @@ pub(crate) fn analyse_core(
                 // the arrival counts it reads (plus the stamped
                 // environment): recompute only when a jitter of the
                 // interference set leaves its memoised span.
+                let prep = st.prep.as_ref().expect("prep");
+                let hp_specs = &prep.hp_specs[id.index()];
                 let (stamp, set_a, set_b): (u64, &[ActivityId], &[ActivityId]) = match &a.kind {
-                    flexray_model::ActivityKind::Task(_) => (
-                        st.avail_stamp,
-                        &st.prep.as_ref().expect("prep").hp_tasks[id.index()],
-                        &[],
-                    ),
+                    flexray_model::ActivityKind::Task(_) => {
+                        (st.avail_stamp, &prep.hp_tasks[id.index()], &[])
+                    }
                     flexray_model::ActivityKind::Message(_) => {
                         let (hp, lf) = &st.dyn_sets[id.index()];
                         (st.bus_stamp, hp, lf)
@@ -581,12 +614,14 @@ pub(crate) fn analyse_core(
                             cfg,
                             &st.avails,
                             id,
+                            hp_specs,
                             set_a,
                             set_b,
                             &st.jitter,
                             limit,
                             &mut DynScratch::default(),
                             &mut vec![JitterSpan::ANY; set_a.len() + set_b.len()],
+                            &mut 0,
                         );
                         assert_eq!(memo.result, fresh, "ET memo hit disagrees");
                     }
@@ -605,12 +640,14 @@ pub(crate) fn analyse_core(
                         cfg,
                         &st.avails,
                         id,
+                        hp_specs,
                         set_a,
                         set_b,
                         &st.jitter,
                         limit,
                         &mut st.dyn_scratch,
                         &mut memo.spans,
+                        &mut st.et_stats.fps_windows,
                     );
                     memo.stamp = stamp;
                     memo.valid = true;
@@ -1296,8 +1333,10 @@ mod tests {
             let j1 = random_jitter(&mut rng, &sys);
             for &task in &ids {
                 let hp = hp_tasks(&sys, task);
+                let specs = hp_specs((&sys).into(), &hp);
+                let wcet = sys.app.activity(task).as_task().expect("task").wcet;
                 let run = |jitter: &[Time], spans: &mut [JitterSpan]| {
-                    fps_local_response_with((&sys).into(), &avail, task, &hp, jitter, limit, spans)
+                    fps_local_response_with(&avail, wcet, &specs, jitter, limit, spans, &mut 0)
                 };
                 assert_spans_hold(&mut rng, &hp, &j1, limit, run);
             }

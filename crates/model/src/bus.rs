@@ -281,7 +281,7 @@ impl BusConfig {
                     app.activity(m).name
                 ))
             })?;
-            if self.slots_of(sender).is_empty() {
+            if !self.static_slot_owners.contains(&sender) {
                 return Err(ModelError::MissingStaticSlot(sender));
             }
             if self.comm_time(app, m) > self.static_slot_len {

@@ -624,10 +624,64 @@ fn exact_session_sweep_with_selection_memo_matches_fresh_analyses() {
         session.et_stats(),
         EtStats {
             fps_runs: 10_702,
+            fps_windows: 10_702,
             dyn_runs: 2667,
             memo_hits: 15_239,
             inner_iters: 596,
             inner_cap_hits: 3,
+        }
+    );
+}
+
+#[test]
+fn greedy_sweep_of_a_static_load_pins_the_fps_work() {
+    // The Greedy DYN-length sweep of the hard `design` application
+    // (`paper(2)` #7, BBC skeleton) runs FPS tasks in the slack of a
+    // static schedule, so each busy-window analysis takes its worst
+    // case over many window starts. Its costs, the last candidate's
+    // responses and the ET fixed point's work are pure functions of
+    // this fixed sequence; `fps_windows` counts the busy windows
+    // actually iterated.
+    use flexray::analysis::{AnalysisConfig, EtStats};
+    use flexray::gen::{generate, GeneratorConfig};
+    use flexray::opt::{bbc_skeleton, dyn_sweep_grid, Evaluator};
+    fn fnv1a(h: u64, bits: u64) -> u64 {
+        bits.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+    let gen_cfg = GeneratorConfig::paper(2);
+    let generated = generate(&gen_cfg, 7).expect("generates");
+    let cfg = AnalysisConfig {
+        dyn_mode: DynAnalysisMode::Greedy,
+        ..AnalysisConfig::default()
+    };
+    let template = bbc_skeleton(&generated.platform, &generated.app, gen_cfg.phy);
+    let mut ev = Evaluator::new(generated.platform, generated.app, cfg);
+    let (min, max) = ev.dyn_bounds(&template).expect("the set has a DYN sweep");
+    let grid = dyn_sweep_grid(min, max, &OptParams::default());
+    let costs = ev.evaluate_dyn_lengths(&template, &grid);
+    let cost_digest = costs.iter().fold(0xcbf2_9ce4_8422_2325, |h, c| {
+        fnv1a(fnv1a(h, c.f1.to_bits()), c.f2.to_bits())
+    });
+    let response_digest = ev
+        .session()
+        .responses()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, r| fnv1a(h, r.as_ns() as u64));
+    assert_eq!(
+        (grid.len(), ev.evaluations(), cost_digest, response_digest),
+        (264, 264, 0x71d2_4c4f_a743_6b0f, 0x7ae5_52cc_e264_0858)
+    );
+    assert_eq!(
+        ev.session().et_stats(),
+        EtStats {
+            fps_runs: 4665,
+            fps_windows: 5675,
+            dyn_runs: 2404,
+            memo_hits: 9971,
+            inner_iters: 1136,
+            inner_cap_hits: 0,
         }
     );
 }

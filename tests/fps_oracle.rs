@@ -10,7 +10,10 @@
 //!   covers the demand — no `advance`, no critical-instant list;
 //! * `advance` and `free_between` are compared with the stretch-by-
 //!   stretch walk they replaced, kept below as the reference, including
-//!   the instants where `advance`'s `limit` starts to bite.
+//!   the instants where `advance`'s `limit` starts to bite;
+//! * on tables with many windows, where the analysis settles most
+//!   window starts with one supply check, the response is compared with
+//!   a plain loop that runs a busy window at every start.
 
 use flexray::analysis::{fps_local_response, Availability};
 use flexray::model::{ActivityId, SystemView};
@@ -184,6 +187,42 @@ fn brute_response(busy: &[bool], tasks: &[Task], me: usize, limit: i64) -> Optio
     Some(worst)
 }
 
+/// The plain per-start loop: a busy window at every window start (at
+/// `0` on a node without windows), each iterated from the task's own
+/// WCET through `Availability::advance`, and the largest fixed point;
+/// `None` if any start diverges past `limit`.
+fn plain_response(avail: &Availability, tasks: &[Task], me: usize, limit: i64) -> Option<i64> {
+    let own = tasks[me];
+    let demand = |t: i64| {
+        own.wcet
+            + tasks
+                .iter()
+                .enumerate()
+                .filter(|&(j, o)| {
+                    j != me && (o.priority > own.priority || (o.priority == own.priority && j < me))
+                })
+                .map(|(_, o)| ((t + o.jitter).max(0) + o.period - 1) / o.period * o.wcet)
+                .sum::<i64>()
+    };
+    let mut worst = 0;
+    for s in avail.critical_instants() {
+        let mut t = own.wcet;
+        loop {
+            let done = avail.advance(s, Time::from_ns(demand(t)), s + Time::from_ns(limit))?;
+            let next = (done - s).as_ns();
+            if next > limit {
+                return None;
+            }
+            if next <= t {
+                break;
+            }
+            t = next;
+        }
+        worst = worst.max(t);
+    }
+    Some(worst)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -286,5 +325,57 @@ proptest! {
                 "advance({}, {}, {}) over {:?} / {} ns", start, demand, limit, windows, h
             );
         }
+    }
+
+    /// Tables of 20–60 windows, windows at 0 and at the horizon,
+    /// zero-WCET tasks and random jitters: skipping dominated starts
+    /// gives the plain per-start loop's response.
+    #[test]
+    fn many_window_response_matches_the_plain_loop(
+        n in 20usize..61,
+        gaps in prop::collection::vec(prop::sample::select(vec![0i64, 1, 2, 5, 13, 40, 90]), 61..62),
+        lens in prop::collection::vec(prop::sample::select(vec![1i64, 1, 3, 8, 20, 60]), 60..61),
+        wcets in prop::collection::vec(prop::sample::select(vec![0i64, 0, 1, 3, 10, 25, 60]), 1..6),
+        periods in prop::collection::vec(prop::sample::select(vec![40i64, 97, 250, 500, 1000, 4000]), 5..6),
+        jitters in prop::collection::vec(0i64..3000, 5..6),
+        priorities in prop::collection::vec(0u32..3, 5..6),
+        me_sel in 0usize..5,
+        limit in 1i64..=40_000,
+    ) {
+        // `gaps[0] = 0` puts a window at 0; a zero tail gap lets the
+        // last window end at the horizon.
+        let mut windows = Vec::new();
+        let mut t = 0;
+        for (&gap, &len) in gaps.iter().zip(&lens).take(n) {
+            windows.push((Time::from_ns(t + gap), Time::from_ns(t + gap + len)));
+            t += gap + len;
+        }
+        let h = t + gaps[n];
+        let avail = Availability::new(Time::from_ns(h), windows.clone());
+        let tasks: Vec<Task> = wcets
+            .iter()
+            .enumerate()
+            .map(|(i, &wcet)| Task { wcet, period: periods[i], jitter: jitters[i], priority: priorities[i] })
+            .collect();
+        let me = me_sel % tasks.len();
+
+        let mut app = Application::new();
+        let ids: Vec<ActivityId> = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let period = Time::from_ns(t.period);
+                let g = app.add_graph(&format!("g{i}"), period, period);
+                app.add_task(g, &format!("t{i}"), NodeId::new(0), Time::from_ns(t.wcet), SchedPolicy::Fps, t.priority)
+            })
+            .collect();
+        let platform = Platform::with_nodes(1);
+        let bus = BusConfig::new(PhyParams::unit());
+        let view = SystemView::new(&platform, &app, &bus);
+        let jitter: Vec<Time> = tasks.iter().map(|t| Time::from_ns(t.jitter)).collect();
+
+        let got = fps_local_response(view, &avail, ids[me], &jitter, Time::from_ns(limit));
+        let want = plain_response(&avail, &tasks, me, limit).map(Time::from_ns);
+        prop_assert_eq!(got, want, "windows {:?} over {} ns, tasks {:?}, task {}", windows, h, tasks, me);
     }
 }
