@@ -6,12 +6,12 @@
 //! Defaults: nodes 2,3,4,5, 5 applications per node count, full search
 //! parameters, one worker thread per hardware thread. The paper uses 25
 //! applications per point; pass `apps=25` for the full run (`apps=25
-//! threads=1` took 1 min 37 s in release mode on an otherwise idle
-//! 2-CPU Intel Xeon container; the per-seed loop scales with the thread
-//! count). `mode=fast` shrinks the search caps for a quick qualitative
-//! run; `threads=1` forces the serial path, whose deterministic output
-//! is identical to any parallel run. A malformed argument exits 2
-//! naming it.
+//! threads=1` took 1 min 30 s in release mode on a 2-CPU Intel Xeon
+//! container; the per-seed loop scales with the thread count).
+//! `mode=fast` shrinks the search caps for a quick qualitative run;
+//! `threads=1` forces the serial path, whose deterministic output is
+//! identical to any parallel run. A malformed argument exits 2 naming
+//! it.
 
 use flexray_bench::args::{parse_env_or_exit, Kind, Plan};
 use flexray_bench::fig9::render;

@@ -10,6 +10,14 @@
 //! OBCEE stay within a few percent of SA; OBCCF is much faster than
 //! OBCEE.
 //!
+//! OBCEE's first step is exactly BBC: OBC starts from BBC's layout and
+//! DYN sweep and stops at the first schedulable configuration (Fig. 6
+//! line 7). So on every application BBC schedules, OBCEE returns BBC's
+//! configuration and cost, and the left panel's OBCEE = BBC agreement on
+//! those applications holds by construction, not by search.
+//! `tests/paper_claims.rs` checks this per application and the panels'
+//! other claims at reduced scale.
+//!
 //! # The preset
 //!
 //! The experiment is the node-count [`GridConfig`] of [`grid`], run by

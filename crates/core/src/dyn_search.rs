@@ -11,25 +11,34 @@
 //!   interpolated optimum (the paper's curve-fitting heuristic,
 //!   5 initial points, `N_max = 10`).
 //!
-//! The curve fit's inner loop costs every pending candidate from its
-//! interpolated responses. It runs column-wise: one activity's
-//! polynomial is evaluated across all candidates at once
-//! ([`NewtonPoly::eval_many`]), and each candidate's `f1`/`f2` are summed
-//! in activity order, as Eq. (5) sums them. The polynomials and scratch
-//! buffers live across refinement rounds and are refilled in place. A
-//! seed candidate next to the best analysed length is costed first, and
-//! any candidate whose partial overshoot already exceeds the seed's is
-//! dropped: overshoot sums only grow, so it could never win. Every
-//! candidate still costed sees the same floating-point operations in the
-//! same order as a plain scan, so the chosen length is bit for bit the
-//! plain scan's; debug builds check this on every round.
+//! The curve fit keeps one Newton fit of every activity's response
+//! through the analysed lengths: the lengths once, ascending, and the
+//! Newton coefficients of all activities in one point-major table. A
+//! newly analysed length goes in at its x-rank, and the table is refitted
+//! in place, in lockstep across activities with one shared divisor per
+//! divided difference, so each activity's coefficients stay bit for bit
+//! those of a [`NewtonPoly`](crate::NewtonPoly) fed the points in x
+//! order. Each round then costs every pending candidate from
+//! its interpolated responses. Tiles of candidates share their
+//! differences `x − x_k` across activities and keep their Horner
+//! accumulators in registers, and each value is rounded to whole
+//! nanoseconds by a branch-free form that is bit for bit the scalar
+//! rounding, so the loops vectorise (four lanes wide on x86-64 CPUs with
+//! AVX2). Each candidate's `f1`/`f2` are summed in activity order, as
+//! Eq. (5) sums them. A seed candidate next to the best analysed length
+//! is costed first, and any candidate whose partial overshoot already
+//! exceeds the seed's is dropped: overshoot sums only grow, so it could
+//! never win. Every candidate still costed sees the same floating-point
+//! operations in the same order as a plain scan, so the chosen length is
+//! bit for bit the plain scan's. Debug builds check this on every round,
+//! and the table against a fresh refit on every insertion.
 
 use crate::evaluator::Evaluator;
+#[cfg(any(test, debug_assertions))]
 use crate::newton::NewtonPoly;
 use crate::params::OptParams;
 use flexray_analysis::Cost;
 use flexray_model::{Application, BusConfig, Time, MAX_CYCLE, MAX_MINISLOTS};
-use std::collections::BTreeMap;
 
 /// Strategy for choosing the dynamic-segment length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,12 +136,6 @@ fn candidate_lengths(min: u32, max: u32, step: u32) -> Vec<u32> {
     v
 }
 
-fn with_length(template: &BusConfig, n: u32) -> BusConfig {
-    let mut bus = template.clone();
-    bus.n_minislots = n;
-    bus
-}
-
 /// Analyse every candidate length through the evaluator's batched
 /// DYN-length sweep (one borrowed template, no per-candidate clones)
 /// and keep the first best (Fig. 5 lines 5–12).
@@ -155,9 +158,15 @@ fn exhaustive(ev: &mut Evaluator, template: &BusConfig, candidates: &[u32]) -> O
 /// [`Interpolator::argmin`].
 const PRUNE_BLOCK: usize = 8;
 
+/// Candidates costed together at the end of the live list by
+/// [`cost_candidates`], which pads the list to a multiple of it.
+const TAIL: usize = 8;
+
 /// An interpolated response (µs) as the cost function sees it: capped
 /// to `[0, 1e12]`, then rounded to whole nanoseconds like
 /// `Time::from_us(v).as_us()`, without its libm call and range asserts.
+/// The scalar reference of [`interp_us_fast`].
+#[cfg(any(test, debug_assertions))]
 fn interp_us(v: f64) -> f64 {
     // High-degree Newton extrapolation can overflow; an absurd finite
     // cap keeps the cost comparison sane.
@@ -177,78 +186,301 @@ fn interp_us(v: f64) -> f64 {
     us
 }
 
-/// The interpolation side of [`curve_fit`]: one Newton polynomial per
-/// activity and the scratch of the candidate scan, kept across
-/// refinement rounds so a round allocates nothing.
+/// [`interp_us`] bit for bit, branch-free and without an integer
+/// conversion, so the candidate loops of [`cost_candidates`] vectorise:
+/// every `if` is a select.
+#[inline(always)]
+fn interp_us_fast(v: f64) -> f64 {
+    /// Adding and subtracting 2^52 rounds a value in `[0, 2^52)` to the
+    /// nearest integer, ties to even, exactly.
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    // NaN and -∞ fail the first test, +∞ and NaN the second; -0.0
+    // becomes 0.0 (`interp_us` keeps it and rounds it to 0.0).
+    let v = if v >= f64::MIN { v } else { 1e12 };
+    let v = if v < 1e12 { v } else { 1e12 };
+    let v = if v > 0.0 { v } else { 0.0 };
+    // `ns` lies in `[0, 1e15]`. Half away from zero differs from ties to
+    // even only where `ns` lies exactly half-way above an even integer;
+    // `nearest - ns` is exact (Sterbenz), so the test finds those.
+    let ns = v * 1_000.0;
+    let nearest = (ns + TWO_52) - TWO_52;
+    let ns = if nearest - ns == -0.5 {
+        nearest + 1.0
+    } else {
+        nearest
+    };
+    ns / 1_000.0
+}
+
+/// What a pass of the candidate scan interpolates: the fitted lengths,
+/// and the Newton coefficients over them of a block of activities,
+/// activity after activity, with the activities' deadlines.
+#[derive(Clone, Copy)]
+struct Block<'a> {
+    xs: &'a [f64],
+    coeffs: &'a [f64],
+    deadlines: &'a [f64],
+}
+
+/// Adds the interpolated cost over `block`'s activities of each
+/// candidate at `live_xs[j]` to its partial sums `f1[j]` and `f2[j]`.
+/// Every value sees the operations of [`NewtonPoly::eval`] and
+/// [`interp_us`], in the same order, and each sum adds the activities in
+/// order, as Eq. (5) does.
+///
+/// The list's length must be a multiple of [`TAIL`]. On x86-64 CPUs
+/// with AVX2 the same loops run four lanes wide instead of two.
+fn cost_candidates(
+    block: Block,
+    live_xs: &[f64],
+    f1: &mut [f64],
+    f2: &mut [f64],
+    diffs: &mut Vec<f64>,
+) {
+    debug_assert!(live_xs.len().is_multiple_of(TAIL) && live_xs.len() == f1.len());
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked just above.
+        unsafe { cost_candidates_avx2(block, live_xs, f1, f2, diffs) };
+        return;
+    }
+    cost_tiles::<16>(block, live_xs, f1, f2, diffs);
+}
+
+/// [`cost_candidates`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn cost_candidates_avx2(
+    block: Block,
+    live_xs: &[f64],
+    f1: &mut [f64],
+    f2: &mut [f64],
+    diffs: &mut Vec<f64>,
+) {
+    cost_tiles::<32>(block, live_xs, f1, f2, diffs);
+}
+
+/// The loops of [`cost_candidates`]: tiles of `T` candidates, then tiles
+/// of [`TAIL`] for the rest.
+#[inline(always)]
+fn cost_tiles<const T: usize>(
+    block: Block,
+    live_xs: &[f64],
+    f1: &mut [f64],
+    f2: &mut [f64],
+    diffs: &mut Vec<f64>,
+) {
+    let bulk = live_xs.len() / T * T;
+    let (bulk_f1, tail_f1) = f1.split_at_mut(bulk);
+    let (bulk_f2, tail_f2) = f2.split_at_mut(bulk);
+    cost_tile_run::<T>(block, &live_xs[..bulk], bulk_f1, bulk_f2, diffs);
+    cost_tile_run::<TAIL>(block, &live_xs[bulk..], tail_f1, tail_f2, diffs);
+}
+
+/// Tiles of exactly `T` candidates. A tile's differences `x − x_k` are
+/// shared by every activity of the block, and its Horner accumulators
+/// and partial sums stay in registers.
+#[inline(always)]
+fn cost_tile_run<const T: usize>(
+    block: Block,
+    live_xs: &[f64],
+    f1: &mut [f64],
+    f2: &mut [f64],
+    diffs: &mut Vec<f64>,
+) {
+    let tiles = live_xs
+        .as_chunks::<T>()
+        .0
+        .iter()
+        .zip(f1.as_chunks_mut::<T>().0)
+        .zip(f2.as_chunks_mut::<T>().0);
+    for ((tile_xs, tile_f1), tile_f2) in tiles {
+        diffs.clear();
+        for &xk in block.xs {
+            diffs.extend(tile_xs.iter().map(|&x| x - xk));
+        }
+        let rows = diffs.as_chunks::<T>().0;
+        let (mut sum1, mut sum2) = (*tile_f1, *tile_f2);
+        let activities = block.coeffs.chunks_exact(block.xs.len());
+        for (cs, &d) in activities.zip(block.deadlines) {
+            let mut acc = [0.0; T];
+            for (&c, dx) in cs.iter().zip(rows).rev() {
+                for (v, &dx) in acc.iter_mut().zip(dx) {
+                    *v = *v * dx + c;
+                }
+            }
+            for ((&v, s1), s2) in acc.iter().zip(&mut sum1).zip(&mut sum2) {
+                let delta = interp_us_fast(v) - d;
+                // A partial `f1` is never -0.0, so adding 0.0 leaves it
+                // as skipping the addition does.
+                *s1 += if delta > 0.0 { delta } else { 0.0 };
+                *s2 += delta;
+            }
+        }
+        (*tile_f1, *tile_f2) = (sum1, sum2);
+    }
+}
+
+/// The interpolation side of [`curve_fit`]: a Newton fit of every
+/// activity's response through the analysed lengths, and the scan of
+/// the pending candidates over it, kept across refinement rounds so a
+/// round allocates nothing.
+///
+/// Every activity is fitted through the same lengths, so the abscissae
+/// are stored once, and the Newton coefficients of all activities share
+/// one point-major table: row `k` holds every activity's coefficient of
+/// `x_k`. A newly analysed length goes in at its x-rank, and the table is
+/// refitted in place, in lockstep across activities with one shared
+/// divisor per entry. Each entry is the difference of the same two
+/// neighbours over the same divisor as in [`NewtonPoly::add_point`], so
+/// every activity's coefficients are bit for bit those of a `NewtonPoly`
+/// fed the fitted points in x order; debug builds check this on every
+/// insertion. (Refitting only from the new rank on would need every
+/// intermediate difference kept, a triangle of `n²/2` rows, for no
+/// measured gain.)
 #[derive(Debug, Default)]
 struct Interpolator {
-    /// Per-activity polynomials over the analysed points, in x order.
-    polys: Vec<NewtonPoly>,
-    /// Per-activity deadlines in µs (the `D_ij` of Eq. (5)).
+    /// Per-activity deadlines in µs (the `D_ij` of Eq. (5)); their count
+    /// is the width of every row below.
     deadlines: Vec<f64>,
+    /// The fitted lengths, ascending: every analysed length that yielded
+    /// responses.
+    xs: Vec<f64>,
+    /// Responses in µs, point-major: row `k` holds them at `xs[k]`.
+    ys: Vec<f64>,
+    /// The Newton coefficients, point-major.
+    table: Vec<f64>,
     /// The candidates not analysed yet, in candidate order.
     pending: Vec<u32>,
-    /// The candidates still in the running during a scan: length, x,
-    /// partial `f1` and `f2`, and the polynomial values of the activity
-    /// at hand.
+    /// Scan scratch: the Newton coefficients activity after activity,
+    /// the candidates still in the running (length, x, partial `f1` and
+    /// `f2`; the last three padded to whole [`TAIL`]s), and a tile's
+    /// `x − x_k`.
+    coeffs: Vec<f64>,
     live: Vec<u32>,
     live_xs: Vec<f64>,
     f1: Vec<f64>,
     f2: Vec<f64>,
-    vals: Vec<f64>,
+    diffs: Vec<f64>,
 }
 
 impl Interpolator {
-    fn new(app: &Application) -> Self {
+    /// An empty fit over `app`'s activities, every candidate pending.
+    fn new(app: &Application, candidates: &[u32]) -> Self {
         Interpolator {
             deadlines: app.ids().map(|id| app.deadline_of(id).as_us()).collect(),
+            pending: candidates.to_vec(),
             ..Interpolator::default()
         }
     }
 
-    /// Refits every activity's polynomial through the analysed `points`
-    /// that carry responses, and lists the candidates still pending.
-    /// Returns the number of interpolated activities: 0 when no analysed
-    /// point yielded responses.
-    fn rebuild(&mut self, points: &BTreeMap<u32, (Cost, Vec<f64>)>, candidates: &[u32]) -> usize {
-        let n_activities = points.values().map(|(_, r)| r.len()).max().unwrap_or(0);
-        debug_assert!(n_activities == 0 || n_activities == self.deadlines.len());
-        self.polys.resize_with(n_activities, NewtonPoly::new);
-        self.polys.iter_mut().for_each(NewtonPoly::clear);
-        for (&x, (_, responses)) in points {
-            if responses.len() != n_activities {
-                continue; // invalid configuration: no responses stored
-            }
-            for (poly, &r) in self.polys.iter_mut().zip(responses) {
-                poly.add_point(f64::from(x), r);
-            }
-        }
-        self.pending.clear();
-        self.pending
-            .extend(candidates.iter().filter(|c| !points.contains_key(c)));
-        n_activities
+    /// Number of fitted lengths.
+    fn len(&self) -> usize {
+        self.xs.len()
     }
 
-    /// Interpolated cost (Eq. (5)) at `x`, summed in activity order.
-    fn cost_at(&self, x: f64) -> Cost {
-        let (mut f1, mut f2) = (0.0, 0.0);
-        for (poly, &d) in self.polys.iter().zip(&self.deadlines) {
-            let delta = interp_us(poly.eval(x)) - d;
-            if delta > 0.0 {
-                f1 += delta;
-            }
-            f2 += delta;
+    fn is_pending(&self, x: u32) -> bool {
+        self.pending.binary_search(&x).is_ok()
+    }
+
+    /// Records that length `x` was analysed: it leaves the pending
+    /// candidates, and its responses, if the analysis yielded any, join
+    /// the fit.
+    fn analysed(&mut self, x: u32, responses: Option<&[Time]>) {
+        if let Ok(i) = self.pending.binary_search(&x) {
+            self.pending.remove(i);
         }
-        Cost { f1, f2 }
+        if let Some(responses) = responses {
+            self.fit(x, responses.iter().map(|t| t.as_us()));
+        }
+    }
+
+    /// Inserts length `x` with one response (µs) per activity into the
+    /// fit, and refits.
+    fn fit(&mut self, x: u32, responses: impl Iterator<Item = f64>) {
+        let w = self.deadlines.len();
+        let x = f64::from(x);
+        let r = self.xs.partition_point(|&xk| xk < x);
+        debug_assert!(self.xs.get(r) != Some(&x), "length {x} fitted twice");
+        self.xs.insert(r, x);
+        self.ys.splice(r * w..r * w, responses);
+        debug_assert_eq!(
+            self.ys.len(),
+            self.xs.len() * w,
+            "one response per activity"
+        );
+
+        // Pass j turns row i ≥ j into f[x_{i−j}..x_i] = (f[x_{i−j+1}..x_i]
+        // − f[x_{i−j}..x_{i−1}]) / (x_i − x_{i−j}); rows go downwards so
+        // row i − 1 still holds pass j − 1's value.
+        let n = self.xs.len();
+        self.table.clone_from(&self.ys);
+        for j in 1..n {
+            for i in (j..n).rev() {
+                let div = self.xs[i] - self.xs[i - j];
+                let (lower, row) = self.table.split_at_mut(i * w);
+                for (d, &below) in row[..w].iter_mut().zip(&lower[(i - 1) * w..]) {
+                    *d = (*d - below) / div;
+                }
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.check_against_newton();
+    }
+
+    /// Newton coefficient of `xs[k]` in activity `a`'s fit.
+    #[cfg(any(test, debug_assertions))]
+    fn coeff(&self, k: usize, a: usize) -> f64 {
+        self.table[k * self.deadlines.len() + a]
+    }
+
+    /// Debug builds: every activity's coefficients are bit for bit those
+    /// of a fresh [`NewtonPoly`] through the fitted points in x order.
+    #[cfg(debug_assertions)]
+    fn check_against_newton(&self) {
+        let w = self.deadlines.len();
+        for a in 0..w {
+            let mut poly = NewtonPoly::new();
+            for (k, &x) in self.xs.iter().enumerate() {
+                poly.add_point(x, self.ys[k * w + a]);
+            }
+            for (k, c) in poly.coeffs().iter().enumerate() {
+                assert_eq!(
+                    c.to_bits(),
+                    self.coeff(k, a).to_bits(),
+                    "lockstep refit left NewtonPoly: activity {a}, coefficient {k}"
+                );
+            }
+        }
+    }
+
+    /// Activity `a`'s interpolated response at `x`: Horner over the
+    /// Newton basis, as [`NewtonPoly::eval`].
+    #[cfg(any(test, debug_assertions))]
+    fn eval(&self, a: usize, x: f64) -> f64 {
+        let mut acc = 0.0;
+        for (k, &xk) in self.xs.iter().enumerate().rev() {
+            acc = acc * (x - xk) + self.coeff(k, a);
+        }
+        acc
     }
 
     /// The plain scan: the first pending candidate of least interpolated
-    /// cost, each candidate costed in full.
+    /// cost (Eq. (5), summed in activity order), each candidate costed
+    /// in full, one at a time, with the scalar [`interp_us`].
     #[cfg(any(test, debug_assertions))]
     fn argmin_plain(&self) -> Option<(u32, Cost)> {
         let mut best: Option<(u32, Cost)> = None;
         for &c in &self.pending {
-            let cost = self.cost_at(f64::from(c));
+            let (mut f1, mut f2) = (0.0, 0.0);
+            for (a, &d) in self.deadlines.iter().enumerate() {
+                let delta = interp_us(self.eval(a, f64::from(c))) - d;
+                if delta > 0.0 {
+                    f1 += delta;
+                }
+                f2 += delta;
+            }
+            let cost = Cost { f1, f2 };
             if best.is_none_or(|(_, b)| cost.better_than(&b)) {
                 best = Some((c, cost));
             }
@@ -259,54 +491,77 @@ impl Interpolator {
     /// [`Interpolator::argmin_plain`] with exact pruning. The seed —
     /// the first pending candidate at or after length `near` (the last
     /// one if none is), or the first pending candidate — is costed in
-    /// full first. Then all candidates are interpolated column-wise,
-    /// [`PRUNE_BLOCK`] activities at a time, and dropped once their
-    /// partial overshoot `f1` exceeds the seed's. Overshoot sums only
-    /// grow, so a dropped candidate ends unschedulable with a larger
-    /// `f1` and can never be `better_than` the seed: the minimum and the
-    /// seed itself survive. Every survivor's cost is summed with the
-    /// operations of [`Interpolator::cost_at`], in the same order, so
-    /// the plain scan over the survivors picks the plain scan's result.
+    /// full first. Then the candidates are costed [`PRUNE_BLOCK`]
+    /// activities at a time and dropped once their partial overshoot
+    /// `f1` exceeds the seed's. Overshoot sums only grow, so a dropped
+    /// candidate ends unschedulable with a larger `f1` and can never be
+    /// `better_than` the seed: the minimum and the seed itself survive.
+    /// [`cost_candidates`] sums every survivor's cost as the plain scan
+    /// does, so the plain scan over the survivors picks the plain scan's
+    /// result.
     fn argmin(&mut self, near: Option<u32>) -> Option<(u32, Cost)> {
         if self.pending.is_empty() {
             return None;
         }
-        let s = near.map_or(0, |n| {
-            self.pending
-                .partition_point(|&c| c < n)
-                .min(self.pending.len() - 1)
-        });
-        let bound = self.cost_at(f64::from(self.pending[s])).f1;
-
+        let (w, n) = (self.deadlines.len(), self.len());
+        debug_assert!(n > 0, "a scan needs a fit");
         let Interpolator {
-            polys,
             deadlines,
+            xs,
+            table,
             pending,
+            coeffs,
             live,
             live_xs,
             f1,
             f2,
-            vals,
+            diffs,
+            ..
         } = self;
+        // The scan reads each activity's coefficients in a run.
+        coeffs.resize(w * n, 0.0);
+        for k in 0..n {
+            for (a, &c) in table[k * w..][..w].iter().enumerate() {
+                coeffs[a * n + k] = c;
+            }
+        }
+
+        let s = near.map_or(0, |x| {
+            pending.partition_point(|&c| c < x).min(pending.len() - 1)
+        });
+        // The seed fills one tail; its lanes agree.
+        let (mut seed1, mut seed2) = ([0.0; TAIL], [0.0; TAIL]);
+        let seed_xs = [f64::from(pending[s]); TAIL];
+        let all = Block {
+            xs,
+            coeffs,
+            deadlines,
+        };
+        cost_candidates(all, &seed_xs, &mut seed1, &mut seed2, diffs);
+        let bound = seed1[0];
+
         live.clone_from(pending);
         live_xs.clear();
         live_xs.extend(live.iter().map(|&c| f64::from(c)));
-        for buf in [&mut *f1, &mut *f2, &mut *vals] {
+        for buf in [&mut *f1, &mut *f2] {
             buf.clear();
             buf.resize(live.len(), 0.0);
         }
-        for (block, block_deadlines) in polys.chunks(PRUNE_BLOCK).zip(deadlines.chunks(PRUNE_BLOCK))
+        for (block, block_deadlines) in coeffs
+            .chunks(PRUNE_BLOCK * n)
+            .zip(deadlines.chunks(PRUNE_BLOCK))
         {
-            for (poly, &d) in block.iter().zip(block_deadlines) {
-                poly.eval_many(live_xs, vals);
-                for ((&v, f1), f2) in vals.iter().zip(f1.iter_mut()).zip(f2.iter_mut()) {
-                    let delta = interp_us(v) - d;
-                    if delta > 0.0 {
-                        *f1 += delta;
-                    }
-                    *f2 += delta;
-                }
+            // Whole tails: the padding lanes are costed and ignored.
+            let padded = live.len().next_multiple_of(TAIL);
+            for buf in [&mut *live_xs, &mut *f1, &mut *f2] {
+                buf.resize(padded, 0.0);
             }
+            let block = Block {
+                xs,
+                coeffs: block,
+                deadlines: block_deadlines,
+            };
+            cost_candidates(block, live_xs, f1, f2, diffs);
             let mut kept = 0;
             for j in 0..live.len() {
                 if f1[j] <= bound {
@@ -317,7 +572,7 @@ impl Interpolator {
                     kept += 1;
                 }
             }
-            for buf in [&mut *live_xs, &mut *f1, &mut *f2, &mut *vals] {
+            for buf in [&mut *live_xs, &mut *f1, &mut *f2] {
                 buf.truncate(kept);
             }
             live.truncate(kept);
@@ -342,17 +597,21 @@ fn curve_fit(
     params: &OptParams,
     candidates: &[u32],
 ) -> Option<DynChoice> {
-    // Exactly-analysed points: length -> (cost, responses in µs).
-    let mut points: BTreeMap<u32, (Cost, Vec<f64>)> = BTreeMap::new();
+    let mut interp = Interpolator::new(ev.app(), candidates);
+    // One candidate bus, its length set per analysis.
+    let mut bus = template.clone();
+    // The first analysed point `better_than` every later one, folded in
+    // as points are analysed: Fig. 8 line 11's minimum over the exact
+    // points.
     let mut best: Option<DynChoice> = None;
-    let evaluate_at = |ev: &mut Evaluator,
-                       n: u32,
-                       points: &mut BTreeMap<u32, (Cost, Vec<f64>)>,
-                       best: &mut Option<DynChoice>|
+    let mut evaluate_at = |ev: &mut Evaluator,
+                           interp: &mut Interpolator,
+                           n: u32,
+                           best: &mut Option<DynChoice>|
      -> Cost {
-        let (cost, responses) = ev.evaluate(&with_length(template, n));
-        let responses = responses.map_or_else(Vec::new, |r| r.iter().map(|t| t.as_us()).collect());
-        points.insert(n, (cost, responses));
+        bus.n_minislots = n;
+        let (cost, responses) = ev.evaluate(&bus);
+        interp.analysed(n, responses);
         if best.is_none_or(|b| cost.better_than(&b.cost)) {
             *best = Some(DynChoice {
                 n_minislots: n,
@@ -365,45 +624,29 @@ fn curve_fit(
     // Initial points: evenly spaced across the interval (paper: five).
     let k = params.cf_initial_points.max(2);
     for i in 0..k {
-        let idx = i * (candidates.len() - 1) / (k - 1);
-        let n = candidates[idx];
-        if !points.contains_key(&n) {
-            evaluate_at(ev, n, &mut points, &mut best);
+        let n = candidates[i * (candidates.len() - 1) / (k - 1)];
+        if interp.is_pending(n) {
+            evaluate_at(ev, &mut interp, n, &mut best);
         }
     }
-    if let Some(b) = best {
-        if b.cost.is_schedulable() {
-            return best;
-        }
+    let first = best.expect("the first candidate is analysed");
+    if first.cost.is_schedulable() || interp.len() == 0 {
+        // Done, or no analysis yielded responses to interpolate.
+        return best;
     }
 
-    let mut interp = Interpolator::new(ev.app());
     let mut stale_rounds = 0usize;
-    let mut last_best_value = best.map_or(f64::INFINITY, |b| b.cost.value());
+    let mut last_best_value = first.cost.value();
     // Hard cap well above N_max so a pathological oscillation terminates.
     for _round in 0..params.cf_max_iterations * 4 {
-        // Newton polynomial per activity over the analysed points.
-        if interp.rebuild(&points, candidates) == 0 {
-            return best; // no analysis yielded responses to interpolate
-        }
         // Interpolate the cost at every candidate not yet analysed; the
         // neighbour of the best analysed length seeds the pruning bound.
-        let interp_best = interp.argmin(best.map(|b| b.n_minislots));
+        let exact_best = best.expect("analysed above");
+        let interp_best = interp.argmin(Some(exact_best.n_minislots));
 
         // The minimum over exact and interpolated points (Fig. 8 line 11).
-        let exact_best = points
-            .iter()
-            .map(|(&x, &(c, _))| (x, c))
-            .min_by(|a, b| {
-                if a.1.better_than(&b.1) {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Greater
-                }
-            })
-            .expect("points non-empty");
-        let interp_wins = interp_best.is_some_and(|(_, c)| c.better_than(&exact_best.1));
-        if !interp_wins && exact_best.1.is_schedulable() {
+        let interp_wins = interp_best.is_some_and(|(_, c)| c.better_than(&exact_best.cost));
+        if !interp_wins && exact_best.cost.is_schedulable() {
             return best; // Fig. 8 line 12
         }
         // Analyse the interpolated optimum: either it beats every
@@ -413,7 +656,7 @@ fn curve_fit(
         let Some((n, _)) = interp_best else {
             break; // every candidate analysed
         };
-        if evaluate_at(ev, n, &mut points, &mut best).is_schedulable() {
+        if evaluate_at(ev, &mut interp, n, &mut best).is_schedulable() {
             return best;
         }
 
@@ -628,27 +871,198 @@ mod tests {
         assert_eq!(cf, ee);
     }
 
+    /// A xorshift64 stream: deterministic test inputs without a crate.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
     #[test]
     fn interp_us_rounds_like_time() {
         let via_time = |v: f64| Time::from_us(v).as_us().to_bits();
         let mut fixed = vec![0.0, 1e12, 0.0005, 0.0015, 123.4565, 999.9995, 7.0];
         // pseudo-random magnitudes across the whole capped range
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
         for _ in 0..10_000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
             fixed.push(10f64.powf(unit * 15.0 - 3.0).min(1e12));
         }
+        // exact half-nanosecond ties, above even and odd integers
+        for _ in 0..10_000 {
+            let k = (next() % 1_000_000_000_000_000) as f64;
+            let v = (k + 0.5) / 1_000.0;
+            if v * 1_000.0 == k + 0.5 && v <= 1e12 {
+                fixed.push(v);
+            }
+        }
+        assert!(fixed.len() > 15_000, "too few exact ties");
         for v in fixed {
             assert_eq!(interp_us(v).to_bits(), via_time(v), "at {v}");
+            assert_eq!(interp_us_fast(v).to_bits(), via_time(v), "at {v}");
         }
         // out of range: clamped to the cap, non-finite mapped to it
-        assert_eq!(interp_us(-3.5).to_bits(), 0.0f64.to_bits());
-        assert_eq!(interp_us(5e13).to_bits(), via_time(1e12));
-        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for v in [-3.5, -0.0, -1e300, f64::MIN, -f64::MIN_POSITIVE] {
+            assert_eq!(interp_us(v).to_bits(), 0.0f64.to_bits(), "at {v}");
+            assert_eq!(interp_us_fast(v).to_bits(), 0.0f64.to_bits(), "at {v}");
+        }
+        for v in [
+            5e13,
+            f64::MAX,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
             assert_eq!(interp_us(v).to_bits(), via_time(1e12), "at {v}");
+            assert_eq!(interp_us_fast(v).to_bits(), via_time(1e12), "at {v}");
+        }
+        // any bit pattern: NaN payloads, subnormals, both signs
+        for _ in 0..100_000 {
+            let v = f64::from_bits(next());
+            assert_eq!(
+                interp_us_fast(v).to_bits(),
+                interp_us(v).to_bits(),
+                "at {v:e}"
+            );
+        }
+    }
+
+    /// Per-activity `NewtonPoly`s through `it`'s fitted points in x
+    /// order: the reference of the lockstep table.
+    fn reference_polys(it: &Interpolator) -> Vec<NewtonPoly> {
+        let w = it.deadlines.len();
+        (0..w)
+            .map(|a| {
+                let mut poly = NewtonPoly::new();
+                for (k, &x) in it.xs.iter().enumerate() {
+                    poly.add_point(x, it.ys[k * w + a]);
+                }
+                poly
+            })
+            .collect()
+    }
+
+    /// Eq. (5) at `x` over `polys`, each value rounded by `interp_us`.
+    fn reference_cost(polys: &[NewtonPoly], deadlines: &[f64], x: f64) -> Cost {
+        let (mut f1, mut f2) = (0.0, 0.0);
+        for (poly, &d) in polys.iter().zip(deadlines) {
+            let delta = interp_us(poly.eval(x)) - d;
+            if delta > 0.0 {
+                f1 += delta;
+            }
+            f2 += delta;
+        }
+        Cost { f1, f2 }
+    }
+
+    /// The plain scan over `polys`.
+    fn reference_argmin(it: &Interpolator, polys: &[NewtonPoly]) -> Option<(u32, Cost)> {
+        let mut best: Option<(u32, Cost)> = None;
+        for &c in &it.pending {
+            let cost = reference_cost(polys, &it.deadlines, f64::from(c));
+            if best.is_none_or(|(_, b)| cost.better_than(&b)) {
+                best = Some((c, cost));
+            }
+        }
+        best
+    }
+
+    type CostLoops = fn(Block, &[f64], &mut [f64], &mut [f64], &mut Vec<f64>);
+
+    /// Every pending candidate's cost as `cost` sums it over all
+    /// activities, against the reference.
+    fn check_cost_loops(it: &Interpolator, polys: &[NewtonPoly], cost: CostLoops) {
+        let (w, n) = (it.deadlines.len(), it.len());
+        let coeffs: Vec<f64> = (0..w)
+            .flat_map(|a| (0..n).map(move |k| it.coeff(k, a)))
+            .collect();
+        let mut xs: Vec<f64> = it.pending.iter().map(|&c| f64::from(c)).collect();
+        xs.resize(xs.len().next_multiple_of(TAIL), 0.0);
+        let (mut f1, mut f2) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
+        let block = Block {
+            xs: &it.xs,
+            coeffs: &coeffs,
+            deadlines: &it.deadlines,
+        };
+        cost(block, &xs, &mut f1, &mut f2, &mut Vec::new());
+        for (j, &c) in it.pending.iter().enumerate() {
+            let want = reference_cost(polys, &it.deadlines, f64::from(c));
+            assert_eq!(f1[j].to_bits(), want.f1.to_bits(), "f1 at {c}");
+            assert_eq!(f2[j].to_bits(), want.f2.to_bits(), "f2 at {c}");
+        }
+    }
+
+    #[test]
+    fn lockstep_interpolator_is_bitwise_newton() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        // 1–70 activities: one to nine pruning blocks, partial last ones
+        for (case, n_act) in [1usize, 3, 8, 9, 17, 30, 64, 70].into_iter().enumerate() {
+            let candidates: Vec<u32> = (0..120).map(|i| 100 + 25 * i).collect();
+            let mut it = Interpolator {
+                deadlines: (0..n_act).map(|a| 900.0 + 50.0 * a as f64).collect(),
+                pending: candidates.clone(),
+                ..Interpolator::default()
+            };
+            // per activity: a constant, a smooth U over the lengths, or
+            // noisy responses
+            let kind: Vec<u64> = (0..n_act).map(|_| next() % 3).collect();
+            let n_points = 1 + case * 39 / 7;
+            let mut fitted = 0;
+            while fitted < n_points {
+                let x = candidates[(next() % candidates.len() as u64) as usize];
+                if !it.is_pending(x) {
+                    continue;
+                }
+                if next().is_multiple_of(5) {
+                    // analysed without responses: leaves the pending
+                    // candidates, joins no fit
+                    it.analysed(x, None);
+                    assert!(!it.is_pending(x));
+                    assert_eq!(it.len(), fitted);
+                    continue;
+                }
+                let xf = f64::from(x);
+                let responses: Vec<f64> = kind
+                    .iter()
+                    .enumerate()
+                    .map(|(a, k)| match k {
+                        0 => 1_000.0 + a as f64,
+                        1 => 400.0 + (xf - 1_500.0).powi(2) / 2_000.0,
+                        _ => (next() % 3_000_000) as f64 / 1_000.0,
+                    })
+                    .collect();
+                it.pending.retain(|&c| c != x);
+                it.fit(x, responses.into_iter());
+                fitted += 1;
+                assert!(it.xs.is_sorted());
+
+                let polys = reference_polys(&it);
+                for (a, poly) in polys.iter().enumerate() {
+                    let table: Vec<f64> = (0..it.len()).map(|k| it.coeff(k, a)).collect();
+                    assert_eq!(
+                        bits(&table),
+                        bits(poly.coeffs()),
+                        "case {case}, activity {a}"
+                    );
+                    for x in [0.0, 99.0, 1_234.5, 4_000.0, -1e6, 1e9] {
+                        assert_eq!(it.eval(a, x).to_bits(), poly.eval(x).to_bits(), "at {x}");
+                    }
+                }
+                let plain = reference_argmin(&it, &polys);
+                assert_eq!(it.argmin_plain(), plain, "case {case}");
+                let nears = [None, Some(x), Some(u32::MAX)];
+                for near in nears {
+                    assert_eq!(it.argmin(near), plain, "case {case}, seed near {near:?}");
+                }
+                // the loops as this CPU runs them, and the portable ones
+                check_cost_loops(&it, &polys, cost_candidates);
+                check_cost_loops(&it, &polys, cost_tiles::<16>);
+            }
         }
     }
 
@@ -656,21 +1070,19 @@ mod tests {
     /// 100 µs and response `shape(x)` at the analysed points x = 0, 10
     /// and 20, so every activity interpolates the same quadratic.
     fn interpolator(n_act: usize, pending: &[u32], shape: impl Fn(f64) -> f64) -> Interpolator {
+        let mut candidates = vec![0u32, 10, 20];
+        candidates.extend(pending);
+        candidates.sort_unstable();
         let mut it = Interpolator {
             deadlines: vec![100.0; n_act],
+            pending: candidates,
             ..Interpolator::default()
         };
-        let mut points = BTreeMap::new();
         for x in [0u32, 10, 20] {
-            let r = shape(f64::from(x));
-            points.insert(x, (Cost::infeasible(), vec![r; n_act]));
+            let r = Time::from_us(shape(f64::from(x)));
+            it.analysed(x, Some(&vec![r; n_act]));
         }
-        let candidates: Vec<u32> = points
-            .keys()
-            .copied()
-            .chain(pending.iter().copied())
-            .collect();
-        assert_eq!(it.rebuild(&points, &candidates), n_act);
+        assert_eq!(it.len(), 3);
         assert_eq!(it.pending, pending);
         it
     }

@@ -21,11 +21,8 @@
 /// p.add_point(1.0, 3.0);
 /// p.add_point(2.0, 9.0);
 /// assert_eq!(p.eval(3.0), 19.0);
-///
-/// // `eval_many` evaluates many abscissae at once, bit for bit as `eval`.
-/// let mut out = [0.0; 2];
-/// p.eval_many(&[-1.0, 0.5], &mut out);
-/// assert_eq!(out, [p.eval(-1.0), p.eval(0.5)]);
+/// // f[x0] = 1, f[x0,x1] = 2, f[x0,x1,x2] = 2
+/// assert_eq!(p.coeffs(), [1.0, 2.0, 2.0]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NewtonPoly {
@@ -57,13 +54,6 @@ impl NewtonPoly {
         self.xs.is_empty()
     }
 
-    /// Removes every point, keeping the buffers for a refill.
-    pub fn clear(&mut self) {
-        self.xs.clear();
-        self.coeffs.clear();
-        self.diagonal.clear();
-    }
-
     /// Adds a sample point, updating the divided differences in `O(n)`
     /// in place.
     ///
@@ -89,6 +79,13 @@ impl NewtonPoly {
         self.xs.push(x);
     }
 
+    /// The divided-difference coefficients `f[x0], f[x0,x1], ...`, one
+    /// per point in insertion order.
+    #[must_use]
+    pub fn coeffs(&self) -> &[f64] {
+        &self.coeffs
+    }
+
     /// Evaluates the polynomial at `x` (Horner over the Newton basis).
     #[must_use]
     pub fn eval(&self, x: f64) -> f64 {
@@ -97,26 +94,6 @@ impl NewtonPoly {
             acc = acc * (x - self.xs[i]) + self.coeffs[i];
         }
         acc
-    }
-
-    /// Evaluates the polynomial at every `xs[j]` into `out[j]`: the
-    /// Horner steps of [`NewtonPoly::eval`] transposed, so the chains of
-    /// different abscissae are independent and vectorise. Each `out[j]`
-    /// is bit for bit `self.eval(xs[j])`: the same operations in the
-    /// same order, and Rust never contracts `a * b + c` into a fused
-    /// multiply-add.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` and `out` differ in length.
-    pub fn eval_many(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "one output per abscissa");
-        out.fill(0.0);
-        for (&xi, &c) in self.xs.iter().zip(&self.coeffs).rev() {
-            for (acc, &x) in out.iter_mut().zip(xs) {
-                *acc = *acc * (x - xi) + c;
-            }
-        }
     }
 }
 
@@ -170,67 +147,6 @@ mod tests {
         p.add_point(2.0, 42.0);
         assert_eq!(p.len(), 1);
         assert_eq!(p.eval(100.0), 42.0);
-    }
-
-    fn sample_poly(pts: &[(f64, f64)]) -> NewtonPoly {
-        let mut p = NewtonPoly::new();
-        for &(x, y) in pts {
-            p.add_point(x, y);
-        }
-        p
-    }
-
-    /// Response-time-like samples over DYN lengths: high degree, uneven
-    /// spacing.
-    const SAMPLES: [(f64, f64); 9] = [
-        (12.0, 5321.125),
-        (40.0, 4410.5),
-        (77.0, 3912.0),
-        (103.0, 4020.75),
-        (150.0, 4801.0),
-        (171.0, 5123.5),
-        (208.0, 6200.25),
-        (240.0, 7001.0),
-        (263.0, 7744.125),
-    ];
-
-    #[test]
-    fn eval_many_is_bitwise_eval() {
-        let p = sample_poly(&SAMPLES);
-        // inside the samples, on them, and extrapolated far outside,
-        // where the high-degree terms blow up
-        let xs: Vec<f64> = (0..300)
-            .map(f64::from)
-            .chain([-1e6, -5000.0, 1e4, 1e7, 3.5e300])
-            .collect();
-        let mut out = vec![f64::NAN; xs.len()];
-        p.eval_many(&xs, &mut out);
-        for (&x, &v) in xs.iter().zip(&out) {
-            assert_eq!(v.to_bits(), p.eval(x).to_bits(), "at {x}");
-        }
-        // an empty polynomial evaluates to 0 everywhere, as `eval` does
-        NewtonPoly::new().eval_many(&xs, &mut out);
-        assert!(out.iter().all(|&v| v.to_bits() == 0.0f64.to_bits()));
-    }
-
-    #[test]
-    fn cleared_and_refilled_is_bitwise_fresh() {
-        let fresh = sample_poly(&SAMPLES[..7]);
-        // a larger fill first, so the refill runs over stale buffers
-        let mut reused = sample_poly(&SAMPLES);
-        reused.clear();
-        assert!(reused.is_empty());
-        assert_eq!(reused.eval(50.0), 0.0);
-        for &(x, y) in &SAMPLES[..7] {
-            reused.add_point(x, y);
-        }
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&reused.xs), bits(&fresh.xs));
-        assert_eq!(bits(&reused.coeffs), bits(&fresh.coeffs));
-        assert_eq!(bits(&reused.diagonal), bits(&fresh.diagonal));
-        for x in [0.0, 99.5, 1e5] {
-            assert_eq!(reused.eval(x).to_bits(), fresh.eval(x).to_bits());
-        }
     }
 
     #[test]
