@@ -853,15 +853,6 @@ impl DynScratch {
     pub fn select_stats(&self) -> (u64, u64) {
         (self.dp_runs, self.memo_hits)
     }
-
-    /// Resets the [`DynScratch::exact_stats`] and
-    /// [`DynScratch::select_stats`] counters.
-    pub fn reset_exact_stats(&mut self) {
-        self.exact_calls = 0;
-        self.exact_short_circuits = 0;
-        self.dp_runs = 0;
-        self.memo_hits = 0;
-    }
 }
 
 /// Iteration cap of the busy-window fixed point of Eq. (3). A window

@@ -31,7 +31,7 @@ use crate::table::ScheduleTable;
 use flexray_model::{ActivityId, ModelError, SystemView, Time};
 
 /// Tuning knobs of the holistic analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalysisConfig {
     /// Latest-transmission-start policy for DYN messages.
     pub latest_tx: LatestTxPolicy,
@@ -39,26 +39,6 @@ pub struct AnalysisConfig {
     pub dyn_mode: DynAnalysisMode,
     /// SCS placement policy of the list scheduler (Fig. 2 line 11).
     pub scs_placement: ScsPlacement,
-    /// Maximum outer (table ↔ ET) iterations.
-    pub max_outer_iters: usize,
-    /// Maximum inner (jitter) fixed-point iterations.
-    pub max_inner_iters: usize,
-    /// Divergence cap factor: responses are capped at
-    /// `factor · max(hyperperiod, largest deadline)`.
-    pub divergence_factor: i64,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> Self {
-        AnalysisConfig {
-            latest_tx: LatestTxPolicy::default(),
-            dyn_mode: DynAnalysisMode::default(),
-            scs_placement: ScsPlacement::default(),
-            max_outer_iters: 4,
-            max_inner_iters: 32,
-            divergence_factor: 4,
-        }
-    }
 }
 
 /// The result of one holistic analysis run.

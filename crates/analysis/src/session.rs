@@ -223,8 +223,8 @@ pub struct EtStats {
     pub memo_hits: u64,
     /// Iterations of the inner (event-triggered) fixed point.
     pub inner_iters: u64,
-    /// Inner fixed points that stopped at
-    /// [`AnalysisConfig::max_inner_iters`] without converging.
+    /// Inner fixed points that stopped at the cap of 32 iterations
+    /// without converging.
     pub inner_cap_hits: u64,
 }
 
@@ -352,6 +352,17 @@ impl SessionState {
 /// pass raises it to its worst entry.
 const NO_ENTRY: Time = Time::from_ns(i64::MIN);
 
+/// Maximum outer (table ↔ ET) iterations when time-triggered activities
+/// depend on event-triggered ones.
+const MAX_OUTER_ITERS: usize = 4;
+
+/// Maximum inner (jitter) fixed-point iterations per outer iteration.
+const MAX_INNER_ITERS: usize = 32;
+
+/// Divergence cap factor: responses are capped at
+/// `DIVERGENCE_FACTOR · max(hyperperiod, largest deadline)`.
+const DIVERGENCE_FACTOR: i64 = 4;
+
 /// Runs the complete holistic analysis of `sys` into `st`, reusing
 /// whatever `st` already holds. The algorithm is the one documented on
 /// [`analyse`](crate::analyse); see the module docs for what is cached.
@@ -441,9 +452,9 @@ pub(crate) fn analyse_core(
     let horizon = prep.horizon;
     let limit = horizon
         .max(prep.max_deadline)
-        .saturating_mul(cfg.divergence_factor);
+        .saturating_mul(DIVERGENCE_FACTOR);
     let tt_needs_et = prep.tt_needs_et;
-    let outer_iters = if tt_needs_et { cfg.max_outer_iters } else { 1 };
+    let outer_iters = if tt_needs_et { MAX_OUTER_ITERS } else { 1 };
     let static_cached = prep.static_is_bus_independent
         && st.static_key == Some((sys.bus.phy, cfg.scs_placement))
         && st.responses_init.len() == n;
@@ -459,14 +470,6 @@ pub(crate) fn analyse_core(
         st.static_key = None;
     }
     st.diverged.clear();
-    if outer_iters == 0 {
-        // Degenerate configuration (max_outer_iters = 0 with TT←ET
-        // dependencies): no schedule is built, matching the one-shot
-        // behaviour of an empty table over the horizon.
-        st.table.reset(horizon);
-        st.avails.clear();
-        st.static_key = None;
-    }
 
     for _outer in 0..outer_iters {
         st.diverged.clear();
@@ -550,7 +553,7 @@ pub(crate) fn analyse_core(
         st.jitter.clear();
         st.jitter.resize(n, Time::ZERO);
         let mut converged = false;
-        for _inner in 0..cfg.max_inner_iters {
+        for _inner in 0..MAX_INNER_ITERS {
             st.et_stats.inner_iters += 1;
             for id in sys.app.ids() {
                 let a = sys.app.activity(id);

@@ -1,4 +1,4 @@
-//! Factorial grid sweeps over the v2 generator, with a streaming,
+//! Factorial grid sweeps over the scenario generator, with a streaming,
 //! resumable JSON-lines/CSV report.
 //!
 //! Usage: `grid <axis>=<v1,v2,...> [<axis>=...] [key=value options]`

@@ -1,4 +1,4 @@
-//! Factorial (grid) experiment engine over the v2 generator.
+//! Factorial (grid) experiment engine over the scenario generator.
 //!
 //! [`run_grid`] runs the cartesian product of **any subset of the
 //! axes** (node count × graph depth × gateway fraction × bus

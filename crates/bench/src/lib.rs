@@ -7,7 +7,7 @@
 //! * [`fig4`] — DYN-segment optimisation example (R2 = 37/35/21);
 //! * [`fig7`] — response time vs dynamic-segment length (U-shape);
 //! * [`fig9`] — BBC/OBCCF/OBCEE/SA comparison over synthetic sets;
-//! * [`sweep`] — generic single-axis sweeps over the v2 generator
+//! * [`sweep`] — generic single-axis sweeps over the scenario generator
 //!   (node count beyond 7, graph depth, gateway traffic, bus
 //!   utilisation), generalising `fig9`;
 //! * [`grid`] — the factorial (cartesian-product) experiment engine

@@ -407,7 +407,9 @@ pub struct GridReportHeader {
     /// Fingerprint of everything else that shapes the output — the
     /// optimiser/SA parameters, the seed policy and the base generator
     /// configuration (their debug rendering; equality is all resume
-    /// needs).
+    /// needs). The rendering lists the configs' fields, so it changes
+    /// whenever a field is added or removed, and `resume=` refuses a
+    /// partial report written before such a change.
     pub params: String,
     /// Number of grid points.
     pub total_points: usize,

@@ -1,4 +1,4 @@
-//! Single-axis scenario sweeps over the v2 generator, and the parts
+//! Single-axis sweeps over the scenario generator, and the parts
 //! every grid is built from.
 //!
 //! A sweep walks **any single [`SweepAxis`]** — node count (beyond the
@@ -286,7 +286,7 @@ pub fn search_mode(mode: &str) -> Option<(OptParams, SaParams)> {
 /// The configuration axis a sweep walks, with its points.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepAxis {
-    /// Node count (the paper stops at 7; the v2 generator does not).
+    /// Node count (the paper stops at 7; the generator does not).
     NodeCount(Vec<usize>),
     /// Task-graph depth: chain-shaped graphs of the given sizes.
     GraphDepth(Vec<usize>),
@@ -371,7 +371,6 @@ impl SweepAxis {
                 let d = v[idx];
                 let cfg = GeneratorConfig {
                     graph_size: d.max(1),
-                    graph_sizes: None,
                     shape: GraphShape::Chain,
                     ..base.clone()
                 };

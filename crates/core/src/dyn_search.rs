@@ -40,6 +40,14 @@ use crate::params::OptParams;
 use flexray_analysis::Cost;
 use flexray_model::{Application, BusConfig, Time, MAX_CYCLE, MAX_MINISLOTS};
 
+/// Number of initial interpolation points of the curve fit (Fig. 8:
+/// five, evenly spaced across the candidate lengths).
+pub const CF_INITIAL_POINTS: usize = 5;
+
+/// Termination bound `N_max` of the curve-fit refinement loop (Fig. 8:
+/// ten rounds without improvement).
+const CF_MAX_ITERATIONS: usize = 10;
+
 /// Strategy for choosing the dynamic-segment length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DynSearch {
@@ -74,10 +82,10 @@ pub fn determine_dyn_length(
     match strategy {
         DynSearch::Exhaustive => exhaustive(ev, bus_template, &candidates),
         DynSearch::CurveFit => {
-            if candidates.len() <= params.cf_initial_points + 1 {
+            if candidates.len() <= CF_INITIAL_POINTS + 1 {
                 exhaustive(ev, bus_template, &candidates)
             } else {
-                curve_fit(ev, bus_template, params, &candidates)
+                curve_fit(ev, bus_template, &candidates)
             }
         }
     }
@@ -591,12 +599,7 @@ impl Interpolator {
     }
 }
 
-fn curve_fit(
-    ev: &mut Evaluator,
-    template: &BusConfig,
-    params: &OptParams,
-    candidates: &[u32],
-) -> Option<DynChoice> {
+fn curve_fit(ev: &mut Evaluator, template: &BusConfig, candidates: &[u32]) -> Option<DynChoice> {
     let mut interp = Interpolator::new(ev.app(), candidates);
     // One candidate bus, its length set per analysis.
     let mut bus = template.clone();
@@ -621,10 +624,9 @@ fn curve_fit(
         cost
     };
 
-    // Initial points: evenly spaced across the interval (paper: five).
-    let k = params.cf_initial_points.max(2);
-    for i in 0..k {
-        let n = candidates[i * (candidates.len() - 1) / (k - 1)];
+    // Initial points: evenly spaced across the interval.
+    for i in 0..CF_INITIAL_POINTS {
+        let n = candidates[i * (candidates.len() - 1) / (CF_INITIAL_POINTS - 1)];
         if interp.is_pending(n) {
             evaluate_at(ev, &mut interp, n, &mut best);
         }
@@ -638,7 +640,7 @@ fn curve_fit(
     let mut stale_rounds = 0usize;
     let mut last_best_value = first.cost.value();
     // Hard cap well above N_max so a pathological oscillation terminates.
-    for _round in 0..params.cf_max_iterations * 4 {
+    for _round in 0..CF_MAX_ITERATIONS * 4 {
         // Interpolate the cost at every candidate not yet analysed; the
         // neighbour of the best analysed length seeds the pruning bound.
         let exact_best = best.expect("analysed above");
@@ -667,7 +669,7 @@ fn curve_fit(
             stale_rounds = 0;
         } else {
             stale_rounds += 1;
-            if stale_rounds >= params.cf_max_iterations {
+            if stale_rounds >= CF_MAX_ITERATIONS {
                 break;
             }
         }

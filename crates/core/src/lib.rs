@@ -51,7 +51,9 @@ mod params;
 mod sa;
 
 pub use bbc::{bbc, bbc_skeleton};
-pub use dyn_search::{determine_dyn_length, dyn_sweep_grid, DynChoice, DynSearch};
+pub use dyn_search::{
+    determine_dyn_length, dyn_sweep_grid, DynChoice, DynSearch, CF_INITIAL_POINTS,
+};
 pub use evaluator::Evaluator;
 pub use frame_assign::assign_frame_ids_by_criticality;
 pub use network::{optimise_network, NetworkOptResult, NetworkTopology};

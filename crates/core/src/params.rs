@@ -24,12 +24,6 @@ pub struct OptParams {
     /// Cap on the number of static-slot-length steps explored
     /// (each step is `20 · gdBit`, Fig. 6 line 4).
     pub max_slot_len_steps: usize,
-    /// Number of initial interpolation points of the curve-fitting
-    /// heuristic (the paper uses 5).
-    pub cf_initial_points: usize,
-    /// Termination bound `N_max` of the curve-fitting refinement loop
-    /// (the paper uses 10).
-    pub cf_max_iterations: usize,
     /// Upper bound on the number of dynamic-segment candidates per sweep;
     /// if `(max − min)/dyn_step` exceeds it, the step is widened. Keeps
     /// OBCEE tractable on workstation budgets (the paper's AMD Athlon
@@ -49,8 +43,6 @@ impl Default for OptParams {
             dyn_step: 4,
             max_extra_slots: 8,
             max_slot_len_steps: 12,
-            cf_initial_points: 5,
-            cf_max_iterations: 10,
             max_dyn_candidates: 256,
             eval_threads: 1,
         }
@@ -108,8 +100,6 @@ mod tests {
         let p = OptParams::default();
         assert!(p.dyn_step >= 1);
         assert!(p.max_extra_slots < MAX_STATIC_SLOTS);
-        assert_eq!(p.cf_initial_points, 5);
-        assert_eq!(p.cf_max_iterations, 10);
     }
 
     #[test]

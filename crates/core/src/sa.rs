@@ -24,10 +24,6 @@ use std::time::Instant;
 pub struct SaParams {
     /// Total number of evaluated moves (the evaluation budget).
     pub iterations: usize,
-    /// Initial temperature, in cost units (µs of laxity/overshoot).
-    pub initial_temp: f64,
-    /// Geometric cooling factor per step.
-    pub cooling: f64,
     /// RNG seed (runs are deterministic per seed).
     pub seed: u64,
     /// Neighbourhood size `k`: moves proposed (from the same current
@@ -45,13 +41,17 @@ impl Default for SaParams {
     fn default() -> Self {
         SaParams {
             iterations: 1500,
-            initial_temp: 5_000.0,
-            cooling: 0.995,
             seed: 0xF1E0_5EED,
             neighbourhood: 1,
         }
     }
 }
+
+/// Initial temperature, in cost units (µs of laxity/overshoot).
+const INITIAL_TEMP: f64 = 5_000.0;
+
+/// Geometric cooling factor per evaluated move.
+const COOLING: f64 = 0.995;
 
 /// Runs the SA baseline from the BBC skeleton.
 #[must_use]
@@ -102,7 +102,7 @@ pub fn simulated_annealing(
     // order, cooling once per evaluated move. With k = 1 this is
     // exactly the classic serial SA loop, draw for draw.
     let k = sa.neighbourhood.max(1);
-    let mut temp = sa.initial_temp.max(f64::MIN_POSITIVE);
+    let mut temp = INITIAL_TEMP;
     let mut remaining = sa.iterations;
     let mut candidates: Vec<BusConfig> = Vec::with_capacity(k);
     while remaining > 0 {
@@ -124,7 +124,7 @@ pub fn simulated_annealing(
                     best_cost = state_cost;
                 }
             }
-            temp *= sa.cooling;
+            temp *= COOLING;
         }
     }
 

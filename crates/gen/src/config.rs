@@ -1,53 +1,33 @@
-//! Generator parameters: the paper's Section 7 envelope plus the v2
-//! scenario axes (graph shapes, heterogeneous graphs, gateway traffic).
+//! Generator parameters: the paper's Section 7 envelope plus the
+//! scenario axes beyond it (chain-shaped graphs, gateway traffic,
+//! multiple clusters).
 
 use flexray_model::{ModelError, PhyParams};
 
 /// Shape of the generated task DAGs.
 ///
-/// The paper only uses [`GraphShape::Random`]; the other shapes open the
-/// non-paper envelope (deep chains, wide fan-out, fixed-depth layers)
-/// swept by the `sweep` harness of `flexray-bench`.
+/// The paper only uses [`GraphShape::Random`]; [`GraphShape::Chain`]
+/// builds the deep scenarios swept by the `depth=` axis of the
+/// `flexray-bench` harnesses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphShape {
     /// The paper's recipe: every non-root task draws one random
     /// predecessor among the earlier tasks, plus a second one with
-    /// probability [`GeneratorConfig::fan_in_prob`].
+    /// probability 0.3.
     Random,
     /// A linear chain `t0 → t1 → …`; the graph depth equals its size.
     Chain,
-    /// A star: the root fans out to every other task (depth 2).
-    FanOut,
-    /// Tasks are split into `depth` contiguous layers of (near) equal
-    /// size; every task outside the first layer draws one random
-    /// predecessor from the previous layer.
-    Layered {
-        /// Number of layers (≥ 1); the task-wise graph depth.
-        depth: usize,
-    },
-}
-
-/// What to do when the graph sizes do not tile
-/// [`GeneratorConfig::total_tasks`] exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemainderPolicy {
-    /// Leftover tasks form a final, smaller graph — every task is
-    /// assigned explicitly, none is dropped.
-    TailGraph,
-    /// [`generate`](crate::generate) rejects the configuration with an
-    /// error instead of emitting a truncated graph.
-    Reject,
 }
 
 /// Parameters of the synthetic benchmark generator.
 ///
 /// The defaults reproduce the envelope of the paper's experiments:
 /// 10 tasks per node grouped in graphs of 5, half the graphs
-/// time-triggered, node utilisation drawn in 30–60 % and bus utilisation
-/// in 10–70 %. The v2 fields (shape, per-graph sizes and period pools,
-/// gateway traffic, remainder policy) default to the paper behaviour and
-/// never touch the paper RNG stream when left at their defaults, so
-/// paper-envelope outputs are bit-identical to generator v1.
+/// time-triggered, periods drawn from the harmonic pool 10/20/40 ms,
+/// node utilisation drawn in 30–60 % and bus utilisation in 10–70 %.
+/// The axes beyond the paper (chain shape, gateway traffic, clusters)
+/// draw nothing from the random stream when left at their paper
+/// values, so a paper configuration's output does not depend on them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
     /// Number of processing nodes (the paper sweeps 2–7; the generator
@@ -55,44 +35,25 @@ pub struct GeneratorConfig {
     pub n_nodes: usize,
     /// Tasks mapped on each node (paper: 10).
     pub tasks_per_node: usize,
-    /// Tasks per task graph (paper: 5). Ignored when
-    /// [`GeneratorConfig::graph_sizes`] is set.
+    /// Tasks per task graph (paper: 5). When the graphs do not tile
+    /// [`GeneratorConfig::total_tasks`], the leftover tasks form a
+    /// final, smaller graph (see [`GeneratorConfig::graph_plan`]).
     pub graph_size: usize,
-    /// Heterogeneous per-graph sizes: graph `i` gets
-    /// `graph_sizes[i % len]` tasks, cycling until
-    /// [`GeneratorConfig::total_tasks`] are assigned. `None` keeps the
-    /// homogeneous [`GeneratorConfig::graph_size`].
-    pub graph_sizes: Option<Vec<usize>>,
     /// Shape of each task DAG (paper: [`GraphShape::Random`]).
     pub shape: GraphShape,
-    /// Handling of leftover tasks when the sizes do not tile
-    /// [`GeneratorConfig::total_tasks`] (paper sizes always tile).
-    pub remainder: RemainderPolicy,
     /// Fraction of graphs that are time-triggered (paper: 0.5).
     pub tt_fraction: f64,
     /// Per-node utilisation range (paper: 0.30–0.60).
     pub node_util: (f64, f64),
     /// Bus utilisation range (paper: 0.10–0.70).
     pub bus_util: (f64, f64),
-    /// Graph periods are drawn from this pool (µs). A harmonic pool
-    /// keeps the hyperperiod small. Ignored when
-    /// [`GeneratorConfig::period_pools_us`] is set.
-    pub period_pool_us: Vec<f64>,
-    /// Heterogeneous per-graph period pools: graph `i` draws its period
-    /// from `period_pools_us[i % len]`. `None` keeps the shared
-    /// [`GeneratorConfig::period_pool_us`].
-    pub period_pools_us: Option<Vec<Vec<f64>>>,
-    /// Time-triggered graphs: deadline = `tt_deadline_factor · period`.
-    pub tt_deadline_factor: f64,
-    /// Event-triggered graphs: deadline = `et_deadline_factor · period`.
+    /// Event-triggered graphs: deadline = `et_deadline_factor · period`
+    /// (time-triggered graphs are due at the end of their period).
     /// Defaults to 3.0: the paper leaves graph deadlines unspecified, and
     /// this value lets the SA reference solve most 2–5-node instances
     /// (mirroring the paper's reported solvability) while the basic
     /// configuration increasingly fails on larger systems.
     pub et_deadline_factor: f64,
-    /// Probability that a non-root task gets a second predecessor
-    /// (fan-in), shaping the [`GraphShape::Random`] DAGs.
-    pub fan_in_prob: f64,
     /// Fraction of cross-node dependencies that are relayed through a
     /// gateway node instead of being sent directly (0.0 = off, the
     /// paper's setting). A relayed dependency becomes
@@ -123,17 +84,11 @@ impl GeneratorConfig {
             n_nodes,
             tasks_per_node: 10,
             graph_size: 5,
-            graph_sizes: None,
             shape: GraphShape::Random,
-            remainder: RemainderPolicy::TailGraph,
             tt_fraction: 0.5,
             node_util: (0.30, 0.60),
             bus_util: (0.10, 0.70),
-            period_pool_us: vec![10_000.0, 20_000.0, 40_000.0],
-            period_pools_us: None,
-            tt_deadline_factor: 1.0,
             et_deadline_factor: 3.0,
-            fan_in_prob: 0.3,
             gateway_fraction: 0.0,
             gateways: Vec::new(),
             clusters: 1,
@@ -158,17 +113,6 @@ impl GeneratorConfig {
         GeneratorConfig {
             graph_size: depth.max(1),
             shape: GraphShape::Chain,
-            ..GeneratorConfig::paper(n_nodes)
-        }
-    }
-
-    /// Wide scenarios: one root fanning out to `graph_size - 1` parallel
-    /// tasks per graph (depth 2, maximal width).
-    #[must_use]
-    pub fn wide(n_nodes: usize, graph_size: usize) -> Self {
-        GeneratorConfig {
-            graph_size: graph_size.max(2),
-            shape: GraphShape::FanOut,
             ..GeneratorConfig::paper(n_nodes)
         }
     }
@@ -205,49 +149,27 @@ impl GeneratorConfig {
         self.n_nodes * self.tasks_per_node
     }
 
-    /// Per-graph task counts: the configured sizes cycled until
-    /// [`GeneratorConfig::total_tasks`] are assigned, every task
+    /// Per-graph task counts: graphs of [`GeneratorConfig::graph_size`]
+    /// tasks until [`GeneratorConfig::total_tasks`] are assigned, the
+    /// leftover tasks forming a final, smaller graph, so every task is
     /// accounted for.
-    ///
-    /// # Errors
-    ///
-    /// With [`RemainderPolicy::Reject`], returns an error when the sizes
-    /// do not tile the task count exactly; an explicit alternative to
-    /// silently dropping (or folding) the remainder.
-    pub fn graph_plan(&self) -> Result<Vec<usize>, ModelError> {
+    #[must_use]
+    pub fn graph_plan(&self) -> Vec<usize> {
         let total = self.total_tasks();
-        let mut plan = Vec::new();
-        let mut left = total;
-        let mut i = 0usize;
-        while left > 0 {
-            let want = match &self.graph_sizes {
-                Some(sizes) => sizes[i % sizes.len()],
-                None => self.graph_size,
-            }
-            .max(1);
-            if want > left && self.remainder == RemainderPolicy::Reject {
-                return Err(ModelError::InvalidConfig(format!(
-                    "graph sizes do not tile {total} tasks: {left} left for a graph of {want} \
-                     (RemainderPolicy::Reject)"
-                )));
-            }
-            let size = want.min(left);
-            plan.push(size);
-            left -= size;
-            i += 1;
+        let size = self.graph_size.max(1);
+        let mut plan = vec![size; total / size];
+        let tail = total % size;
+        if tail > 0 {
+            plan.push(tail);
         }
-        Ok(plan)
+        plan
     }
 
-    /// Number of task graphs the generator will emit (leftover tasks
-    /// form a final smaller graph, see [`GeneratorConfig::graph_plan`]).
+    /// Number of task graphs the generator will emit (see
+    /// [`GeneratorConfig::graph_plan`]).
     #[must_use]
     pub fn n_graphs(&self) -> usize {
-        let reject_blind = GeneratorConfig {
-            remainder: RemainderPolicy::TailGraph,
-            ..self.clone()
-        };
-        reject_blind.graph_plan().map_or(0, |p| p.len())
+        self.graph_plan().len()
     }
 
     /// Checks the configuration for internal consistency; called by
@@ -255,37 +177,13 @@ impl GeneratorConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidConfig`] on an empty task set, empty
-    /// or non-positive period pools, out-of-range utilisation bounds,
-    /// an invalid gateway setup, a zero-depth layered shape, or a
-    /// rejected graph-size remainder.
+    /// Returns [`ModelError::InvalidConfig`] on an empty task set,
+    /// out-of-range utilisation bounds or fractions, or an invalid
+    /// gateway or cluster setup.
     pub fn validate(&self) -> Result<(), ModelError> {
         let fail = |msg: String| Err(ModelError::InvalidConfig(msg));
         if self.total_tasks() == 0 {
             return fail("total_tasks is zero (n_nodes or tasks_per_node is 0)".into());
-        }
-        let pools: Vec<&Vec<f64>> = match &self.period_pools_us {
-            Some(pools) => pools.iter().collect(),
-            None => vec![&self.period_pool_us],
-        };
-        if pools.is_empty() {
-            return fail("period_pools_us is empty".into());
-        }
-        for pool in pools {
-            if pool.is_empty() {
-                return fail("a period pool is empty".into());
-            }
-            if pool.iter().any(|&p| p <= 0.0) {
-                return fail("a period pool contains a non-positive period".into());
-            }
-        }
-        if let Some(sizes) = &self.graph_sizes {
-            if sizes.is_empty() {
-                return fail("graph_sizes is empty".into());
-            }
-            if sizes.contains(&0) {
-                return fail("graph_sizes contains a zero size".into());
-            }
         }
         for (name, (lo, hi)) in [("node_util", self.node_util), ("bus_util", self.bus_util)] {
             if !(0.0 < lo && lo <= hi) {
@@ -294,9 +192,6 @@ impl GeneratorConfig {
         }
         if !(0.0..=1.0).contains(&self.tt_fraction) {
             return fail(format!("tt_fraction {} not in [0, 1]", self.tt_fraction));
-        }
-        if !(0.0..=1.0).contains(&self.fan_in_prob) {
-            return fail(format!("fan_in_prob {} not in [0, 1]", self.fan_in_prob));
         }
         if !(0.0..=1.0).contains(&self.gateway_fraction) {
             return fail(format!(
@@ -343,12 +238,7 @@ impl GeneratorConfig {
                 ));
             }
         }
-        if let GraphShape::Layered { depth } = self.shape {
-            if depth == 0 {
-                return fail("layered shape needs depth >= 1".into());
-            }
-        }
-        self.graph_plan().map(|_| ())
+        Ok(())
     }
 }
 
@@ -364,7 +254,6 @@ mod tests {
         assert_eq!(cfg.tt_fraction, 0.5);
         assert_eq!(cfg.node_util, (0.30, 0.60));
         assert_eq!(cfg.bus_util, (0.10, 0.70));
-        assert_eq!(cfg.tt_deadline_factor, 1.0);
         assert_eq!(cfg.et_deadline_factor, 3.0);
         assert_eq!(cfg.shape, GraphShape::Random);
         assert_eq!(cfg.gateway_fraction, 0.0);
@@ -385,39 +274,10 @@ mod tests {
             tasks_per_node: 7,
             ..GeneratorConfig::paper(3)
         };
-        let plan = cfg.graph_plan().expect("tail graph plan");
+        let plan = cfg.graph_plan();
         assert_eq!(plan, vec![5, 5, 5, 5, 1]);
         assert_eq!(plan.iter().sum::<usize>(), cfg.total_tasks());
         assert_eq!(cfg.n_graphs(), 5);
-    }
-
-    #[test]
-    fn reject_policy_refuses_non_tiling_sizes() {
-        let cfg = GeneratorConfig {
-            tasks_per_node: 7,
-            remainder: RemainderPolicy::Reject,
-            ..GeneratorConfig::paper(3)
-        };
-        assert!(matches!(
-            cfg.graph_plan(),
-            Err(ModelError::InvalidConfig(_))
-        ));
-        // the paper sizes tile exactly: Reject accepts them
-        let ok = GeneratorConfig {
-            remainder: RemainderPolicy::Reject,
-            ..GeneratorConfig::paper(3)
-        };
-        assert_eq!(ok.graph_plan().expect("tiles").len(), ok.n_graphs());
-    }
-
-    #[test]
-    fn heterogeneous_sizes_cycle() {
-        let cfg = GeneratorConfig {
-            graph_sizes: Some(vec![8, 2]),
-            ..GeneratorConfig::paper(2) // 20 tasks
-        };
-        let plan = cfg.graph_plan().expect("plan");
-        assert_eq!(plan, vec![8, 2, 8, 2]);
     }
 
     #[test]
@@ -426,10 +286,6 @@ mod tests {
         assert_eq!(deep.shape, GraphShape::Chain);
         assert_eq!(deep.graph_size, 12);
         assert!(deep.validate().is_ok());
-
-        let wide = GeneratorConfig::wide(10, 10);
-        assert_eq!(wide.shape, GraphShape::FanOut);
-        assert!(wide.validate().is_ok());
 
         let gw = GeneratorConfig::gateway(8, 0.5);
         assert_eq!(gw.gateways, vec![7]);
@@ -448,16 +304,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.gateways = vec![2];
         assert!(cfg.validate().is_ok());
-
-        let mut cfg = GeneratorConfig::paper(3);
-        cfg.period_pools_us = Some(vec![vec![]]);
-        assert!(cfg.validate().is_err());
-        cfg.period_pools_us = Some(vec![vec![10_000.0], vec![20_000.0, 40_000.0]]);
-        assert!(cfg.validate().is_ok());
-
-        let mut cfg = GeneratorConfig::paper(3);
-        cfg.shape = GraphShape::Layered { depth: 0 };
-        assert!(cfg.validate().is_err());
 
         let mut cfg = GeneratorConfig::paper(3);
         cfg.node_util = (0.6, 0.3);

@@ -6,10 +6,9 @@
 //! * [`generate`] — the synthetic workloads of Section 7 (2–7 nodes,
 //!   10 tasks per node, graphs of 5 tasks, half time-triggered, node
 //!   utilisation 30–60 %, bus utilisation 10–70 %), deterministic per
-//!   `(config, seed)`, plus the v2 scenario axes beyond the paper
-//!   envelope: [`GraphShape`] (chains, fan-out, fixed-depth layers),
-//!   node counts ≥ 20, heterogeneous per-graph sizes and period pools,
-//!   gateway-relayed traffic and explicit [`RemainderPolicy`] handling;
+//!   `(config, seed)`, plus scenario axes beyond the paper envelope:
+//!   chain-shaped graphs ([`GraphShape`]), node counts ≥ 20,
+//!   gateway-relayed traffic and multiple clusters;
 //! * [`cruise_controller`] — the vehicle cruise-controller case study
 //!   (54 tasks, 26 messages, 4 graphs, 5 nodes);
 //! * [`fig7_system`] — the 45-task / 10 ST / 20 DYN workload behind the
@@ -35,7 +34,7 @@ mod fig7;
 mod stats;
 mod synth;
 
-pub use config::{GeneratorConfig, GraphShape, RemainderPolicy};
+pub use config::{GeneratorConfig, GraphShape};
 pub use cruise::{cruise_controller, cruise_controller_with};
 pub use fig7::{fig7_system, FIG7_NODES};
 pub use stats::{AggregatedGenStats, GenStats};

@@ -6,24 +6,21 @@
 //! execution/transmission times are scaled to hit per-node and bus
 //! utilisation targets drawn from the configured ranges.
 //!
-//! Generator v2 extends the paper envelope along four axes, all opt-in
-//! and all RNG-neutral for paper configurations (a paper-envelope
-//! [`GeneratorConfig`] consumes exactly the v1 random stream, so its
-//! output is bit-identical):
+//! Beyond the paper's envelope, three scenario axes are opt-in; each
+//! draws nothing from the random stream at its paper value, so a paper
+//! configuration's output does not depend on the others:
 //!
-//! * **shape** — random DAGs (paper), chains, fan-out stars or
-//!   fixed-depth layered graphs ([`GraphShape`](crate::GraphShape));
-//! * **heterogeneous graphs** — per-graph sizes and per-graph period
-//!   pools;
+//! * **shape** — random DAGs (paper) or chains
+//!   ([`GraphShape`](crate::GraphShape));
 //! * **gateway traffic** — a configurable fraction of cross-node
 //!   dependencies is relayed through designated gateway nodes as
 //!   `sender → msg → relay task → msg → receiver`, so the analysis and
 //!   the simulator apply unchanged;
-//! * **explicit remainder handling** — when the graph sizes do not tile
-//!   the task count, the leftover tasks form a final smaller graph or
-//!   the configuration is rejected
-//!   ([`RemainderPolicy`](crate::RemainderPolicy)); they are never
-//!   silently dropped.
+//! * **clusters** — the non-gateway nodes are split over several buses,
+//!   and every cross-cluster dependency is relayed through a gateway.
+//!
+//! When the graph size does not tile the task count, the leftover tasks
+//! form a final, smaller graph; no task is dropped.
 
 use crate::{GenStats, GeneratorConfig, GraphShape};
 use flexray_model::{
@@ -73,11 +70,13 @@ impl Generated {
     }
 }
 
-/// First task index of layer `l` when `size` tasks are split into `d`
-/// contiguous layers (the inverse of `layer(ti) = ti * d / size`).
-fn layer_start(l: usize, size: usize, d: usize) -> usize {
-    l.saturating_mul(size).div_ceil(d)
-}
+/// Graph periods are drawn from this harmonic pool (µs), which keeps
+/// the hyperperiod small.
+const PERIOD_POOL_US: [f64; 3] = [10_000.0, 20_000.0, 40_000.0];
+
+/// Probability that a non-root task of a [`GraphShape::Random`] DAG
+/// gets a second predecessor (fan-in).
+const FAN_IN_PROB: f64 = 0.3;
 
 /// Generates one synthetic application.
 ///
@@ -86,16 +85,16 @@ fn layer_start(l: usize, size: usize, d: usize) -> usize {
 /// # Errors
 ///
 /// Returns [`ModelError::InvalidConfig`] when the configuration fails
-/// [`GeneratorConfig::validate`] (including a rejected graph-size
-/// remainder), and any validation error of the generated application
-/// (a generator bug — surfaced rather than hidden).
+/// [`GeneratorConfig::validate`], and any validation error of the
+/// generated application (a generator bug — surfaced rather than
+/// hidden).
 pub fn generate(cfg: &GeneratorConfig, seed: u64) -> Result<Generated, ModelError> {
     cfg.validate()?;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut app = Application::new();
     let node_cluster = assign_clusters(cfg);
 
-    let plan = cfg.graph_plan()?;
+    let plan = cfg.graph_plan();
     let n_graphs = plan.len();
     let n_tt = (n_graphs as f64 * cfg.tt_fraction).round() as usize;
 
@@ -111,21 +110,14 @@ pub fn generate(cfg: &GeneratorConfig, seed: u64) -> Result<Generated, ModelErro
     let mut graph_is_tt: Vec<bool> = Vec::with_capacity(n_graphs);
     let mut pool_cursor = 0usize;
     for (gi, &size) in plan.iter().enumerate() {
-        let pool = cfg
-            .period_pools_us
-            .as_ref()
-            .map_or(&cfg.period_pool_us, |pools| &pools[gi % pools.len()]);
-        let period_us = *pool
-            .get(rng.gen_range(0..pool.len()))
-            .expect("non-empty period pool");
+        let period_us = PERIOD_POOL_US[rng.gen_range(0..PERIOD_POOL_US.len())];
         let period = Time::from_us(period_us);
         let is_tt = gi < n_tt;
-        let factor = if is_tt {
-            cfg.tt_deadline_factor
+        let deadline = if is_tt {
+            period
         } else {
-            cfg.et_deadline_factor
+            Time::from_us(period_us * cfg.et_deadline_factor)
         };
-        let deadline = Time::from_us(period_us * factor);
         let g = app.add_graph(
             &format!("{}{gi}", if is_tt { "tt" } else { "et" }),
             period,
@@ -165,7 +157,7 @@ pub fn generate(cfg: &GeneratorConfig, seed: u64) -> Result<Generated, ModelErro
         let g = app.activity(ids[0]).graph;
         let is_tt = graph_is_tt[gi];
         for ti in 1..ids.len() {
-            let preds = draw_preds(cfg, &mut rng, ti, ids.len());
+            let preds = draw_preds(cfg, &mut rng, ti);
             for &pi in &preds {
                 relay_tasks += usize::from(emit_dependency(
                     &mut app,
@@ -221,13 +213,13 @@ fn assign_clusters(cfg: &GeneratorConfig) -> Vec<u16> {
     node_cluster
 }
 
-/// Predecessor indices of task `ti` under the configured shape. The
-/// [`GraphShape::Random`] arm reproduces the v1 draw sequence exactly.
-fn draw_preds(cfg: &GeneratorConfig, rng: &mut StdRng, ti: usize, size: usize) -> Vec<usize> {
+/// Predecessor indices of task `ti` under the configured shape. A
+/// chain draws nothing from the random stream.
+fn draw_preds(cfg: &GeneratorConfig, rng: &mut StdRng, ti: usize) -> Vec<usize> {
     match cfg.shape {
         GraphShape::Random => {
             let mut preds = vec![rng.gen_range(0..ti)];
-            if ti >= 2 && rng.gen_bool(cfg.fan_in_prob) {
+            if ti >= 2 && rng.gen_bool(FAN_IN_PROB) {
                 let second = rng.gen_range(0..ti);
                 if !preds.contains(&second) {
                     preds.push(second);
@@ -236,19 +228,6 @@ fn draw_preds(cfg: &GeneratorConfig, rng: &mut StdRng, ti: usize, size: usize) -
             preds
         }
         GraphShape::Chain => vec![ti - 1],
-        GraphShape::FanOut => vec![0],
-        GraphShape::Layered { depth } => {
-            let d = depth.clamp(1, size);
-            let layer = ti * d / size;
-            if layer == 0 {
-                // extra sources in the first layer
-                Vec::new()
-            } else {
-                let lo = layer_start(layer - 1, size, d);
-                let hi = layer_start(layer, size, d);
-                vec![rng.gen_range(lo..hi)]
-            }
-        }
     }
 }
 
@@ -428,7 +407,6 @@ fn set_size(app: &mut Application, id: ActivityId, size_bytes: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RemainderPolicy;
 
     #[test]
     fn deterministic_in_seed() {
@@ -511,8 +489,8 @@ mod tests {
 
     #[test]
     fn remainder_tasks_form_a_tail_graph_instead_of_vanishing() {
-        // 21 tasks in graphs of 5: v1 silently dropped the 21st task;
-        // v2 assigns it to a fifth, single-task graph.
+        // 21 tasks in graphs of 5: the 21st task forms a fifth,
+        // single-task graph.
         let cfg = GeneratorConfig {
             tasks_per_node: 7,
             ..GeneratorConfig::paper(3)
@@ -528,19 +506,10 @@ mod tests {
         for n in 0..3 {
             assert_eq!(g.app.tasks_on(NodeId::new(n)).count(), 7);
         }
-        // the rejecting policy surfaces the same situation as an error
-        let reject = GeneratorConfig {
-            remainder: RemainderPolicy::Reject,
-            ..cfg
-        };
-        assert!(matches!(
-            generate(&reject, 5),
-            Err(ModelError::InvalidConfig(_))
-        ));
     }
 
     #[test]
-    fn chains_are_chains_and_fanouts_are_flat() {
+    fn chains_are_as_deep_as_they_are_long() {
         let deep = GeneratorConfig::deep(4, 8);
         let g = generate(&deep, 13).expect("generate");
         for (gi, graph) in g.app.graphs().iter().enumerate() {
@@ -554,36 +523,6 @@ mod tests {
                 .task_depth(flexray_model::GraphId::new(gi))
                 .expect("acyclic");
             assert_eq!(depth, tasks, "chain depth == task count");
-        }
-
-        let wide = GeneratorConfig::wide(4, 8);
-        let g = generate(&wide, 13).expect("generate");
-        for gi in 0..g.app.graphs().len() {
-            let depth = g
-                .app
-                .task_depth(flexray_model::GraphId::new(gi))
-                .expect("acyclic");
-            assert!(depth <= 2, "fan-out depth {depth} > 2");
-        }
-    }
-
-    #[test]
-    fn layered_graphs_respect_the_depth_bound() {
-        let cfg = GeneratorConfig {
-            shape: GraphShape::Layered { depth: 3 },
-            graph_size: 10,
-            ..GeneratorConfig::paper(4)
-        };
-        let g = generate(&cfg, 17).expect("generate");
-        for gi in 0..g.app.graphs().len() {
-            let depth = g
-                .app
-                .task_depth(flexray_model::GraphId::new(gi))
-                .expect("acyclic");
-            assert!(
-                (1..=3).contains(&depth),
-                "layered depth {depth} outside 1..=3"
-            );
         }
     }
 
@@ -654,9 +593,10 @@ mod tests {
     }
 
     #[test]
-    fn gateway_off_is_bit_identical_to_v1_stream() {
-        // gateway_fraction = 0 must not consume random draws: the
-        // explicit off-config equals the paper config stream.
+    fn designated_gateways_without_relays_leave_the_paper_stream_alone() {
+        // gateway_fraction = 0 consumes no random draws: designating a
+        // gateway without relaying through it generates the paper
+        // application.
         let paper = GeneratorConfig::paper(4);
         let off = GeneratorConfig {
             gateways: vec![3],
@@ -720,19 +660,6 @@ mod tests {
         let b = generate(&one, 31).expect("generate");
         assert_eq!(paper.app, b.app);
         assert_eq!(b.gateways, vec![NodeId::new(3)]);
-    }
-
-    #[test]
-    fn per_graph_period_pools_are_honoured() {
-        let cfg = GeneratorConfig {
-            period_pools_us: Some(vec![vec![10_000.0], vec![20_000.0]]),
-            ..GeneratorConfig::paper(3)
-        };
-        let g = generate(&cfg, 37).expect("generate");
-        for (gi, graph) in g.app.graphs().iter().enumerate() {
-            let expect = if gi % 2 == 0 { 10_000.0 } else { 20_000.0 };
-            assert_eq!(graph.period, Time::from_us(expect), "graph {gi}");
-        }
     }
 
     #[test]

@@ -87,12 +87,6 @@ impl Time {
         self.0 as f64 / 1_000.0
     }
 
-    /// The value in milliseconds (lossy, for reporting only).
-    #[must_use]
-    pub fn as_ms(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// `true` if the value is exactly zero.
     #[must_use]
     pub const fn is_zero(self) -> bool {

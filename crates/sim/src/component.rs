@@ -291,7 +291,7 @@ impl<'a> DynSegment<'a> {
                 return;
             }
             // Blocked slot (frame present but past its latest start):
-            // single minislot, like the monolithic engine.
+            // it takes a single minislot, like an empty slot.
             kernel.queue.push(
                 now + ms,
                 self.id,

@@ -16,7 +16,8 @@
 //!   statelessly from `(order seed, position in the hyperperiod, phase,
 //!   span length)`. Phase boundaries — the causal backbone — are never
 //!   crossed. [`ExecutionOrder::Canonical`] (the default) services
-//!   wake-ups in exactly the historical order of the monolithic engine.
+//!   wake-ups in queue order: time, then [`Signal::order_key`], then
+//!   component, pinned by `tests/sim_pin.rs`.
 //! * **Hyperperiod compression** ([`SimConfig::compress`], default on):
 //!   at every hyperperiod boundary the engine fingerprints its complete
 //!   boundary-normalised state; when a boundary state recurs, the run
@@ -38,7 +39,7 @@ use std::collections::HashMap;
 /// How same-instant, same-phase wake-ups are ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionOrder {
-    /// The canonical order (bit-identical to the monolithic engine).
+    /// The canonical order: time, then `order_key`, then component.
     Canonical,
     /// Deterministically permuted per-batch order derived from `seed`.
     /// Two runs with the same `(system, config, seed)` are identical.
@@ -316,9 +317,8 @@ impl<'a> Engine<'a> {
     fn process_until(&mut self, bound: Time) {
         match self.cfg.order {
             ExecutionOrder::Canonical => {
-                // Directly popping the queue reproduces the monolithic
-                // engine's event loop bit for bit: the queue order is
-                // the historical `(time, event)` order.
+                // The queue pops in canonical order: time, then
+                // `order_key`, then component.
                 while let Some(e) = self.kernel.queue.pop_before(bound) {
                     self.dispatch(e);
                 }

@@ -18,10 +18,10 @@
 //!
 //! The phase order encodes protocol causality and is **never** fuzzed.
 //! *Within* a phase the canonical order is by [`Signal::order_key`]
-//! (kind, then activity/instance coordinates — exactly the historical
-//! event order of the monolithic engine), then by component (two
+//! (kind, then activity/instance coordinates), then by component (two
 //! clusters' dynamic slots can share every coordinate, so the order is
-//! total); a fuzzed run permutes each within-phase span with a
+//! total); `tests/sim_pin.rs` pins the reports this order produces. A
+//! fuzzed run permutes each within-phase span with a
 //! deterministic, stateless permutation instead (see `engine`), because
 //! the protocol does not specify the mutual order of same-instant
 //! wake-ups inside one phase.
@@ -34,8 +34,7 @@ use std::collections::BinaryHeap;
 /// simulated hyperperiod `rep`.
 ///
 /// The derived order — activity-major, then hyperperiod, then instance
-/// — is the canonical tie-break wherever jobs must be ranked (it
-/// matches the flattened job index of the pre-component engine).
+/// — is the canonical tie-break wherever jobs must be ranked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobRef {
     /// Activity index ([`flexray_model::ActivityId::index`]).
@@ -138,11 +137,12 @@ pub enum Signal {
 }
 
 impl Signal {
-    /// Canonical same-instant rank and coordinates. The rank order of
-    /// the queued kinds reproduces the discriminant order of the
-    /// pre-component `Event` enum (deliveries before activations before
-    /// audits before arbitration); the coordinates reproduce its field
-    /// order.
+    /// Canonical same-instant rank and coordinates: SCS finishes, ST
+    /// deliveries, DYN deliveries and CPU completions (the `Deliver`
+    /// phase) before activations, before SCS start audits, before
+    /// dynamic-slot arbitration; within a kind, by the job's activity,
+    /// hyperperiod and instance (or the slot's hyperperiod, cycle,
+    /// frame id and minislot counter).
     #[must_use]
     pub fn order_key(&self) -> [u64; 5] {
         #[allow(clippy::cast_sign_loss)] // reps are non-negative
@@ -537,8 +537,8 @@ mod tests {
 
     #[test]
     fn job_order_is_activity_major() {
-        // the canonical tie-break of the pre-component engine: jobs are
-        // ranked by activity, then hyperperiod, then instance
+        // the canonical tie-break: jobs are ranked by activity, then
+        // hyperperiod, then instance
         let early_act_late_rep = JobRef {
             act: 0,
             rep: 1,

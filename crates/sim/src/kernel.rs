@@ -31,9 +31,9 @@ struct RepSlab {
 
 /// Job instances, stored as a sliding window of hyperperiods.
 ///
-/// The monolithic engine materialised `reps × jobs-per-hyperperiod`
-/// instances up front — gigabytes for million-cycle soaks. The store
-/// instead seeds one hyperperiod at a time and garbage-collects fully
+/// Materialising `reps × jobs-per-hyperperiod` instances up front would
+/// take gigabytes for million-cycle soaks. The store instead seeds one
+/// hyperperiod at a time and garbage-collects fully
 /// completed hyperperiods at each boundary, so memory is bounded by the
 /// number of hyperperiods with jobs still in flight (one or two for any
 /// schedulable system).
@@ -253,8 +253,8 @@ pub(crate) struct Kernel<'a> {
     pub(crate) limit: Time,
     pub(crate) queue: EventQueue,
     /// Zero-latency cross-component signals, drained FIFO after each
-    /// wake-up (they reproduce the synchronous calls of the monolithic
-    /// engine and are never fuzzed).
+    /// wake-up, in the order they were raised: they act as synchronous
+    /// calls between components and are never fuzzed.
     pub(crate) immediates: VecDeque<(ComponentId, Signal)>,
     pub(crate) jobs: JobStore,
     pub(crate) responses: Vec<Option<Time>>,

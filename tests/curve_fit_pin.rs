@@ -11,7 +11,7 @@
 use flexray::gen::{generate, GeneratorConfig};
 use flexray::opt::{
     bbc, bbc_skeleton, determine_dyn_length, optimise_network, simulated_annealing, Evaluator,
-    NetworkTopology, OptResult, SaParams,
+    NetworkTopology, OptResult, SaParams, CF_INITIAL_POINTS,
 };
 use flexray::*;
 use flexray_bench::sweep::search_mode;
@@ -129,7 +129,7 @@ fn dyn_length_curve_fit_matches_the_recorded_bits() {
     let params = OptParams::default();
     let long_runs = DYN_PINS
         .iter()
-        .filter(|p| p.2 >= params.cf_initial_points + 10)
+        .filter(|p| p.2 >= CF_INITIAL_POINTS + 10)
         .count();
     assert!(long_runs >= 5, "only {long_runs} cases refine 10+ rounds");
 

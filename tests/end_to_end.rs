@@ -69,7 +69,7 @@ fn generated_systems_round_trip_through_the_whole_stack() {
     }
 }
 
-/// Lightens a v2 configuration so the optimisers find schedulable
+/// Lightens a scenario configuration so the optimisers find schedulable
 /// configurations on big/deep/gateway systems within test budgets: the
 /// point of the cross-validation suite is exercising schedulable
 /// non-paper scenarios, not stressing the optimisers.
@@ -83,7 +83,7 @@ fn lighten(cfg: GeneratorConfig) -> GeneratorConfig {
     }
 }
 
-/// Simulation cross-validation over seeded v2 scenarios: wherever the
+/// Simulation cross-validation over seeded scenarios: wherever the
 /// analysis declares the optimised system schedulable, the independent
 /// discrete-event simulator must agree — no deadline misses, and every
 /// analytic WCRT bounds the simulated response. Returns the number of
