@@ -80,29 +80,10 @@ pub fn lf_messages<'a>(sys: impl Into<SystemView<'a>>, m: ActivityId) -> Vec<Act
         .collect()
 }
 
-/// Number of dynamic slots with identifiers lower than `m`'s that carry
-/// no message at all (the always-empty part of `ms(m)`); slots that do
-/// carry messages contribute through `lf(m)` instead.
-#[must_use]
-pub fn unused_lower_slots<'a>(sys: impl Into<SystemView<'a>>, m: ActivityId) -> u32 {
-    let sys = sys.into().focused(m);
-    let Some(fid) = sys.bus.frame_id_of(m) else {
-        return 0;
-    };
-    let used: std::collections::BTreeSet<u16> = sys
-        .bus
-        .frame_ids
-        .values()
-        .map(|f| f.number())
-        .filter(|&n| n < fid.number())
-        .collect();
-    u32::from(fid.number() - 1) - u32::try_from(used.len()).expect("bounded by u16")
-}
-
 /// The latest-transmission-start bound applied to `m`, per policy, in
 /// minislot-counter units.
 #[must_use]
-pub fn latest_tx_bound<'a>(
+pub(crate) fn latest_tx_bound<'a>(
     sys: impl Into<SystemView<'a>>,
     m: ActivityId,
     policy: LatestTxPolicy,
@@ -1098,10 +1079,6 @@ mod tests {
         let mut lf = lf_messages(&sys, mg);
         lf.sort();
         assert_eq!(lf, vec![md, me]);
-        // ms(mg): ids 1,2,3 lower; 1 and 2 used -> 1 unused (id 3)
-        assert_eq!(unused_lower_slots(&sys, mg), 1);
-        // ms(mf) in the paper counts {3} among 1,2,3: same here
-        assert_eq!(unused_lower_slots(&sys, mf), 1);
     }
 
     #[test]

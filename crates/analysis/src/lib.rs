@@ -12,8 +12,9 @@
 //! * [`fps_local_response`] — response-time analysis of FPS tasks in the
 //!   slack of the static schedule;
 //! * [`dyn_delay`] — the worst-case delay `w_m` of dynamic messages
-//!   (Eq. 3) with its interference sets [`hp_messages`], [`lf_messages`]
-//!   and [`unused_lower_slots`];
+//!   (Eq. 3) with its interference sets [`hp_messages`] and
+//!   [`lf_messages`] (every lower identifier is charged a minislot
+//!   through `FrameId::preceding_slots`);
 //! * [`analyse`] — the holistic fixed point tying everything together
 //!   and grading the configuration with the cost function of Eq. (5)
 //!   ([`Cost`], [`cost_of`]).
@@ -56,12 +57,12 @@ mod table;
 pub use availability::Availability;
 pub use cost::{cost_of, Cost};
 pub use dyn_msg::{
-    dyn_delay, dyn_delay_pooled, hp_messages, latest_tx_bound, lf_messages, unused_lower_slots,
-    DynAnalysisMode, DynScratch, LatestTxPolicy, MAX_FIXED_POINT_ITERS,
+    dyn_delay, dyn_delay_pooled, hp_messages, lf_messages, DynAnalysisMode, DynScratch,
+    LatestTxPolicy, MAX_FIXED_POINT_ITERS,
 };
 pub use fps::{fps_local_response, hp_tasks};
 pub use holistic::{analyse, Analysis, AnalysisConfig};
 pub use priority::{criticality, longest_path_from_source, longest_path_to_sink, ready_list_order};
-pub use scheduler::{build_schedule, build_schedule_with, ScsPlacement};
+pub use scheduler::{build_schedule, ScsPlacement};
 pub use session::{AnalysisSession, EtStats};
 pub use table::{MessageEntry, ScheduleTable, TaskEntry};

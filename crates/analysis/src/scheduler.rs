@@ -277,7 +277,7 @@ pub fn build_schedule<'a>(
 /// # Errors
 ///
 /// See [`build_schedule`].
-pub fn build_schedule_with<'a>(
+pub(crate) fn build_schedule_with<'a>(
     sys: impl Into<SystemView<'a>>,
     et_finish_bound: &[Time],
     placement: ScsPlacement,

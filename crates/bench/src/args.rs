@@ -289,7 +289,15 @@ pub fn parse<S: AsRef<str>>(kind: Kind, tokens: &[S]) -> Result<Args, ModelError
                 cfg.seed_policy = preset.seed_policy;
             }
             "nodes" => cfg.axes.push(SweepAxis::NodeCount(list(key, value)?)),
-            "depth" => cfg.axes.push(SweepAxis::GraphDepth(list(key, value)?)),
+            "depth" => {
+                let depths: Vec<usize> = list(key, value)?;
+                if depths.contains(&0) {
+                    return Err(invalid(format!(
+                        "invalid value list '{value}' for key 'depth': a graph has depth at least 1"
+                    )));
+                }
+                cfg.axes.push(SweepAxis::GraphDepth(depths));
+            }
             "gateway" => cfg.axes.push(SweepAxis::GatewayFraction(list(key, value)?)),
             "busutil" => cfg.axes.push(SweepAxis::BusUtil(list(key, value)?)),
             "clusters" => cfg.axes.push(SweepAxis::Clusters(list(key, value)?)),
@@ -379,6 +387,8 @@ mod tests {
             (Kind::Grid, &["nodes=2", "bogus=1"], "'bogus'"),
             (Kind::Grid, &["nodes=2", "orders=1"], "'orders'"),
             (Kind::Grid, &["nodes=2,zero"], "'2,zero'"),
+            (Kind::Grid, &["depth=0,1"], "'0,1'"),
+            (Kind::Sweep, &["depth=3,0"], "'3,0'"),
             (Kind::Grid, &["nodes=2", "mode=warp"], "'warp'"),
             (Kind::Grid, &["nodes=2", "threads=fuor"], "'fuor'"),
             (Kind::Grid, &["nodes=2", "algos=bbc,warp"], "'warp'"),

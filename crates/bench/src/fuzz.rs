@@ -1,6 +1,6 @@
 //! Divergence-hunting fuzz campaign over execution orders.
 //!
-//! The component engine of `flexray-sim` can permute the service order
+//! The simulation engine of `flexray-sim` can permute the service order
 //! of simultaneous same-phase events ([`ExecutionOrder::Fuzzed`]). This
 //! campaign sweeps the grid engine's point enumeration (generator
 //! corners) crossed with a set of order seeds and checks, for every

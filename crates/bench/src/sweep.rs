@@ -368,9 +368,8 @@ impl SweepAxis {
                 (format!("nodes={}", self.value(idx)), cfg)
             }
             SweepAxis::GraphDepth(v) => {
-                let d = v[idx];
                 let cfg = GeneratorConfig {
-                    graph_size: d.max(1),
+                    graph_size: v[idx],
                     shape: GraphShape::Chain,
                     ..base.clone()
                 };

@@ -111,7 +111,7 @@ impl GeneratorConfig {
     #[must_use]
     pub fn deep(n_nodes: usize, depth: usize) -> Self {
         GeneratorConfig {
-            graph_size: depth.max(1),
+            graph_size: depth,
             shape: GraphShape::Chain,
             ..GeneratorConfig::paper(n_nodes)
         }
@@ -177,13 +177,16 @@ impl GeneratorConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidConfig`] on an empty task set,
-    /// out-of-range utilisation bounds or fractions, or an invalid
+    /// Returns [`ModelError::InvalidConfig`] on an empty task set, a
+    /// zero graph size, out-of-range utilisation bounds or fractions, or an invalid
     /// gateway or cluster setup.
     pub fn validate(&self) -> Result<(), ModelError> {
         let fail = |msg: String| Err(ModelError::InvalidConfig(msg));
         if self.total_tasks() == 0 {
             return fail("total_tasks is zero (n_nodes or tasks_per_node is 0)".into());
+        }
+        if self.graph_size == 0 {
+            return fail("graph_size is zero (a task graph has at least one task)".into());
         }
         for (name, (lo, hi)) in [("node_util", self.node_util), ("bus_util", self.bus_util)] {
             if !(0.0 < lo && lo <= hi) {
@@ -308,6 +311,9 @@ mod tests {
         let mut cfg = GeneratorConfig::paper(3);
         cfg.node_util = (0.6, 0.3);
         assert!(cfg.validate().is_err());
+
+        let err = GeneratorConfig::deep(3, 0).validate().expect_err("depth 0");
+        assert!(err.to_string().contains("graph_size"), "{err}");
     }
 
     #[test]

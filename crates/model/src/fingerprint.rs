@@ -1,7 +1,7 @@
 //! Exact state fingerprints and deterministic bit mixers.
 //!
 //! The simulator's hyperperiod compression compares the *complete*
-//! engine state at hyperperiod boundaries: every component appends its
+//! engine state at hyperperiod boundaries: every part appends its
 //! (boundary-normalised) state to a [`Fingerprint`], and two boundaries
 //! are equivalent **iff their word streams are equal**. Equality is
 //! exact — no hashing is involved in the comparison, so a fast-forward

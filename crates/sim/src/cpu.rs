@@ -38,7 +38,7 @@ impl ReadyJob {
 
 /// The preemptive FPS execution state of one node.
 #[derive(Debug)]
-pub struct Cpu {
+pub(crate) struct Cpu {
     avail: Availability,
     ready: Vec<ReadyJob>,
     current: Option<ReadyJob>,
@@ -50,18 +50,18 @@ pub struct Cpu {
 /// A (re)scheduled completion: when, and under which version it is
 /// valid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Projected {
+pub(crate) struct Projected {
     /// Absolute completion time, `None` if the projection exceeded the
     /// simulation limit (starved CPU).
-    pub at: Option<Time>,
+    pub(crate) at: Option<Time>,
     /// Version the completion event must carry to be honoured.
-    pub version: u64,
+    pub(crate) version: u64,
 }
 
 impl Cpu {
     /// Creates the CPU over its static-schedule availability.
     #[must_use]
-    pub fn new(avail: Availability) -> Self {
+    pub(crate) fn new(avail: Availability) -> Self {
         Cpu {
             avail,
             ready: Vec::new(),
@@ -119,7 +119,7 @@ impl Cpu {
 
     /// A new FPS job arrives; returns the refreshed completion
     /// projection.
-    pub fn arrive(
+    pub(crate) fn arrive(
         &mut self,
         now: Time,
         job: JobRef,
@@ -140,7 +140,7 @@ impl Cpu {
     /// Handles a completion event; returns the finished job (if the
     /// version is current and the job is indeed done) plus the next
     /// projection.
-    pub fn complete(
+    pub(crate) fn complete(
         &mut self,
         now: Time,
         version: u64,
@@ -167,9 +167,10 @@ impl Cpu {
         (finished, projection)
     }
 
-    /// Jobs that never completed (for end-of-simulation reporting).
+    /// Jobs still ready or running (a probe for the unit tests).
+    #[cfg(test)]
     #[must_use]
-    pub fn unfinished(&self) -> Vec<JobRef> {
+    pub(crate) fn unfinished(&self) -> Vec<JobRef> {
         let mut jobs: Vec<JobRef> = self.ready.iter().map(|j| j.job).collect();
         if let Some(cur) = &self.current {
             jobs.push(cur.job);
@@ -183,7 +184,7 @@ impl Cpu {
     /// absolute version counters differ, so fingerprints use this
     /// instead of raw versions.
     #[must_use]
-    pub fn version_delta(&self, version: u64) -> i64 {
+    pub(crate) fn version_delta(&self, version: u64) -> i64 {
         i64::try_from(version.min(self.version) as i128 - self.version as i128).unwrap_or(i64::MIN)
     }
 
@@ -191,7 +192,7 @@ impl Cpu {
     /// times relative to `now` (the boundary) and job hyperperiods
     /// relative to `b_rep`. Syncs accounting to `now` first — a
     /// semantically neutral refresh.
-    pub fn fingerprint_into(&mut self, now: Time, b_rep: i64, fp: &mut Fingerprint) {
+    pub(crate) fn fingerprint_into(&mut self, now: Time, b_rep: i64, fp: &mut Fingerprint) {
         fn push_job(fp: &mut Fingerprint, now: Time, b_rep: i64, j: &ReadyJob) {
             fp.push(u64::from(j.priority));
             fp.push_time(j.arrival - now);
@@ -229,7 +230,7 @@ impl Cpu {
     /// hyperperiods forward in job coordinates (compression
     /// fast-forward). Exact because the availability is periodic in the
     /// hyperperiod and `dt` is a whole number of hyperperiods.
-    pub fn shift(&mut self, dt: Time, dreps: i64) {
+    pub(crate) fn shift(&mut self, dt: Time, dreps: i64) {
         for j in self.ready.iter_mut().chain(self.current.as_mut()) {
             j.arrival += dt;
             j.job.rep += dreps;

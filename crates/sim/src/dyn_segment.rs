@@ -1,173 +1,15 @@
-//! The simulation components: node CPUs, the activation releaser, the
-//! static segment and the dynamic-segment arbiter.
-//!
-//! Each component owns the protocol state of one concern and reacts to
-//! [`Signal`] wake-ups delivered by the engine; cross-component effects
-//! go through the [`Kernel`]. Components also implement the two hooks
-//! the hyperperiod compression needs: boundary-normalised state
-//! fingerprints and the exact fast-forward relocation.
+//! The dynamic-segment arbiter of one cluster: CHI send buffers plus
+//! the dynamic slot / minislot counters of FlexRay dynamic arbitration
+//! (Section 3 of the paper), with the two hooks the hyperperiod
+//! compression needs: a boundary-normalised state fingerprint and the
+//! exact fast-forward relocation.
 
-use crate::cpu::Cpu;
-use crate::event::{ComponentId, JobRef, Signal};
+use crate::event::{JobRef, Signal};
 use crate::kernel::Kernel;
 use flexray_analysis::LatestTxPolicy;
 use flexray_model::{ActivityId, Fingerprint, NodeId, SystemView, Time};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
-
-/// One discrete-event component.
-///
-/// The engine wakes a component with `(now, signal)` pairs drawn from
-/// the time-ordered queue (or the immediate FIFO); the component reacts
-/// by mutating its own state and scheduling further wake-ups through
-/// the kernel.
-pub(crate) trait Component {
-    /// This component's slot in the engine's component table.
-    fn id(&self) -> ComponentId;
-
-    /// Services one wake-up at time `now`.
-    fn wake(&mut self, now: Time, signal: Signal, kernel: &mut Kernel);
-
-    /// Appends the boundary-normalised state to a fingerprint.
-    fn fingerprint_into(&mut self, _now: Time, _b_rep: i64, _fp: &mut Fingerprint) {}
-
-    /// Staleness of an `FpsCompletion` version at this component
-    /// (fingerprint normalisation; only CPUs carry versions).
-    fn version_delta(&self, _version: u64) -> i64 {
-        0
-    }
-
-    /// Relocates the component `dt` forward in time and `dreps`
-    /// hyperperiods forward in job coordinates (compression
-    /// fast-forward).
-    fn shift(&mut self, _dt: Time, _dreps: i64) {}
-}
-
-/// A node CPU running FPS tasks preemptively in the table slack.
-pub(crate) struct CpuComponent {
-    node: usize,
-    cpu: Cpu,
-}
-
-impl CpuComponent {
-    pub(crate) fn new(node: usize, cpu: Cpu) -> Self {
-        CpuComponent { node, cpu }
-    }
-}
-
-impl Component for CpuComponent {
-    fn id(&self) -> ComponentId {
-        ComponentId(self.node)
-    }
-
-    fn wake(&mut self, now: Time, signal: Signal, kernel: &mut Kernel) {
-        match signal {
-            Signal::FpsArrive {
-                job,
-                priority,
-                wcet,
-            } => {
-                let p = self.cpu.arrive(now, job, priority, wcet, kernel.limit);
-                if let Some(at) = p.at {
-                    kernel.queue.push(
-                        at,
-                        self.id(),
-                        Signal::FpsCompletion {
-                            node: self.node,
-                            version: p.version,
-                        },
-                    );
-                }
-            }
-            Signal::FpsCompletion { version, .. } => {
-                let (finished, next) = self.cpu.complete(now, version, kernel.limit);
-                if let Some(job) = finished {
-                    kernel.complete(job, now);
-                }
-                if let Some(at) = next.at {
-                    kernel.queue.push(
-                        at,
-                        self.id(),
-                        Signal::FpsCompletion {
-                            node: self.node,
-                            version: next.version,
-                        },
-                    );
-                }
-            }
-            _ => debug_assert!(false, "unexpected signal at a CPU"),
-        }
-    }
-
-    fn fingerprint_into(&mut self, now: Time, b_rep: i64, fp: &mut Fingerprint) {
-        fp.push(0xF1A6_0002);
-        self.cpu.fingerprint_into(now, b_rep, fp);
-    }
-
-    fn version_delta(&self, version: u64) -> i64 {
-        self.cpu.version_delta(version)
-    }
-
-    fn shift(&mut self, dt: Time, dreps: i64) {
-        self.cpu.shift(dt, dreps);
-    }
-}
-
-/// Releases activation tokens (stateless — the tokens live in the
-/// queue, the readiness bookkeeping in the kernel's job store).
-pub(crate) struct Releaser {
-    id: ComponentId,
-}
-
-impl Releaser {
-    pub(crate) fn new(id: ComponentId) -> Self {
-        Releaser { id }
-    }
-}
-
-impl Component for Releaser {
-    fn id(&self) -> ComponentId {
-        self.id
-    }
-
-    fn wake(&mut self, now: Time, signal: Signal, kernel: &mut Kernel) {
-        match signal {
-            Signal::Activate { job } => kernel.resolve_dependency(job, now),
-            _ => debug_assert!(false, "unexpected signal at the releaser"),
-        }
-    }
-}
-
-/// Follows the static schedule verbatim: SCS task starts/finishes and
-/// ST slot deliveries, with precedence auditing (stateless — the table
-/// events come from the queue's hyperperiod template).
-pub(crate) struct StaticSegment {
-    id: ComponentId,
-}
-
-impl StaticSegment {
-    pub(crate) fn new(id: ComponentId) -> Self {
-        StaticSegment { id }
-    }
-}
-
-impl Component for StaticSegment {
-    fn id(&self) -> ComponentId {
-        self.id
-    }
-
-    fn wake(&mut self, now: Time, signal: Signal, kernel: &mut Kernel) {
-        match signal {
-            Signal::ScsStart { job } => kernel.audit_start(job, now),
-            Signal::ScsFinish { job } => kernel.complete(job, now),
-            Signal::StDelivery { job } => {
-                kernel.audit_delivery(job, now);
-                kernel.complete(job, now);
-            }
-            _ => debug_assert!(false, "unexpected signal at the static segment"),
-        }
-    }
-}
 
 /// A frame waiting in a CHI send buffer.
 #[derive(Debug, Clone, Copy)]
@@ -177,14 +19,12 @@ struct ChiFrame {
     job: JobRef,
 }
 
-/// The dynamic-segment arbiter: CHI send buffers plus the dynamic
-/// slot / minislot counters of FlexRay dynamic arbitration (Section 3
-/// of the paper). One arbiter per cluster: `sys` is a view focused on
-/// the arbiter's own bus, so `sys.bus.frame_ids` names exactly the
+/// The dynamic-segment arbiter of one cluster: `sys` is a view focused
+/// on the arbiter's own bus, so `sys.bus.frame_ids` names exactly the
 /// messages this cluster carries.
 pub(crate) struct DynSegment<'a> {
     sys: SystemView<'a>,
-    id: ComponentId,
+    cluster: u16,
     latest_tx: LatestTxPolicy,
     /// Owner node of each assigned frame identifier.
     frame_node: HashMap<u16, NodeId>,
@@ -200,7 +40,7 @@ pub(crate) struct DynSegment<'a> {
 impl<'a> DynSegment<'a> {
     pub(crate) fn new(
         sys: SystemView<'a>,
-        id: ComponentId,
+        cluster: u16,
         latest_tx: LatestTxPolicy,
         cycle_info: Vec<(Time, u32)>,
     ) -> Self {
@@ -212,7 +52,7 @@ impl<'a> DynSegment<'a> {
         }
         DynSegment {
             sys,
-            id,
+            cluster,
             latest_tx,
             frame_node,
             cycle_info,
@@ -220,11 +60,20 @@ impl<'a> DynSegment<'a> {
         }
     }
 
+    /// A ready frame enters the CHI send buffer of its identifier.
+    pub(crate) fn enqueue(&mut self, now: Time, fid: u16, job: JobRef, priority: u32) {
+        self.chi.entry(fid).or_default().push(ChiFrame {
+            enqueued: now,
+            priority,
+            job,
+        });
+    }
+
     /// Arbitrates one dynamic slot boundary; the wake-up for the next
     /// boundary of the chain is scheduled through the kernel. Runs of
     /// empty slots are coalesced into a single jump (exact: the skipped
     /// boundaries could neither transmit nor change any state).
-    fn dyn_slot(
+    pub(crate) fn dyn_slot(
         &mut self,
         now: Time,
         kernel: &mut Kernel,
@@ -277,11 +126,11 @@ impl<'a> DynSegment<'a> {
                 let end = now + ms * i64::from(lm);
                 kernel
                     .queue
-                    .push(end, self.id, Signal::DynDelivery { job: frame.job });
+                    .push(end, Signal::DynDelivery { job: frame.job });
                 kernel.queue.push(
                     end,
-                    self.id,
                     Signal::DynSlot {
+                        cluster: self.cluster,
                         rep,
                         cycle,
                         fid: fid + 1,
@@ -294,8 +143,8 @@ impl<'a> DynSegment<'a> {
             // it takes a single minislot, like an empty slot.
             kernel.queue.push(
                 now + ms,
-                self.id,
                 Signal::DynSlot {
+                    cluster: self.cluster,
                     rep,
                     cycle,
                     fid: fid + 1,
@@ -333,8 +182,8 @@ impl<'a> DynSegment<'a> {
         let step = u32::try_from(jump).unwrap_or(1);
         kernel.queue.push(
             now + ms * jump,
-            self.id,
             Signal::DynSlot {
+                cluster: self.cluster,
                 rep,
                 cycle,
                 fid: fid + u16::try_from(jump).unwrap_or(1),
@@ -342,34 +191,11 @@ impl<'a> DynSegment<'a> {
             },
         );
     }
-}
 
-impl Component for DynSegment<'_> {
-    fn id(&self) -> ComponentId {
-        self.id
-    }
-
-    fn wake(&mut self, now: Time, signal: Signal, kernel: &mut Kernel) {
-        match signal {
-            Signal::ChiEnqueue { fid, job, priority } => {
-                self.chi.entry(fid).or_default().push(ChiFrame {
-                    enqueued: now,
-                    priority,
-                    job,
-                });
-            }
-            Signal::DynDelivery { job } => kernel.complete(job, now),
-            Signal::DynSlot {
-                rep,
-                cycle,
-                fid,
-                counter,
-            } => self.dyn_slot(now, kernel, rep, cycle, fid, counter),
-            _ => debug_assert!(false, "unexpected signal at the dynamic segment"),
-        }
-    }
-
-    fn fingerprint_into(&mut self, now: Time, b_rep: i64, fp: &mut Fingerprint) {
+    /// Appends the CHI contents to a boundary fingerprint, times
+    /// relative to `now` (the boundary) and job hyperperiods relative
+    /// to `b_rep`.
+    pub(crate) fn fingerprint_into(&self, now: Time, b_rep: i64, fp: &mut Fingerprint) {
         fp.push(0xF1A6_0003);
         for (fid, q) in &self.chi {
             if q.is_empty() {
@@ -387,7 +213,10 @@ impl Component for DynSegment<'_> {
         }
     }
 
-    fn shift(&mut self, dt: Time, dreps: i64) {
+    /// Relocates the CHI contents `dt` forward in time and `dreps`
+    /// hyperperiods forward in job coordinates (compression
+    /// fast-forward).
+    pub(crate) fn shift(&mut self, dt: Time, dreps: i64) {
         for q in self.chi.values_mut() {
             for f in q {
                 f.enqueued += dt;

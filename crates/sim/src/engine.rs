@@ -1,13 +1,16 @@
-//! The simulation engine: a component-based discrete-event kernel.
+//! The simulation engine: a discrete-event kernel over a closed set of
+//! wake-up handlers.
 //!
-//! The engine executes a [`System`] against a static [`ScheduleTable`]
-//! for a number of hyperperiods and reports the observed response time
-//! of every activity. It is composed of [`crate::component`]s — one CPU
-//! per node, an activation releaser, the static segment and the
-//! dynamic-segment arbiter — woken from a time-ordered queue whose
-//! same-instant ordering policy is documented in [`crate::event`].
+//! The engine executes a [`System`](flexray_model::System) against a
+//! static [`ScheduleTable`] for a number of hyperperiods and reports the
+//! observed response time of every activity. It owns one [`Cpu`] per
+//! node and one [`DynSegment`] arbiter per cluster; activations, SCS
+//! starts and finishes and ST deliveries need no state of their own and
+//! go to the [`Kernel`]. [`Engine::dispatch`] is the one place a wake-up
+//! meets its handler, in the same-instant order the crate docs lay
+//! down.
 //!
-//! Two features sit on top of the component structure:
+//! Two features sit on top of the dispatch:
 //!
 //! * **Fuzzed execution orders** ([`ExecutionOrder::Fuzzed`]): the
 //!   mutual order of same-instant wake-ups *within one phase* is not
@@ -17,20 +20,20 @@
 //!   span length)`. Phase boundaries — the causal backbone — are never
 //!   crossed. [`ExecutionOrder::Canonical`] (the default) services
 //!   wake-ups in queue order: time, then [`Signal::order_key`], then
-//!   component, pinned by `tests/sim_pin.rs`.
+//!   cluster, pinned by `tests/sim_pin.rs`.
 //! * **Hyperperiod compression** ([`SimConfig::compress`], default on):
 //!   at every hyperperiod boundary the engine fingerprints its complete
 //!   boundary-normalised state; when a boundary state recurs, the run
 //!   between the two boundaries is a proven cycle and the engine
 //!   fast-forwards over all whole repetitions of it, relocating the
-//!   queue and component state instead of re-simulating. The comparison
-//!   is exact (word-stream equality, no hashing), so a compressed run
-//!   reports identical responses, counts and violations to an
-//!   uncompressed one.
+//!   queue, CPU and arbiter state instead of re-simulating. The
+//!   comparison is exact (word-stream equality, no hashing), so a
+//!   compressed run reports identical responses, counts and violations
+//!   to an uncompressed one.
 
-use crate::component::{Component, CpuComponent, DynSegment, Releaser, StaticSegment};
 use crate::cpu::Cpu;
-use crate::event::{Entry, EventQueue, JobRef, Signal};
+use crate::dyn_segment::DynSegment;
+use crate::event::{Entry, EventQueue, Immediate, JobRef, Signal};
 use crate::kernel::{JobStore, Kernel};
 use flexray_analysis::{Availability, LatestTxPolicy, ScheduleTable};
 use flexray_model::{mix_words, ActivityId, Fingerprint, ModelError, SplitMix64, SystemView, Time};
@@ -39,7 +42,7 @@ use std::collections::HashMap;
 /// How same-instant, same-phase wake-ups are ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionOrder {
-    /// The canonical order: time, then `order_key`, then component.
+    /// The canonical order: time, then `order_key`, then cluster.
     Canonical,
     /// Deterministically permuted per-batch order derived from `seed`.
     /// Two runs with the same `(system, config, seed)` are identical.
@@ -124,8 +127,9 @@ impl SimReport {
 ///
 /// # Errors
 ///
-/// Propagates model errors (hyperperiod overflow, malformed graphs,
-/// job-index overflow).
+/// [`ModelError::InvalidConfig`] if `cfg.reps` is below 1; propagates
+/// model errors (hyperperiod overflow, malformed graphs, job-index
+/// overflow).
 pub fn simulate<'a>(
     sys: impl Into<SystemView<'a>>,
     table: &'a ScheduleTable,
@@ -167,7 +171,10 @@ struct Engine<'a> {
     cfg: SimConfig,
     horizon: Time,
     kernel: Kernel<'a>,
-    components: Vec<Box<dyn Component + 'a>>,
+    /// One CPU per node, in node order.
+    cpus: Vec<Cpu>,
+    /// One dynamic-segment arbiter per cluster, in cluster order.
+    dyns: Vec<DynSegment<'a>>,
     /// Queue wake-ups serviced so far.
     wakeups: u64,
 }
@@ -178,8 +185,14 @@ impl<'a> Engine<'a> {
         table: &'a ScheduleTable,
         cfg: SimConfig,
     ) -> Result<Self, ModelError> {
+        if cfg.reps < 1 {
+            return Err(ModelError::InvalidConfig(format!(
+                "reps must be at least 1, got {}",
+                cfg.reps
+            )));
+        }
         let horizon = sys.hyperperiod()?;
-        let limit = horizon.saturating_mul(cfg.reps.max(1).saturating_mul(LIMIT_FACTOR));
+        let limit = horizon.saturating_mul(cfg.reps.saturating_mul(LIMIT_FACTOR));
         let jobs = JobStore::new(sys, horizon)?;
         let mut kernel = Kernel::new(sys, horizon, limit, jobs);
 
@@ -219,37 +232,35 @@ impl<'a> Engine<'a> {
             cycle_infos.push(cycle_info);
         }
 
-        let mut components: Vec<Box<dyn Component + 'a>> = Vec::new();
-        for node in sys.platform.nodes() {
-            let avail = Availability::new(horizon, table.busy_windows(node));
-            components.push(Box::new(CpuComponent::new(node.index(), Cpu::new(avail))));
-        }
-        components.push(Box::new(Releaser::new(kernel.releaser_id())));
-        components.push(Box::new(StaticSegment::new(kernel.static_id())));
+        let cpus = sys
+            .platform
+            .nodes()
+            .map(|node| Cpu::new(Availability::new(horizon, table.busy_windows(node))))
+            .collect();
         let wakeups = table_wakeups(&kernel, table, &cycle_infos)?;
         kernel.queue = EventQueue::with_template(horizon, wakeups);
-        for (c, info) in cycle_infos.into_iter().enumerate() {
-            #[allow(clippy::cast_possible_truncation)] // n_clusters bounded by u16
-            let c = c as u16;
-            components.push(Box::new(DynSegment::new(
-                sys.focused_cluster(c),
-                kernel.dyn_id(c),
-                cfg.latest_tx,
-                info,
-            )));
-        }
+        let dyns = cycle_infos
+            .into_iter()
+            .enumerate()
+            .map(|(c, info)| {
+                #[allow(clippy::cast_possible_truncation)] // n_clusters bounded by u16
+                let c = c as u16;
+                DynSegment::new(sys.focused_cluster(c), c, cfg.latest_tx, info)
+            })
+            .collect();
 
         Ok(Engine {
             cfg,
             horizon,
             kernel,
-            components,
+            cpus,
+            dyns,
             wakeups: 0,
         })
     }
 
     fn run(mut self) -> SimReport {
-        let reps = self.cfg.reps.max(1);
+        let reps = self.cfg.reps;
         let per_rep = self.kernel.jobs.per_rep() as usize;
         let total_jobs = per_rep * usize::try_from(reps).unwrap_or(usize::MAX);
         let mut history: Option<HashMap<Vec<u64>, (i64, usize)>> =
@@ -318,7 +329,7 @@ impl<'a> Engine<'a> {
         match self.cfg.order {
             ExecutionOrder::Canonical => {
                 // The queue pops in canonical order: time, then
-                // `order_key`, then component.
+                // `order_key`, then cluster.
                 while let Some(e) = self.kernel.queue.pop_before(bound) {
                     self.dispatch(e);
                 }
@@ -367,12 +378,53 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Wakes the target component, then drains the immediate FIFO.
+    /// Services one wake-up at its handler, then drains the immediates
+    /// it raised, in the order they were raised.
     fn dispatch(&mut self, e: Entry) {
         self.wakeups += 1;
-        self.components[e.cid.0].wake(e.time, e.signal, &mut self.kernel);
-        while let Some((cid, sig)) = self.kernel.immediates.pop_front() {
-            self.components[cid.0].wake(e.time, sig, &mut self.kernel);
+        let now = e.time;
+        let kernel = &mut self.kernel;
+        match e.signal {
+            Signal::Activate { job } => kernel.resolve_dependency(job, now),
+            Signal::ScsStart { job } => kernel.audit_start(job, now),
+            Signal::ScsFinish { job } | Signal::DynDelivery { job } => kernel.complete(job, now),
+            Signal::StDelivery { job } => {
+                kernel.audit_delivery(job, now);
+                kernel.complete(job, now);
+            }
+            Signal::FpsCompletion { node, version } => {
+                let (finished, next) = self.cpus[node].complete(now, version, kernel.limit);
+                if let Some(job) = finished {
+                    kernel.complete(job, now);
+                }
+                kernel.schedule_completion(node, next);
+            }
+            Signal::DynSlot {
+                cluster,
+                rep,
+                cycle,
+                fid,
+                counter,
+            } => self.dyns[usize::from(cluster)].dyn_slot(now, kernel, rep, cycle, fid, counter),
+        }
+        while let Some(imm) = self.kernel.immediates.pop_front() {
+            match imm {
+                Immediate::FpsArrive {
+                    node,
+                    job,
+                    priority,
+                    wcet,
+                } => {
+                    let p = self.cpus[node].arrive(now, job, priority, wcet, self.kernel.limit);
+                    self.kernel.schedule_completion(node, p);
+                }
+                Immediate::ChiEnqueue {
+                    cluster,
+                    fid,
+                    job,
+                    priority,
+                } => self.dyns[usize::from(cluster)].enqueue(now, fid, job, priority),
+            }
         }
     }
 
@@ -433,18 +485,21 @@ impl<'a> Engine<'a> {
     }
 
     /// The complete, boundary-normalised engine state at hyperperiod
-    /// boundary `b_rep` (time `boundary`): job store, every component,
-    /// then the pending queue.
+    /// boundary `b_rep` (time `boundary`): job store, the CPUs in node
+    /// order, the arbiters in cluster order, then the pending queue.
     fn boundary_fingerprint(&mut self, b_rep: i64, boundary: Time) -> Fingerprint {
         let mut fp = Fingerprint::new();
         self.kernel.jobs.fingerprint_into(b_rep, boundary, &mut fp);
-        for c in &mut self.components {
-            c.fingerprint_into(boundary, b_rep, &mut fp);
+        for cpu in &mut self.cpus {
+            fp.push(0xF1A6_0002);
+            cpu.fingerprint_into(boundary, b_rep, &mut fp);
+        }
+        for d in &self.dyns {
+            d.fingerprint_into(boundary, b_rep, &mut fp);
         }
         fp.push(0xF1A6_0004);
         for e in self.kernel.queue.snapshot_sorted() {
             fp.push_time(e.time - boundary);
-            fp.push_usize(e.cid.0);
             let key = e.signal.order_key();
             fp.push(key[0]);
             match e.signal {
@@ -462,21 +517,20 @@ impl<'a> Engine<'a> {
                     // Versions are monotone counters; two equivalent
                     // boundary states differ in their absolute values,
                     // so fingerprint the staleness instead.
-                    fp.push_i64(self.components[node].version_delta(version));
+                    fp.push_i64(self.cpus[node].version_delta(version));
                 }
                 Signal::DynSlot {
+                    cluster,
                     rep,
                     cycle,
                     fid,
                     counter,
                 } => {
+                    fp.push(u64::from(cluster));
                     fp.push_i64(rep - b_rep);
                     fp.push(u64::from(cycle));
                     fp.push(u64::from(fid));
                     fp.push(u64::from(counter));
-                }
-                Signal::FpsArrive { .. } | Signal::ChiEnqueue { .. } => {
-                    debug_assert!(false, "immediate signal in the queue");
                 }
             }
         }
@@ -484,14 +538,17 @@ impl<'a> Engine<'a> {
     }
 
     /// Relocates the whole engine `dreps` hyperperiods forward: queue
-    /// entries, component state and job coordinates. Exact because
+    /// entries, CPU and arbiter state and job coordinates. Exact because
     /// every periodic structure (availability, cycle layout, seeding)
     /// repeats with the hyperperiod.
     fn fast_forward(&mut self, dreps: i64) {
         let dt = self.horizon.saturating_mul(dreps);
         self.kernel.queue.shift(dt, dreps);
-        for c in &mut self.components {
-            c.shift(dt, dreps);
+        for cpu in &mut self.cpus {
+            cpu.shift(dt, dreps);
+        }
+        for d in &mut self.dyns {
+            d.shift(dt, dreps);
         }
         self.kernel.jobs.shift(dreps);
     }
@@ -508,8 +565,7 @@ fn table_wakeups(
 ) -> Result<Vec<Entry>, ModelError> {
     let sys = kernel.sys;
     let mut wakeups = Vec::new();
-    let mut push = |time, cid, signal| wakeups.push(Entry { time, cid, signal });
-    let releaser = kernel.releaser_id();
+    let mut push = |time, signal| wakeups.push(Entry { time, signal });
     for id in sys.app.ids() {
         let act = u32::try_from(id.index())
             .map_err(|_| ModelError::InvalidConfig("activity index out of range".into()))?;
@@ -517,22 +573,17 @@ fn table_wakeups(
         let period = sys.app.period_of(id);
         for k in 0..kernel.jobs.iph(act as usize) {
             let job = JobRef { act, rep: 0, k };
-            push(
-                period * i64::from(k) + release,
-                releaser,
-                Signal::Activate { job },
-            );
+            push(period * i64::from(k) + release, Signal::Activate { job });
         }
     }
-    let static_id = kernel.static_id();
     for e in table.tasks() {
         let job = table_job(sys, e.activity, e.instance)?;
-        push(e.start, static_id, Signal::ScsStart { job });
-        push(e.finish, static_id, Signal::ScsFinish { job });
+        push(e.start, Signal::ScsStart { job });
+        push(e.finish, Signal::ScsFinish { job });
     }
     for e in table.messages() {
         let job = table_job(sys, e.activity, e.instance)?;
-        push(e.slot_end, static_id, Signal::StDelivery { job });
+        push(e.slot_end, Signal::StDelivery { job });
     }
     for (cluster, info) in cycle_infos.iter().enumerate() {
         #[allow(clippy::cast_possible_truncation)] // n_clusters bounded by u16
@@ -540,18 +591,18 @@ fn table_wakeups(
         if sys.bus_of_cluster(cluster).dyn_slot_count() == 0 {
             continue;
         }
-        let dyn_id = kernel.dyn_id(cluster);
         for (c, &(dyn_start, eff)) in info.iter().enumerate() {
             if eff > 0 {
                 #[allow(clippy::cast_possible_truncation)] // length checked in new()
                 let cycle = c as u32;
                 let head = Signal::DynSlot {
+                    cluster,
                     rep: 0,
                     cycle,
                     fid: 1,
                     counter: 1,
                 };
-                push(dyn_start, dyn_id, head);
+                push(dyn_start, head);
             }
         }
     }
@@ -770,6 +821,19 @@ mod tests {
         // 2 reps: fast has 4 jobs, slow has 2 -> 6 total
         assert_eq!(report.total_jobs, 6);
         assert!(report.is_clean());
+        // fewer than one hyperperiod is refused, naming the value
+        for reps in [0, -3] {
+            let cfg = SimConfig {
+                reps,
+                ..SimConfig::default()
+            };
+            match simulate_configured(&sys, &cfg) {
+                Err(ModelError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(&format!("got {reps}")), "{msg}");
+                }
+                other => panic!("reps={reps} was not refused: {other:?}"),
+            }
+        }
     }
 
     fn configured(order: ExecutionOrder, reps: i64, compress: bool) -> SimConfig {

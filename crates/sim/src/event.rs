@@ -1,30 +1,6 @@
-//! Discrete-event machinery: component wake-ups with an explicit,
-//! documented same-instant ordering policy.
-//!
-//! # Same-instant ordering policy
-//!
-//! All wake-ups scheduled for the same instant are serviced in four
-//! *phases*, in this normative order:
-//!
-//! 1. [`Phase::Deliver`] — everything that *finishes* at `t` becomes
-//!    visible: SCS task finishes, ST frame deliveries, DYN frame
-//!    deliveries, FPS completion projections. A frame finishing exactly
-//!    when a dynamic slot starts is in the CHI buffer for that slot.
-//! 2. [`Phase::Release`] — activation tokens for jobs released at `t`.
-//! 3. [`Phase::Audit`] — SCS task *starts* are audited against the
-//!    readiness the first two phases established.
-//! 4. [`Phase::Arbitrate`] — dynamic slot boundaries arbitrate over the
-//!    CHI contents that the `Deliver` phase completed.
-//!
-//! The phase order encodes protocol causality and is **never** fuzzed.
-//! *Within* a phase the canonical order is by [`Signal::order_key`]
-//! (kind, then activity/instance coordinates), then by component (two
-//! clusters' dynamic slots can share every coordinate, so the order is
-//! total); `tests/sim_pin.rs` pins the reports this order produces. A
-//! fuzzed run permutes each within-phase span with a
-//! deterministic, stateless permutation instead (see `engine`), because
-//! the protocol does not specify the mutual order of same-instant
-//! wake-ups inside one phase.
+//! Discrete-event machinery: the wake-up payloads, their canonical
+//! same-instant order (see the crate docs for the policy) and the
+//! time-ordered queue.
 
 use flexray_model::Time;
 use std::cmp::{Ordering, Reverse};
@@ -36,23 +12,18 @@ use std::collections::BinaryHeap;
 /// The derived order — activity-major, then hyperperiod, then instance
 /// — is the canonical tie-break wherever jobs must be ranked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct JobRef {
+pub(crate) struct JobRef {
     /// Activity index ([`flexray_model::ActivityId::index`]).
-    pub act: u32,
+    pub(crate) act: u32,
     /// Hyperperiod index (0-based).
-    pub rep: i64,
+    pub(crate) rep: i64,
     /// Activation index within the hyperperiod (0-based).
-    pub k: u32,
+    pub(crate) k: u32,
 }
 
-/// Identity of a component: its index in the engine's component table
-/// (one CPU per node, then releaser, static segment, dynamic segment).
+/// Same-instant service phase (see the crate docs for the policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ComponentId(pub usize);
-
-/// Same-instant service phase (see the module docs for the policy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// Completions and deliveries become visible.
     Deliver,
     /// Activation tokens are released.
@@ -63,15 +34,11 @@ pub enum Phase {
     Arbitrate,
 }
 
-/// A component wake-up payload.
-///
-/// The first seven kinds travel through the time-ordered queue; the
-/// last two are *immediate signals* — zero-latency cross-component
-/// notifications a wake-up emits through the kernel, serviced before
-/// the next queued wake-up and never reordered (they model synchronous
-/// intra-instant causality, not simultaneity).
+/// A queued wake-up payload. Its kind names its handler: the kernel
+/// for job bookkeeping, `FpsCompletion` the CPU of its node, `DynSlot`
+/// the arbiter of its cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Signal {
+pub(crate) enum Signal {
     /// An SCS task instance finishes (table-driven).
     ScsFinish {
         /// The finishing job.
@@ -107,6 +74,8 @@ pub enum Signal {
     },
     /// The dynamic slot with the given frame identifier begins.
     DynSlot {
+        /// Cluster whose dynamic segment the slot belongs to.
+        cluster: u16,
         /// Hyperperiod the cycle belongs to.
         rep: i64,
         /// Communication-cycle index within the hyperperiod.
@@ -116,8 +85,18 @@ pub enum Signal {
         /// Minislot counter value at the slot boundary (1-based).
         counter: u32,
     },
-    /// Immediate: a ready FPS job arrives at its node CPU.
+}
+
+/// A zero-latency notification a wake-up raises through the kernel.
+/// Immediates drain FIFO after each wake-up, before the next queued
+/// one, and are never reordered: they model synchronous intra-instant
+/// causality, not simultaneity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Immediate {
+    /// A ready FPS job arrives at its node CPU.
     FpsArrive {
+        /// The node whose CPU runs the job.
+        node: usize,
         /// The ready job.
         job: JobRef,
         /// FPS priority.
@@ -125,8 +104,10 @@ pub enum Signal {
         /// Worst-case execution time.
         wcet: Time,
     },
-    /// Immediate: a ready DYN frame enters its CHI send buffer.
+    /// A ready DYN frame enters its CHI send buffer.
     ChiEnqueue {
+        /// The cluster whose arbiter holds the buffer.
+        cluster: u16,
         /// Frame identifier the message is assigned to.
         fid: u16,
         /// The ready message job.
@@ -144,7 +125,7 @@ impl Signal {
     /// hyperperiod and instance (or the slot's hyperperiod, cycle,
     /// frame id and minislot counter).
     #[must_use]
-    pub fn order_key(&self) -> [u64; 5] {
+    pub(crate) fn order_key(&self) -> [u64; 5] {
         #[allow(clippy::cast_sign_loss)] // reps are non-negative
         fn job_key(rank: u64, job: &JobRef) -> [u64; 5] {
             [
@@ -168,6 +149,7 @@ impl Signal {
                 cycle,
                 fid,
                 counter,
+                ..
             } => [
                 6,
                 *rep as u64,
@@ -175,14 +157,22 @@ impl Signal {
                 u64::from(*fid),
                 u64::from(*counter),
             ],
-            // Immediate signals never enter the queue.
-            Signal::FpsArrive { .. } | Signal::ChiEnqueue { .. } => [7, 0, 0, 0, 0],
+        }
+    }
+
+    /// The last tie-break of the canonical order: the cluster of a
+    /// dynamic slot (two clusters' slots can share every `order_key`
+    /// coordinate); 0 for every other kind, whose key names its handler.
+    fn cluster(&self) -> u16 {
+        match self {
+            Signal::DynSlot { cluster, .. } => *cluster,
+            _ => 0,
         }
     }
 
     /// The service phase of this signal.
     #[must_use]
-    pub fn phase(&self) -> Phase {
+    pub(crate) fn phase(&self) -> Phase {
         match self.order_key()[0] {
             0..=3 => Phase::Deliver,
             4 => Phase::Release,
@@ -192,7 +182,7 @@ impl Signal {
     }
 
     /// The signal relocated `dreps` hyperperiods forward (its
-    /// hyperperiod coordinates; CPU versions and immediates carry none).
+    /// hyperperiod coordinates; CPU versions carry none).
     #[must_use]
     pub(crate) fn shifted(self, dreps: i64) -> Signal {
         let bump = |j: JobRef| JobRef {
@@ -206,38 +196,36 @@ impl Signal {
             Signal::Activate { job } => Signal::Activate { job: bump(job) },
             Signal::ScsStart { job } => Signal::ScsStart { job: bump(job) },
             Signal::DynSlot {
+                cluster,
                 rep,
                 cycle,
                 fid,
                 counter,
             } => Signal::DynSlot {
+                cluster,
                 rep: rep + dreps,
                 cycle,
                 fid,
                 counter,
             },
-            Signal::FpsCompletion { .. } | Signal::FpsArrive { .. } | Signal::ChiEnqueue { .. } => {
-                self
-            }
+            Signal::FpsCompletion { .. } => self,
         }
     }
 }
 
-/// A scheduled wake-up: when, whom, and with what payload.
+/// A scheduled wake-up: when, and with what payload.
 ///
-/// Wake-ups are totally ordered by `(time, order key, component)`: the
-/// component breaks the one tie the key leaves, two clusters' dynamic
+/// Wake-ups are totally ordered by `(time, order key, cluster)`: the
+/// cluster breaks the one tie the key leaves, two clusters' dynamic
 /// slots with equal coordinates at one instant. Entries equal in that
 /// order are identical, so the service order never depends on how the
 /// queue stores them.
 #[derive(Debug, Clone, Copy)]
-pub struct Entry {
+pub(crate) struct Entry {
     /// Absolute wake-up time.
-    pub time: Time,
-    /// The component to wake.
-    pub cid: ComponentId,
+    pub(crate) time: Time,
     /// The payload.
-    pub signal: Signal,
+    pub(crate) signal: Signal,
 }
 
 impl Entry {
@@ -246,7 +234,6 @@ impl Entry {
     fn shifted(&self, dt: Time, dreps: i64) -> Entry {
         Entry {
             time: self.time + dt,
-            cid: self.cid,
             signal: self.signal.shifted(dreps),
         }
     }
@@ -270,7 +257,8 @@ impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Times almost always differ: build the order keys only on a tie.
         self.time.cmp(&other.time).then_with(|| {
-            (self.signal.order_key(), self.cid).cmp(&(other.signal.order_key(), other.cid))
+            let key = |e: &Entry| (e.signal.order_key(), e.signal.cluster());
+            key(self).cmp(&key(other))
         })
     }
 }
@@ -303,7 +291,7 @@ struct Cursor {
 /// at or past the hyperperiod boundary, so more than one cursor can be
 /// live.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     horizon: Time,
     template: Vec<Entry>,
     /// One per seeded hyperperiod with template entries left, oldest
@@ -315,7 +303,7 @@ pub struct EventQueue {
 impl EventQueue {
     /// An empty queue without table-driven wake-ups.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue::default()
     }
 
@@ -346,18 +334,9 @@ impl EventQueue {
         }
     }
 
-    /// Schedules a wake-up of `cid` with `signal` at absolute time
-    /// `at`.
-    pub fn push(&mut self, at: Time, cid: ComponentId, signal: Signal) {
-        debug_assert!(
-            !matches!(signal, Signal::FpsArrive { .. } | Signal::ChiEnqueue { .. }),
-            "immediate signals do not enter the queue"
-        );
-        self.heap.push(Reverse(Entry {
-            time: at,
-            cid,
-            signal,
-        }));
+    /// Schedules a wake-up with `signal` at absolute time `at`.
+    pub(crate) fn push(&mut self, at: Time, signal: Signal) {
+        self.heap.push(Reverse(Entry { time: at, signal }));
     }
 
     /// Where the least pending wake-up sits, the heap top (`None`) or
@@ -390,7 +369,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest wake-up.
-    pub fn pop(&mut self) -> Option<Entry> {
+    pub(crate) fn pop(&mut self) -> Option<Entry> {
         let (from, _) = self.least()?;
         self.take(from)
     }
@@ -406,14 +385,15 @@ impl EventQueue {
 
     /// Time of the earliest pending wake-up.
     #[must_use]
-    pub fn peek_time(&self) -> Option<Time> {
+    pub(crate) fn peek_time(&self) -> Option<Time> {
         let heads = self.cursors.iter().map(|c| c.head.time);
         heads.chain(self.heap.peek().map(|Reverse(e)| e.time)).min()
     }
 
     /// Number of pending wake-ups.
+    #[cfg(test)]
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let table: usize = self
             .cursors
             .iter()
@@ -423,8 +403,9 @@ impl EventQueue {
     }
 
     /// `true` when no wake-ups remain.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.cursors.is_empty() && self.heap.is_empty()
     }
 
@@ -447,7 +428,7 @@ impl EventQueue {
     /// A sorted snapshot of every pending wake-up (used for state
     /// fingerprints).
     #[must_use]
-    pub fn snapshot_sorted(&self) -> Vec<Entry> {
+    pub(crate) fn snapshot_sorted(&self) -> Vec<Entry> {
         let mut v: Vec<Entry> = self.heap.iter().map(|Reverse(e)| *e).collect();
         for c in &self.cursors {
             let pending = self.template[c.next..].iter();
@@ -474,10 +455,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        let c = ComponentId(0);
-        q.push(Time::from_us(5.0), c, Signal::Activate { job: job(1) });
-        q.push(Time::from_us(1.0), c, Signal::Activate { job: job(2) });
-        q.push(Time::from_us(3.0), c, Signal::Activate { job: job(3) });
+        q.push(Time::from_us(5.0), Signal::Activate { job: job(1) });
+        q.push(Time::from_us(1.0), Signal::Activate { job: job(2) });
+        q.push(Time::from_us(3.0), Signal::Activate { job: job(3) });
         let order: Vec<_> = std::iter::from_fn(|| q.pop())
             .map(|e| e.time.as_us())
             .collect();
@@ -487,19 +467,9 @@ mod tests {
     #[test]
     fn same_time_orders_deliveries_before_dyn_slots() {
         let mut q = EventQueue::new();
-        let c = ComponentId(0);
         let t = Time::from_us(10.0);
-        q.push(
-            t,
-            c,
-            Signal::DynSlot {
-                rep: 0,
-                cycle: 0,
-                fid: 1,
-                counter: 1,
-            },
-        );
-        q.push(t, c, Signal::DynDelivery { job: job(0) });
+        q.push(t, dyn_head(0));
+        q.push(t, Signal::DynDelivery { job: job(0) });
         let first = q.pop().expect("first");
         assert!(matches!(first.signal, Signal::DynDelivery { .. }));
     }
@@ -520,16 +490,7 @@ mod tests {
         }
         assert_eq!(Signal::Activate { job: job(0) }.phase(), Phase::Release);
         assert_eq!(Signal::ScsStart { job: job(0) }.phase(), Phase::Audit);
-        assert_eq!(
-            Signal::DynSlot {
-                rep: 0,
-                cycle: 0,
-                fid: 1,
-                counter: 1
-            }
-            .phase(),
-            Phase::Arbitrate
-        );
+        assert_eq!(dyn_head(0).phase(), Phase::Arbitrate);
         assert!(Phase::Deliver < Phase::Release);
         assert!(Phase::Release < Phase::Audit);
         assert!(Phase::Audit < Phase::Arbitrate);
@@ -556,12 +517,8 @@ mod tests {
     fn len_and_empty_and_snapshot() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.push(Time::ZERO, ComponentId(0), Signal::Activate { job: job(0) });
-        q.push(
-            Time::ZERO,
-            ComponentId(1),
-            Signal::ScsFinish { job: job(1) },
-        );
+        q.push(Time::ZERO, Signal::Activate { job: job(0) });
+        q.push(Time::ZERO, Signal::ScsFinish { job: job(1) });
         assert_eq!(q.len(), 2);
         let snap = q.snapshot_sorted();
         // deliveries sort before activations at the same instant
@@ -571,8 +528,9 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    fn dyn_head() -> Signal {
+    fn dyn_head(cluster: u16) -> Signal {
         Signal::DynSlot {
+            cluster,
             rep: 0,
             cycle: 0,
             fid: 1,
@@ -581,26 +539,29 @@ mod tests {
     }
 
     #[test]
-    fn simultaneous_dyn_slots_of_two_clusters_pop_in_component_order() {
-        // Equal time and order key: only the component tells the two
+    fn simultaneous_dyn_slots_of_two_clusters_pop_in_cluster_order() {
+        // Equal time and order key: only the cluster tells the
         // clusters' slots apart, whatever order they were pushed in.
         let t = Time::from_us(10.0);
-        for cids in [[3, 2, 4], [4, 3, 2], [2, 4, 3]] {
+        let cluster_of = |e: Entry| match e.signal {
+            Signal::DynSlot { cluster, .. } => cluster,
+            _ => unreachable!("only dynamic slots were pushed"),
+        };
+        for clusters in [[1, 0, 2], [2, 1, 0], [0, 2, 1]] {
             let mut q = EventQueue::new();
-            for c in cids {
-                q.push(t, ComponentId(c), dyn_head());
+            for c in clusters {
+                q.push(t, dyn_head(c));
             }
-            let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|e| e.cid.0).collect();
-            assert_eq!(order, vec![2, 3, 4], "pushed as {cids:?}");
+            let order: Vec<u16> = std::iter::from_fn(|| q.pop()).map(cluster_of).collect();
+            assert_eq!(order, vec![0, 1, 2], "pushed as {clusters:?}");
         }
         let a = Entry {
             time: t,
-            cid: ComponentId(2),
-            signal: dyn_head(),
+            signal: dyn_head(0),
         };
         assert!(
             a < Entry {
-                cid: ComponentId(3),
+                signal: dyn_head(1),
                 ..a
             }
         );
@@ -626,6 +587,8 @@ mod tests {
             4 => Signal::Activate { job },
             5 => Signal::ScsStart { job },
             _ => Signal::DynSlot {
+                #[allow(clippy::cast_possible_truncation)] // draws below 3
+                cluster: rng.next_below(3) as u16,
                 rep,
                 #[allow(clippy::cast_possible_truncation)]
                 cycle: rng.next_below(2) as u32,
@@ -652,7 +615,6 @@ mod tests {
                     let kind = [0, 1, 4, 5, 6][rng.next_below(5)];
                     Entry {
                         time: at(&mut rng, 24),
-                        cid: ComponentId(rng.next_below(3)),
                         signal: random_signal(&mut rng, kind, 0),
                     }
                 })
@@ -671,10 +633,9 @@ mod tests {
                     let kind = [2, 3, 6][rng.next_below(3)];
                     let e = Entry {
                         time: off + at(&mut rng, 30),
-                        cid: ComponentId(rng.next_below(3)),
                         signal: random_signal(&mut rng, kind, rep),
                     };
-                    q.push(e.time, e.cid, e.signal);
+                    q.push(e.time, e.signal);
                     reference.push(e);
                 }
                 assert_eq!(q.len(), reference.len());
@@ -704,8 +665,8 @@ mod tests {
             assert_eq!(popped.len(), expected.len(), "seed {seed}");
             for (got, want) in popped.iter().zip(&expected) {
                 assert_eq!(
-                    (got.time, got.cid, got.signal),
-                    (want.time, want.cid, want.signal),
+                    (got.time, got.signal),
+                    (want.time, want.signal),
                     "seed {seed}"
                 );
             }

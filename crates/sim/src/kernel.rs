@@ -1,12 +1,13 @@
-//! Shared simulation state: the windowed job store and the kernel the
-//! components mutate through.
+//! Shared simulation state: the windowed job store and the kernel every
+//! wake-up handler mutates.
 //!
-//! The kernel is deliberately thin: it owns what *every* component
+//! The kernel is deliberately thin: it owns what *every* handler
 //! touches — job readiness/completion, the wake-up queue, the immediate
-//! signal FIFO, responses and violations — while protocol state (CPU
-//! ready lists, CHI buffers) lives inside the owning component.
+//! FIFO, responses and violations — while protocol state (CPU ready
+//! lists, CHI buffers) lives in the engine's CPUs and arbiters.
 
-use crate::event::{ComponentId, EventQueue, JobRef, Signal};
+use crate::cpu::Projected;
+use crate::event::{EventQueue, Immediate, JobRef, Signal};
 use flexray_model::{
     ActivityId, ActivityKind, Fingerprint, MessageClass, ModelError, SchedPolicy, SystemView, Time,
 };
@@ -245,17 +246,17 @@ impl JobStore {
     }
 }
 
-/// The state shared across components, threaded through every wake-up.
+/// The state shared across handlers, threaded through every wake-up.
 pub(crate) struct Kernel<'a> {
     pub(crate) sys: SystemView<'a>,
     pub(crate) horizon: Time,
     /// CPU-starvation guard (see [`crate::engine::LIMIT_FACTOR`]).
     pub(crate) limit: Time,
     pub(crate) queue: EventQueue,
-    /// Zero-latency cross-component signals, drained FIFO after each
-    /// wake-up, in the order they were raised: they act as synchronous
-    /// calls between components and are never fuzzed.
-    pub(crate) immediates: VecDeque<(ComponentId, Signal)>,
+    /// Zero-latency notifications, drained FIFO after each wake-up, in
+    /// the order they were raised: they act as synchronous calls
+    /// between handlers and are never fuzzed.
+    pub(crate) immediates: VecDeque<Immediate>,
     pub(crate) jobs: JobStore,
     pub(crate) responses: Vec<Option<Time>>,
     pub(crate) completed: usize,
@@ -263,7 +264,6 @@ pub(crate) struct Kernel<'a> {
     /// relative to the hyperperiod so that compressed and fuzzed runs
     /// produce canonical, comparable reports.
     pub(crate) violations: BTreeSet<String>,
-    n_nodes: usize,
 }
 
 impl<'a> Kernel<'a> {
@@ -279,35 +279,21 @@ impl<'a> Kernel<'a> {
             responses: vec![None; n],
             completed: 0,
             violations: BTreeSet::new(),
-            n_nodes: sys.platform.nodes().count(),
         }
     }
 
-    /// Component id of a node CPU.
-    pub(crate) fn cpu_id(&self, node: usize) -> ComponentId {
-        ComponentId(node)
-    }
-
-    /// Component id of the activation releaser.
-    pub(crate) fn releaser_id(&self) -> ComponentId {
-        ComponentId(self.n_nodes)
-    }
-
-    /// Component id of the static segment.
-    pub(crate) fn static_id(&self) -> ComponentId {
-        ComponentId(self.n_nodes + 1)
-    }
-
-    /// Component id of cluster `c`'s dynamic-segment arbiter (one per
-    /// cluster; cluster 0 is the single-bus arbiter).
-    pub(crate) fn dyn_id(&self, cluster: u16) -> ComponentId {
-        ComponentId(self.n_nodes + 2 + cluster as usize)
+    /// Schedules the completion `p` projected by the CPU of `node`.
+    pub(crate) fn schedule_completion(&mut self, node: usize, p: Projected) {
+        if let Some(at) = p.at {
+            let version = p.version;
+            self.queue.push(at, Signal::FpsCompletion { node, version });
+        }
     }
 
     /// One dependency (activation token or predecessor) of `job`
-    /// resolved at `t`. When the job becomes ready, the component
-    /// responsible for executing it is notified through an immediate
-    /// signal; SCS tasks and ST messages follow the table and need no
+    /// resolved at `t`. When the job becomes ready, the CPU or arbiter
+    /// responsible for executing it is notified through an immediate;
+    /// SCS tasks and ST messages follow the table and need no
     /// notification (their readiness is only audited).
     pub(crate) fn resolve_dependency(&mut self, job: JobRef, t: Time) {
         if !self.jobs.resolve_one(job, t) {
@@ -317,26 +303,21 @@ impl<'a> Kernel<'a> {
         let id = ActivityId::new(job.act as usize);
         match &sys.app.activity(id).kind {
             ActivityKind::Task(spec) if spec.policy == SchedPolicy::Fps => {
-                let node = spec.node.index();
-                self.immediates.push_back((
-                    self.cpu_id(node),
-                    Signal::FpsArrive {
-                        job,
-                        priority: spec.priority,
-                        wcet: spec.wcet,
-                    },
-                ));
+                self.immediates.push_back(Immediate::FpsArrive {
+                    node: spec.node.index(),
+                    job,
+                    priority: spec.priority,
+                    wcet: spec.wcet,
+                });
             }
             ActivityKind::Message(spec) if spec.class == MessageClass::Dynamic => {
                 if let Some(fid) = sys.bus_of(id).frame_id_of(id) {
-                    self.immediates.push_back((
-                        self.dyn_id(sys.cluster_of(id)),
-                        Signal::ChiEnqueue {
-                            fid: fid.number(),
-                            job,
-                            priority: spec.priority,
-                        },
-                    ));
+                    self.immediates.push_back(Immediate::ChiEnqueue {
+                        cluster: sys.cluster_of(id),
+                        fid: fid.number(),
+                        job,
+                        priority: spec.priority,
+                    });
                 }
             }
             _ => {}

@@ -21,15 +21,49 @@
 //! `flexray-analysis` — the cross-check the integration tests and
 //! property tests perform.
 //!
-//! The engine is component-based: each node CPU, the activation
-//! releaser, the static segment and the dynamic-segment arbiter are
-//! separate components woken from a time-ordered queue with an
-//! explicit, documented same-instant ordering policy (see [`event`]).
-//! On top of that structure sit seeded **fuzzed execution orders**
+//! The engine is one dispatch over a closed set of handlers: every
+//! wake-up drawn from the time-ordered queue names its handler by its
+//! kind. Activation tokens, SCS starts and finishes and ST deliveries
+//! go to the shared job bookkeeping, an FPS completion to the CPU of
+//! its node, a dynamic slot to the dynamic-segment arbiter of its
+//! cluster. Same-instant wake-ups follow the explicit policy below. On
+//! top of the dispatch sit seeded **fuzzed execution orders**
 //! ([`ExecutionOrder`]) for exploring the unspecified mutual order of
 //! simultaneous events, and exact **hyperperiod compression**
 //! ([`SimConfig::compress`]) that detects repeating boundary states and
 //! fast-forwards over proven cycles.
+//!
+//! ## Same-instant ordering policy
+//!
+//! All wake-ups scheduled for the same instant are serviced in four
+//! *phases*, in this normative order:
+//!
+//! 1. **Deliver** — everything that *finishes* at `t` becomes visible:
+//!    SCS task finishes, ST frame deliveries, DYN frame deliveries, FPS
+//!    completion projections. A frame finishing exactly when a dynamic
+//!    slot starts is in the CHI buffer for that slot.
+//! 2. **Release** — activation tokens for jobs released at `t`.
+//! 3. **Audit** — SCS task *starts* are audited against the readiness
+//!    the first two phases established.
+//! 4. **Arbitrate** — dynamic slot boundaries arbitrate over the CHI
+//!    contents that the Deliver phase completed.
+//!
+//! The phase order encodes protocol causality and is **never** fuzzed.
+//! *Within* a phase the canonical order is by kind, then by the
+//! activity/instance coordinates (a dynamic slot's hyperperiod, cycle,
+//! frame id and minislot counter), then by cluster (two clusters'
+//! dynamic slots can share every coordinate, so the order is total);
+//! `tests/sim_pin.rs` pins the reports this order produces. A fuzzed
+//! run permutes each within-phase span with a deterministic, stateless
+//! permutation instead ([`ExecutionOrder::Fuzzed`]), because the
+//! protocol does not specify the mutual order of same-instant wake-ups
+//! inside one phase.
+//!
+//! A wake-up may raise *immediates* — a ready FPS job arriving at its
+//! CPU, a ready DYN frame entering its CHI buffer. They are zero-latency
+//! notifications, drained in the order they were raised before the
+//! next queued wake-up, and never reordered: they model synchronous
+//! intra-instant causality, not simultaneity.
 //!
 //! ## Example
 //!
@@ -56,14 +90,12 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-mod component;
 mod cpu;
+mod dyn_segment;
 mod engine;
-pub mod event;
+mod event;
 mod kernel;
 
-pub use cpu::{Cpu, Projected};
 pub use engine::{
     simulate, simulate_configured, simulate_default, ExecutionOrder, SimConfig, SimReport,
 };
-pub use event::{ComponentId, EventQueue, JobRef, Phase, Signal};

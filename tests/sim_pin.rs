@@ -64,7 +64,7 @@ const SIM_PINS: [SimPin; 21] = [
 /// with the pre-template queue; so were the wake-ups except the
 /// canonical 3-cluster pair. The old heap broke the tie between two
 /// clusters' simultaneous dynamic slots arbitrarily and needed 4771 and
-/// 791 wake-ups there. The total order (component id last) serves the
+/// 791 wake-ups there. The total order (cluster last) serves the
 /// lower cluster first and needs 4783 and 793 for identical reports.
 type NetPin = ((usize, usize, u64), u64, [u64; 6]);
 
