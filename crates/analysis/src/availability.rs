@@ -92,24 +92,10 @@ impl Availability {
         self.horizon
     }
 
-    /// Total busy time per hyperperiod.
-    #[must_use]
-    pub fn busy_per_period(&self) -> Time {
-        self.horizon - self.free
-    }
-
     /// Total free time per hyperperiod.
     #[must_use]
     pub fn free_per_period(&self) -> Time {
         self.free
-    }
-
-    /// Whether the instant `t` (taken modulo the horizon) is free.
-    #[must_use]
-    pub fn is_free(&self, t: Time) -> bool {
-        let t = t % self.horizon;
-        let t = if t.is_negative() { t + self.horizon } else { t };
-        !self.windows.iter().any(|w| w.start <= t && t < w.end)
     }
 
     /// Earliest start `s ≥ from` of a contiguous free interval of length
@@ -266,17 +252,7 @@ mod tests {
     #[test]
     fn budget_accounting() {
         let a = avail();
-        assert_eq!(a.busy_per_period(), us(30.0));
         assert_eq!(a.free_per_period(), us(70.0));
-    }
-
-    #[test]
-    fn is_free_wraps_periodically() {
-        let a = avail();
-        assert!(a.is_free(us(5.0)));
-        assert!(!a.is_free(us(15.0)));
-        assert!(!a.is_free(us(115.0)));
-        assert!(a.is_free(us(135.0)));
     }
 
     #[test]
@@ -370,7 +346,6 @@ mod tests {
     fn idle_node_is_trivially_free() {
         let a = Availability::idle(us(10.0));
         assert_eq!(a.advance(us(3.0), us(100.0), us(10_000.0)), Some(us(103.0)));
-        assert!(a.is_free(us(7.0)));
         assert_eq!(a.critical_instants().collect::<Vec<_>>(), vec![Time::ZERO]);
     }
 }

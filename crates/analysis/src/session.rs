@@ -881,13 +881,6 @@ impl AnalysisSession {
         Ok(self.state.cost)
     }
 
-    /// The fixed bus configurations of clusters `1..` (empty for a
-    /// single-bus session).
-    #[must_use]
-    pub fn extra_buses(&self) -> &[BusConfig] {
-        &self.extra_buses
-    }
-
     /// The per-activity home-cluster map (empty for a single-bus
     /// session).
     #[must_use]

@@ -10,7 +10,7 @@
 //! 3. **DYN interference mode** — greedy vs per-cycle-optimal filled
 //!    cycle maximisation (analysis pessimism vs run time).
 
-use flexray_analysis::{analyse, AnalysisConfig, DynAnalysisMode, ScsPlacement};
+use flexray_analysis::{analyse, Analysis, AnalysisConfig, DynAnalysisMode, ScsPlacement};
 use flexray_gen::{generate, Generated, GeneratorConfig};
 use flexray_model::{BusConfig, MessageClass, ModelError, PhyParams, System};
 use flexray_opt::{bbc_skeleton, identity_frame_ids, Evaluator};
@@ -43,6 +43,64 @@ fn mid_dyn_bus(generated: &Generated) -> BusConfig {
     bus
 }
 
+/// One variant of an ablation: its row label, the bus it analyses
+/// (derived from the application's mid-DYN BBC bus) and the analysis
+/// configuration.
+struct Variant {
+    label: &'static str,
+    bus: fn(&Generated, BusConfig) -> BusConfig,
+    cfg: AnalysisConfig,
+}
+
+/// The mid-DYN BBC bus as it is.
+fn same_bus(_: &Generated, bus: BusConfig) -> BusConfig {
+    bus
+}
+
+/// Analyses every variant on `n` generated `nodes`-node applications
+/// (seeds `seed0..`), averaging the row `metric`, the schedulable count
+/// and the analysis wall-clock per variant.
+fn ablate(
+    nodes: usize,
+    seed0: u64,
+    n: usize,
+    variants: &[Variant],
+    metric: fn(&System, &Analysis) -> f64,
+) -> Result<Vec<AblationRow>, ModelError> {
+    let cfg = GeneratorConfig::paper(nodes);
+    let mut rows: Vec<AblationRow> = variants
+        .iter()
+        .map(|v| AblationRow {
+            label: v.label.into(),
+            avg_cost: 0.0,
+            schedulable: 0,
+            avg_time_us: 0.0,
+        })
+        .collect();
+    for seed in 0..n as u64 {
+        let generated = generate(&cfg, seed0 + seed)?;
+        let bus = mid_dyn_bus(&generated);
+        for (row, variant) in rows.iter_mut().zip(variants) {
+            let sys = System {
+                platform: generated.platform.clone(),
+                app: generated.app.clone(),
+                bus: (variant.bus)(&generated, bus.clone()),
+            };
+            let t0 = Instant::now();
+            let analysis = analyse(&sys, &variant.cfg)?;
+            row.avg_time_us += t0.elapsed().as_micros() as f64 / n as f64;
+            row.avg_cost += metric(&sys, &analysis) / n as f64;
+            row.schedulable += usize::from(analysis.cost.is_schedulable());
+        }
+    }
+    Ok(rows)
+}
+
+/// The global cost (Eq. 5) of an analysis.
+fn cost(_: &System, analysis: &Analysis) -> f64 {
+    analysis.cost.value()
+}
+
 /// Ablation 1: criticality-ordered vs identity frame identifiers, over
 /// `n` generated 3-node applications.
 ///
@@ -50,38 +108,22 @@ fn mid_dyn_bus(generated: &Generated) -> BusConfig {
 ///
 /// Propagates generator errors.
 pub fn frame_id_ablation(n: usize) -> Result<Vec<AblationRow>, ModelError> {
-    let cfg = GeneratorConfig::paper(3);
-    let mut rows = vec![
-        AblationRow {
-            label: "criticality ids (BBC rule)".into(),
-            avg_cost: 0.0,
-            schedulable: 0,
-            avg_time_us: 0.0,
+    let variants = [
+        Variant {
+            label: "criticality ids (BBC rule)",
+            bus: same_bus,
+            cfg: AnalysisConfig::default(),
         },
-        AblationRow {
-            label: "identity ids".into(),
-            avg_cost: 0.0,
-            schedulable: 0,
-            avg_time_us: 0.0,
+        Variant {
+            label: "identity ids",
+            bus: |generated, mut bus| {
+                bus.frame_ids = identity_frame_ids(&generated.app).into_iter().collect();
+                bus
+            },
+            cfg: AnalysisConfig::default(),
         },
     ];
-    for seed in 0..n as u64 {
-        let generated = generate(&cfg, 9000 + seed)?;
-        let bus_crit = mid_dyn_bus(&generated);
-        let mut bus_ident = bus_crit.clone();
-        bus_ident.frame_ids = identity_frame_ids(&generated.app).into_iter().collect();
-        for (row, bus) in rows.iter_mut().zip([&bus_crit, &bus_ident]) {
-            let sys = System {
-                platform: generated.platform.clone(),
-                app: generated.app.clone(),
-                bus: bus.clone(),
-            };
-            let analysis = analyse(&sys, &AnalysisConfig::default())?;
-            row.avg_cost += analysis.cost.value() / n as f64;
-            row.schedulable += usize::from(analysis.cost.is_schedulable());
-        }
-    }
-    Ok(rows)
+    ablate(3, 9000, n, &variants, cost)
 }
 
 /// Ablation 2: SCS placement policy, over `n` generated applications.
@@ -90,43 +132,19 @@ pub fn frame_id_ablation(n: usize) -> Result<Vec<AblationRow>, ModelError> {
 ///
 /// Propagates generator errors.
 pub fn placement_ablation(n: usize) -> Result<Vec<AblationRow>, ModelError> {
-    let cfg = GeneratorConfig::paper(3);
+    let variant = |label, scs_placement| Variant {
+        label,
+        bus: same_bus,
+        cfg: AnalysisConfig {
+            scs_placement,
+            ..AnalysisConfig::default()
+        },
+    };
     let variants = [
-        ("asap placement", ScsPlacement::Asap),
-        ("fps-aware placement", ScsPlacement::MinimiseFpsImpact),
+        variant("asap placement", ScsPlacement::Asap),
+        variant("fps-aware placement", ScsPlacement::MinimiseFpsImpact),
     ];
-    let mut rows: Vec<AblationRow> = variants
-        .iter()
-        .map(|(label, _)| AblationRow {
-            label: (*label).into(),
-            avg_cost: 0.0,
-            schedulable: 0,
-            avg_time_us: 0.0,
-        })
-        .collect();
-    for seed in 0..n as u64 {
-        let generated = generate(&cfg, 9500 + seed)?;
-        let bus = mid_dyn_bus(&generated);
-        let sys = System {
-            platform: generated.platform.clone(),
-            app: generated.app.clone(),
-            bus,
-        };
-        for (row, (_, placement)) in rows.iter_mut().zip(&variants) {
-            let t0 = Instant::now();
-            let analysis = analyse(
-                &sys,
-                &AnalysisConfig {
-                    scs_placement: *placement,
-                    ..AnalysisConfig::default()
-                },
-            )?;
-            row.avg_time_us += t0.elapsed().as_micros() as f64 / n as f64;
-            row.avg_cost += analysis.cost.value() / n as f64;
-            row.schedulable += usize::from(analysis.cost.is_schedulable());
-        }
-    }
-    Ok(rows)
+    ablate(3, 9500, n, &variants, cost)
 }
 
 /// Ablation 3: greedy vs exact DYN interference mode (pessimism and run
@@ -136,52 +154,28 @@ pub fn placement_ablation(n: usize) -> Result<Vec<AblationRow>, ModelError> {
 ///
 /// Propagates generator errors.
 pub fn dyn_mode_ablation(n: usize) -> Result<Vec<AblationRow>, ModelError> {
-    let cfg = GeneratorConfig::paper(4);
+    let variant = |label, dyn_mode| Variant {
+        label,
+        bus: same_bus,
+        cfg: AnalysisConfig {
+            dyn_mode,
+            ..AnalysisConfig::default()
+        },
+    };
     let variants = [
-        ("greedy filled-cycles", DynAnalysisMode::Greedy),
-        ("exact filled-cycles", DynAnalysisMode::Exact),
+        variant("greedy filled-cycles", DynAnalysisMode::Greedy),
+        variant("exact filled-cycles", DynAnalysisMode::Exact),
     ];
-    let mut rows: Vec<AblationRow> = variants
-        .iter()
-        .map(|(label, _)| AblationRow {
-            label: (*label).into(),
-            avg_cost: 0.0,
-            schedulable: 0,
-            avg_time_us: 0.0,
-        })
-        .collect();
-    for seed in 0..n as u64 {
-        let generated = generate(&cfg, 9900 + seed)?;
-        let bus = mid_dyn_bus(&generated);
-        let sys = System {
-            platform: generated.platform.clone(),
-            app: generated.app.clone(),
-            bus,
-        };
-        for (row, (_, mode)) in rows.iter_mut().zip(&variants) {
-            let t0 = Instant::now();
-            let analysis = analyse(
-                &sys,
-                &AnalysisConfig {
-                    dyn_mode: *mode,
-                    ..AnalysisConfig::default()
-                },
-            )?;
-            row.avg_time_us += t0.elapsed().as_micros() as f64 / n as f64;
-            // average DYN response instead of global cost: the knob only
-            // touches dynamic messages
-            let dyn_mean: f64 = {
-                let msgs: Vec<_> = sys.app.messages_of_class(MessageClass::Dynamic).collect();
-                msgs.iter()
-                    .map(|&m| analysis.response(m).as_us())
-                    .sum::<f64>()
-                    / msgs.len().max(1) as f64
-            };
-            row.avg_cost += dyn_mean / n as f64;
-            row.schedulable += usize::from(analysis.cost.is_schedulable());
-        }
-    }
-    Ok(rows)
+    // average DYN response instead of global cost: the knob only
+    // touches dynamic messages
+    let dyn_mean = |sys: &System, analysis: &Analysis| {
+        let msgs: Vec<_> = sys.app.messages_of_class(MessageClass::Dynamic).collect();
+        msgs.iter()
+            .map(|&m| analysis.response(m).as_us())
+            .sum::<f64>()
+            / msgs.len().max(1) as f64
+    };
+    ablate(4, 9900, n, &variants, dyn_mean)
 }
 
 /// Renders one ablation as a table.

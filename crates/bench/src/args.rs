@@ -21,13 +21,17 @@
 //! | `algos=` | yes | yes | | |
 //! | `orders=` `reps=` `compress=on\|off` | | | | yes |
 //! | `out=FILE` | yes | | | yes |
-//! | `csv=FILE` `resume=FILE` | yes | | | |
+//! | `csv=FILE` | yes | | | |
 //!
 //! `sweep` is the grid grammar restricted to exactly one axis. `fig9`
 //! is the preset [`fig9::grid`]: a node-count grid over the paper
 //! configuration, seeded by node count. `eval_threads=` applies after
 //! `mode=` whatever their order, since `mode=` replaces the optimiser
 //! parameters wholesale.
+//!
+//! The `ablation`, `fig7` and `cruise` binaries take one optional
+//! positional argument instead, read by [`positional`] just as
+//! strictly: a malformed or out-of-range token is an error naming it.
 //!
 //! [`Plan`] holds the one per-kind dispatch of the daemon's units→points
 //! [`engine`](crate::engine) jobs: solve a unit, fold a point, write
@@ -83,7 +87,7 @@ impl Kind {
     #[must_use]
     pub fn keys(self) -> Vec<&'static str> {
         let own = match self {
-            Kind::Grid => "nodes depth gateway busutil clusters workload algos out csv resume",
+            Kind::Grid => "nodes depth gateway busutil clusters workload algos out csv",
             Kind::Sweep => "nodes depth gateway busutil clusters algos",
             Kind::Fig9 => "nodes",
             Kind::Fuzz => "nodes depth gateway busutil orders reps compress out",
@@ -201,8 +205,8 @@ impl Unit {
     }
 }
 
-/// Parsed arguments: the plan plus the report paths of the `out=`,
-/// `csv=` and `resume=` keys.
+/// Parsed arguments: the plan plus the report paths of the `out=` and
+/// `csv=` keys.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// The execution plan.
@@ -211,8 +215,6 @@ pub struct Args {
     pub out: Option<String>,
     /// `csv=FILE`: where the CSV projection goes.
     pub csv: Option<String>,
-    /// `resume=FILE`: the partial report to resume from.
-    pub resume: Option<String>,
 }
 
 fn invalid(msg: String) -> ModelError {
@@ -268,7 +270,7 @@ pub fn parse<S: AsRef<str>>(kind: Kind, tokens: &[S]) -> Result<Args, ModelError
         Kind::Fig9 => fig9::grid(vec![2, 3, 4, 5]),
         Kind::Fuzz => fuzz.grid.clone(),
     };
-    let (mut out, mut csv, mut resume) = (None, None, None);
+    let (mut out, mut csv) = (None, None);
     let mut eval_threads = None;
     for token in tokens {
         let token = token.as_ref();
@@ -321,7 +323,6 @@ pub fn parse<S: AsRef<str>>(kind: Kind, tokens: &[S]) -> Result<Args, ModelError
             }
             "out" => out = Some(value.to_owned()),
             "csv" => csv = Some(value.to_owned()),
-            "resume" => resume = Some(value.to_owned()),
             _ => unreachable!("Kind::keys lists only the keys matched here"),
         }
     }
@@ -351,12 +352,7 @@ pub fn parse<S: AsRef<str>>(kind: Kind, tokens: &[S]) -> Result<Args, ModelError
     } else {
         Plan::Grid(Box::new(cfg))
     };
-    Ok(Args {
-        plan,
-        out,
-        csv,
-        resume,
-    })
+    Ok(Args { plan, out, csv })
 }
 
 /// [`parse`] over the process arguments, for the harness binaries: a
@@ -366,6 +362,54 @@ pub fn parse_env_or_exit(kind: Kind) -> Args {
     let tokens: Vec<String> = std::env::args().skip(1).collect();
     parse(kind, &tokens).unwrap_or_else(|e| {
         eprintln!("{}: {e}", kind.name());
+        std::process::exit(2)
+    })
+}
+
+/// The one optional positional argument of the `ablation`, `fig7` and
+/// `cruise` binaries, named `what` in errors: `default` without a
+/// token, else the token parsed.
+///
+/// # Errors
+///
+/// Returns [`ModelError::InvalidConfig`] naming the token when it does
+/// not parse or `valid` rejects it, or naming the second token when
+/// there is more than one.
+pub fn positional<T: std::str::FromStr, S: AsRef<str>>(
+    what: &str,
+    tokens: &[S],
+    default: T,
+    valid: fn(&T) -> bool,
+) -> Result<T, ModelError> {
+    match tokens {
+        [] => Ok(default),
+        [token] => {
+            let token = token.as_ref();
+            token
+                .parse()
+                .ok()
+                .filter(valid)
+                .ok_or_else(|| invalid(format!("invalid value '{token}' for {what}")))
+        }
+        [_, extra, ..] => Err(invalid(format!(
+            "unexpected argument '{}' (takes at most one, {what})",
+            extra.as_ref()
+        ))),
+    }
+}
+
+/// [`positional`] over the process arguments of binary `bin`: a
+/// malformed token prints `<bin>: <error>` and exits with status 2.
+#[must_use]
+pub fn positional_env_or_exit<T: std::str::FromStr>(
+    bin: &str,
+    what: &str,
+    default: T,
+    valid: fn(&T) -> bool,
+) -> T {
+    let tokens: Vec<String> = std::env::args().skip(1).collect();
+    positional(what, &tokens, default, valid).unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}");
         std::process::exit(2)
     })
 }
@@ -386,6 +430,7 @@ mod tests {
             (Kind::Grid, &["nodes=2", "apps=x"], "'x'"),
             (Kind::Grid, &["nodes=2", "bogus=1"], "'bogus'"),
             (Kind::Grid, &["nodes=2", "orders=1"], "'orders'"),
+            (Kind::Grid, &["nodes=2", "resume=r.jsonl"], "'resume'"),
             (Kind::Grid, &["nodes=2,zero"], "'2,zero'"),
             (Kind::Grid, &["depth=0,1"], "'0,1'"),
             (Kind::Sweep, &["depth=3,0"], "'3,0'"),
@@ -421,6 +466,28 @@ mod tests {
                 "{} {tokens:?}: error does not name {needle}: {err}",
                 kind.name()
             );
+        }
+    }
+
+    #[test]
+    fn positional_arguments_are_strict() {
+        let count = |tokens: &[&str]| positional("n_apps", tokens, 5usize, |&n| n > 0);
+        assert_eq!(count(&[]).expect("default"), 5);
+        assert_eq!(count(&["3"]).expect("parses"), 3);
+        for (tokens, needle) in [
+            (&["abc"][..], "'abc'"),
+            (&["0"], "'0'"),
+            (&["-1"], "'-1'"),
+            (&["3", "4"], "'4'"),
+        ] {
+            let err = count(tokens).expect_err(&format!("accepted {tokens:?}"));
+            assert!(err.to_string().contains(needle), "{tokens:?}: {err}");
+        }
+        let wcet =
+            |token: &str| positional("wcet_us", &[token], 150.0f64, |w| w.is_finite() && *w > 0.0);
+        assert_eq!(wcet("180").expect("parses"), 180.0);
+        for token in ["abc", "0", "-5", "inf", "NaN"] {
+            assert!(wcet(token).is_err(), "accepted {token}");
         }
     }
 
@@ -468,7 +535,6 @@ mod tests {
                 "algos=sa,bbc",
                 "out=g.jsonl",
                 "csv=g.csv",
-                "resume=old.jsonl",
             ],
         )
         .expect("parses");
@@ -478,7 +544,6 @@ mod tests {
         assert_eq!(cfg.algos, vec![Algo::Sa, Algo::Bbc]);
         assert_eq!(args.out.as_deref(), Some("g.jsonl"));
         assert_eq!(args.csv.as_deref(), Some("g.csv"));
-        assert_eq!(args.resume.as_deref(), Some("old.jsonl"));
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Runs the ablation studies for the reproduction's design choices.
 //!
-//! Usage: `ablation [n_apps]` (default 5)
+//! Usage: `ablation [n_apps]` (default 5). A malformed or zero
+//! `n_apps` exits 2 naming it.
 
 use flexray_bench::ablation::{dyn_mode_ablation, frame_id_ablation, placement_ablation, render};
+use flexray_bench::args::positional_env_or_exit;
 
 fn main() {
-    let n = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+    let n = positional_env_or_exit("ablation", "n_apps", 5usize, |&n| n > 0);
     let run = || -> Result<(), flexray_model::ModelError> {
         println!(
             "{}",

@@ -17,7 +17,8 @@
 //!
 //! `check` and `roundtrip` exit non-zero on any malformed input, with
 //! the parser's line-numbered error on stderr — which makes them the
-//! CI smoke test for the interchange format.
+//! CI smoke test for the interchange format. A malformed `export`
+//! argument exits 2 naming it.
 
 use flexray_bench::workload::Workload;
 use flexray_gen::{generate, GeneratorConfig};
@@ -27,6 +28,14 @@ fn usage_exit() -> ! {
         "usage: workload export [nodes=N] [clusters=K] [seed=S] [out=FILE]\n\
                 workload check FILE\n\
                 workload roundtrip FILE"
+    );
+    std::process::exit(2);
+}
+
+fn bad_export_arg(arg: &str) -> ! {
+    eprintln!(
+        "workload: invalid export argument '{arg}' (takes nodes=N with N >= 2, \
+         clusters=K with K >= 1, seed=S, out=FILE)"
     );
     std::process::exit(2);
 }
@@ -80,14 +89,14 @@ fn main() {
             let mut out: Option<String> = None;
             for arg in &args[1..] {
                 let Some((key, value)) = arg.split_once('=') else {
-                    usage_exit()
+                    bad_export_arg(arg)
                 };
                 match (key, value.parse::<u64>()) {
                     ("nodes", Ok(n)) if n >= 2 => nodes = n as usize,
                     ("clusters", Ok(k)) if k >= 1 => clusters = k as usize,
                     ("seed", Ok(s)) => seed = s,
                     ("out", _) => out = Some(value.to_owned()),
-                    _ => usage_exit(),
+                    _ => bad_export_arg(arg),
                 }
             }
             let cfg = if clusters > 1 {

@@ -292,25 +292,24 @@ pub fn run_plan<U: Send, E: Send, X>(
     }
 }
 
-/// Runs one job whose points are flagged in `done` over `threads`
-/// workers: `solve(point, app)` computes a unit, and `point(p, units)`
-/// sees every point before the first failing unit, in point order —
-/// `units` is `None` for a done point.
+/// Runs one job of `points` points over `threads` workers:
+/// `solve(point, app)` computes a unit, and `point(p, units)` sees
+/// every point before the first failing unit, in point order.
 ///
 /// # Errors
 ///
 /// Returns the first failing unit's error, in unit order.
 pub fn run_job<U: Send, E: Send>(
-    done: Vec<bool>,
+    points: usize,
     units_per_point: usize,
     threads: usize,
     solve: impl Fn(usize, usize) -> Result<U, E> + Sync,
-    mut point: impl FnMut(usize, Option<Vec<U>>),
+    mut point: impl FnMut(usize, Vec<U>),
 ) -> Result<(), E> {
     let mut result = Ok(());
     let jobs = [Job {
         units_per_point,
-        done,
+        done: vec![false; points],
     }];
     let Ok(_) = run_plan(
         &jobs,
@@ -323,7 +322,7 @@ pub fn run_job<U: Send, E: Send>(
                 Step::Start(_) => {}
                 Step::Point {
                     point: p, units, ..
-                } => point(p, units),
+                } => point(p, units.expect("no point is done")),
                 Step::End { result: r, .. } => result = r,
             }
             Ok::<(), std::convert::Infallible>(())

@@ -438,12 +438,12 @@ where
     let specs = grid.point_specs()?;
     let mut points = Vec::with_capacity(specs.len());
     run_job(
-        vec![false; specs.len()],
+        specs.len(),
         grid.apps_per_point,
         grid.threads,
         |p, app| fuzz_app(cfg, &specs[p], app, grid.seed(p, app)),
         |p, outcomes| {
-            let point = FuzzPoint::from_apps(&specs[p], outcomes.expect("no point is done"));
+            let point = FuzzPoint::from_apps(&specs[p], outcomes);
             sink(&point);
             points.push(point);
         },

@@ -15,7 +15,7 @@
 //! are grids too: a one-axis grid, and the node-count preset
 //! [`fig9::grid`](crate::fig9::grid). The `fuzz` campaign enumerates
 //! and seeds its points by a grid as well, and runs on the same engine
-//! as [`run_grid_resumed`].
+//! as [`run_grid_streamed`].
 //!
 //! # Determinism and ordering
 //!
@@ -24,18 +24,18 @@
 //! `p` is seeded by [`SeedPolicy`] (by default `seed0 + 1000·p + i`,
 //! the sweep convention). Each unit is generated and optimised
 //! independently and merged by index, so every deterministic output is
-//! identical for any worker-thread count and any resume split; only
-//! measured wall-clock times vary.
+//! identical for any worker-thread count; only measured wall-clock
+//! times vary.
 //!
-//! # Streaming and resume
+//! # Streaming
 //!
-//! [`run_grid_resumed`] emits every finished [`GridPoint`] to a sink
+//! [`run_grid_streamed`] emits every finished [`GridPoint`] to a sink
 //! callback *in point order* while later points are still being solved
 //! (a reorder buffer holds out-of-order completions), which is what the
-//! `grid` binary streams to its JSON-lines report. Passing the points
-//! recovered from a partial report skips exactly those points; the
-//! engine re-emits them to the sink in place, so the final report of a
-//! killed-and-resumed run equals a full run's.
+//! `grid` binary streams to its JSON-lines report. A grid that must
+//! survive a kill runs as a `flexray-serve` job instead: the daemon
+//! journals each point and replays the journal on restart, on the same
+//! units→points engine.
 
 use crate::engine::run_job;
 use crate::sweep::{aggregate_algos, Algo, AlgoStats, SweepAxis};
@@ -311,8 +311,8 @@ pub struct GridPoint {
 
 impl GridPoint {
     /// Equality over the deterministic fields — everything except the
-    /// measured wall-clock times — the invariant any parallel or
-    /// resumed run must preserve against a serial full run.
+    /// measured wall-clock times — the invariant any parallel run
+    /// must preserve against a serial one.
     #[must_use]
     pub fn deterministic_eq(&self, other: &GridPoint) -> bool {
         self.index == other.index
@@ -335,7 +335,7 @@ impl GridPoint {
 pub type AppRun = (Vec<OptResult>, GenStats);
 
 /// Generates and solves application `app` of grid point `spec` — the
-/// single work unit of a grid, in [`run_grid_resumed`] and in
+/// single work unit of a grid, in [`run_grid_streamed`] and in
 /// [`Plan::solve_unit`](crate::args::Plan::solve_unit). The seed
 /// follows [`GridConfig::seed`].
 ///
@@ -414,14 +414,13 @@ impl GridPoint {
 ///
 /// # Errors
 ///
-/// See [`run_grid_resumed`].
+/// See [`run_grid_streamed`].
 pub fn run_grid(cfg: &GridConfig) -> Result<Vec<GridPoint>, ModelError> {
-    run_grid_resumed(cfg, Vec::new(), |_| {})
+    run_grid_streamed(cfg, |_| {})
 }
 
-/// Runs the grid, skipping the `done` points recovered from a partial
-/// report, and emits every point (recovered or computed) to `sink` in
-/// point order as soon as its prefix is complete.
+/// Runs the whole grid like [`run_grid`], and emits every point to
+/// `sink` in point order as soon as its prefix is complete.
 ///
 /// Work units are `(point, application)` pairs fanned out over the
 /// shared work-stealing pool, so long-running points overlap with their
@@ -433,73 +432,25 @@ pub fn run_grid(cfg: &GridConfig) -> Result<Vec<GridPoint>, ModelError> {
 /// # Errors
 ///
 /// Propagates grid validation ([`GridConfig::validate`]), per-point
-/// generator-configuration validation, generation errors, and rejects
-/// `done` points that do not belong to this grid (index out of range,
-/// label mismatch, duplicate, or wrong algorithm set).
-pub fn run_grid_resumed<S>(
-    cfg: &GridConfig,
-    done: Vec<GridPoint>,
-    mut sink: S,
-) -> Result<Vec<GridPoint>, ModelError>
+/// generator-configuration validation and generation errors.
+pub fn run_grid_streamed<S>(cfg: &GridConfig, mut sink: S) -> Result<Vec<GridPoint>, ModelError>
 where
     S: FnMut(&GridPoint),
 {
     let specs = cfg.point_specs()?;
-    let total = specs.len();
-    let names: Vec<&str> = cfg.algos.iter().map(|a| a.name()).collect();
-
-    let mut slots: Vec<Option<GridPoint>> = vec![None; total];
-    for point in done {
-        if point.index >= total {
-            return Err(ModelError::InvalidConfig(format!(
-                "resume point {} out of range for a {total}-point grid",
-                point.index
-            )));
-        }
-        if point.label != specs[point.index].label {
-            return Err(ModelError::InvalidConfig(format!(
-                "resume point {} is labelled '{}' but this grid expects '{}'",
-                point.index, point.label, specs[point.index].label
-            )));
-        }
-        if point.algos.len() != names.len()
-            || point
-                .algos
-                .iter()
-                .zip(&names)
-                .any(|((n, _), want)| n != want)
-        {
-            return Err(ModelError::InvalidConfig(format!(
-                "resume point {} carries a different algorithm set",
-                point.index
-            )));
-        }
-        if slots[point.index].is_some() {
-            return Err(ModelError::InvalidConfig(format!(
-                "duplicate resume point {}",
-                point.index
-            )));
-        }
-        let index = point.index;
-        slots[index] = Some(point);
-    }
-
+    let mut points = Vec::with_capacity(specs.len());
     run_job(
-        slots.iter().map(Option::is_some).collect(),
+        specs.len(),
         cfg.apps_per_point,
         cfg.threads,
         |p, app| solve_app(cfg, &specs[p], app),
         |p, runs| {
-            if let Some(runs) = runs {
-                slots[p] = Some(GridPoint::from_apps(cfg, &specs[p], runs));
-            }
-            sink(slots[p].as_ref().expect("a point is done or computed"));
+            let point = GridPoint::from_apps(cfg, &specs[p], runs);
+            sink(&point);
+            points.push(point);
         },
     )?;
-    Ok(slots
-        .into_iter()
-        .map(|slot| slot.expect("every point is done or computed"))
-        .collect())
+    Ok(points)
 }
 
 /// Renders a grid as one text table: per point and algorithm the
@@ -691,8 +642,7 @@ mod tests {
             ])
         };
         let mut streamed = Vec::new();
-        let points =
-            run_grid_resumed(&cfg, Vec::new(), |p| streamed.push(p.index)).expect("grid runs");
+        let points = run_grid_streamed(&cfg, |p| streamed.push(p.index)).expect("grid runs");
         assert_eq!(points.len(), 4);
         assert_eq!(streamed, vec![0, 1, 2, 3], "sink sees points in order");
         for (p, point) in points.iter().enumerate() {
@@ -747,7 +697,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             cfg.threads = threads;
             let mut streamed = 0usize;
-            let err = run_grid_resumed(&cfg, Vec::new(), |_| streamed += 1).expect_err("fails");
+            let err = run_grid_streamed(&cfg, |_| streamed += 1).expect_err("fails");
             let want = "invalid configuration: node homed on cluster 5, network has 2 clusters";
             assert_eq!(
                 (err.to_string().as_str(), streamed),
@@ -755,25 +705,5 @@ mod tests {
                 "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn resume_rejects_foreign_points() {
-        let cfg = fast_grid(vec![SweepAxis::NodeCount(vec![2, 3])]);
-        let full = run_grid(&cfg).expect("full");
-        // out of range
-        let mut bad = full[0].clone();
-        bad.index = 7;
-        assert!(run_grid_resumed(&cfg, vec![bad], |_| {}).is_err());
-        // label mismatch
-        let mut bad = full[0].clone();
-        bad.label = "nodes=9".into();
-        assert!(run_grid_resumed(&cfg, vec![bad], |_| {}).is_err());
-        // duplicate
-        assert!(run_grid_resumed(&cfg, vec![full[0].clone(), full[0].clone()], |_| {}).is_err());
-        // different algorithm set
-        let mut bad = full[0].clone();
-        bad.algos.pop();
-        assert!(run_grid_resumed(&cfg, vec![bad], |_| {}).is_err());
     }
 }

@@ -3,17 +3,18 @@
 //! The `grid` binary streams one JSON object per line — a header line
 //! describing the grid (schema version, axes, algorithm set, seeds)
 //! followed by one line per completed [`GridPoint`] in point order — so
-//! a killed run leaves a well-formed prefix that
-//! [`from_jsonl`] can recover and
-//! [`run_grid_resumed`](crate::grid::run_grid_resumed) can complete.
-//! The CSV rendering is a flat, spreadsheet-friendly projection of the
+//! a killed run leaves a well-formed prefix. The `flexray-serve`
+//! journal embeds the same point records ([`point_to_json`]) and
+//! replays a killed job to the same report. The CSV rendering is a flat, spreadsheet-friendly projection of the
 //! same records (one row per point × algorithm). The `grid` and `fuzz`
 //! binaries stream their reports through one [`ReportWriter`].
 //!
 //! The build environment has no crates.io access (the workspace links a
 //! no-op `serde` shim, see `vendor/README.md`), so the codec is a small
 //! hand-rolled JSON value type with a writer and a recursive-descent
-//! parser.
+//! parser; the parser and the typed field readers ([`str_field`],
+//! [`count_field`], …) serve the workgraph, job-spec and journal
+//! schemas.
 //!
 //! # Schema stability
 //!
@@ -24,9 +25,7 @@
 
 use crate::args::Kind;
 use crate::grid::{GridConfig, GridPoint};
-use crate::sweep::AlgoStats;
-use flexray_gen::AggregatedGenStats;
-use flexray_model::{ModelError, UtilSummary};
+use flexray_model::ModelError;
 use std::io::Write;
 
 /// Schema identifier carried by every report header.
@@ -388,10 +387,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ModelError> {
 // Header
 // ---------------------------------------------------------------------
 
-/// The grid description carried by the first report line. Resume
-/// compares the recovered header against the current configuration's,
-/// so a partial report can only be completed by the grid that wrote it
-/// (worker-thread count excepted — it does not affect the output).
+/// The grid description carried by the first report line: where the
+/// report came from. Two grids that can write different points have
+/// different headers; the worker-thread count is left out, because it
+/// does not affect the output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridReportHeader {
     /// Record-layout version ([`GRID_SCHEMA_VERSION`]).
@@ -406,10 +405,10 @@ pub struct GridReportHeader {
     pub seed0: u64,
     /// Fingerprint of everything else that shapes the output — the
     /// optimiser/SA parameters, the seed policy and the base generator
-    /// configuration (their debug rendering; equality is all resume
-    /// needs). The rendering lists the configs' fields, so it changes
-    /// whenever a field is added or removed, and `resume=` refuses a
-    /// partial report written before such a change.
+    /// configuration (their debug rendering), plus an imported
+    /// workload's name and fingerprint. The rendering lists the
+    /// configs' fields, so it changes whenever a field is added or
+    /// removed.
     pub params: String,
     /// Number of grid points.
     pub total_points: usize,
@@ -440,8 +439,8 @@ impl GridReportHeader {
                     cfg.params, cfg.sa, cfg.seed_policy, cfg.base
                 );
                 if let Some(source) = &cfg.workload {
-                    // fingerprint, not content: resume only needs to
-                    // detect that the workload changed
+                    // fingerprint, not content: it names the workload
+                    // without embedding it
                     params.push_str(&format!(
                         " | workload={}:{}",
                         source.name,
@@ -493,73 +492,17 @@ impl GridReportHeader {
                 Json::Arr(self.algos.iter().map(|a| Json::Str(a.clone())).collect()),
             ),
             // as a string: u64 seeds beyond 2^53 would round through
-            // the f64 number type and break resume header equality
+            // the f64 number type
             ("seed0".into(), Json::Str(self.seed0.to_string())),
             ("params".into(), Json::Str(self.params.clone())),
             ("total_points".into(), Json::Num(self.total_points as f64)),
         ])
         .write()
     }
-
-    /// Parses a header line.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidConfig`] on malformed JSON, a
-    /// wrong schema identifier, or an unsupported version.
-    pub fn parse(line: &str) -> Result<Self, ModelError> {
-        let json = Json::parse(line)?;
-        let schema = str_field(&json, "schema")?;
-        if schema != GRID_SCHEMA {
-            return Err(ModelError::InvalidConfig(format!(
-                "report schema is '{schema}', expected '{GRID_SCHEMA}'"
-            )));
-        }
-        let version: u32 = count_field(&json, "version")?;
-        if version != GRID_SCHEMA_VERSION {
-            return Err(ModelError::InvalidConfig(format!(
-                "report schema version {version} unsupported (this build writes \
-                 {GRID_SCHEMA_VERSION})"
-            )));
-        }
-        let axes = arr_field(&json, "axes")?
-            .iter()
-            .map(|axis| {
-                let name = str_field(axis, "name")?.to_owned();
-                let values = arr_field(axis, "values")?
-                    .iter()
-                    .map(|v| {
-                        v.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| malformed("axis value is not a string"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok((name, values))
-            })
-            .collect::<Result<Vec<_>, ModelError>>()?;
-        Ok(GridReportHeader {
-            version,
-            axes,
-            apps_per_point: count_field(&json, "apps_per_point")?,
-            algos: arr_field(&json, "algos")?
-                .iter()
-                .map(|a| {
-                    a.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| malformed("algorithm name is not a string"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            seed0: str_field(&json, "seed0")?
-                .parse()
-                .map_err(|_| malformed("field 'seed0' is not an integer string"))?,
-            params: str_field(&json, "params")?.to_owned(),
-            total_points: count_field(&json, "total_points")?,
-        })
-    }
 }
 
-/// A "malformed record" error — shared by every JSONL schema built on
-/// this codec (`flexray-grid`, `flexray-fuzz`, the `flexray-serve` job
+/// A "malformed record" error — shared by every JSONL schema this codec
+/// parses (the workgraph interchange format, the `flexray-serve` job
 /// and journal schemas).
 #[must_use]
 pub fn malformed(msg: &str) -> ModelError {
@@ -575,18 +518,6 @@ pub fn malformed(msg: &str) -> ModelError {
 pub fn field<'a>(json: &'a Json, key: &str) -> Result<&'a Json, ModelError> {
     json.get(key)
         .ok_or_else(|| malformed(&format!("missing field '{key}'")))
-}
-
-/// Number member `key` of an object.
-///
-/// # Errors
-///
-/// Returns [`ModelError::InvalidConfig`] when the field is missing or
-/// not a number.
-pub fn num_field(json: &Json, key: &str) -> Result<f64, ModelError> {
-    field(json, key)?
-        .as_f64()
-        .ok_or_else(|| malformed(&format!("field '{key}' is not a number")))
 }
 
 /// `json` as a count: a non-negative integer no larger than 2^53, the
@@ -721,74 +652,6 @@ pub fn point_to_json(point: &GridPoint) -> Json {
     ])
 }
 
-/// Parses one grid-point report line.
-///
-/// # Errors
-///
-/// Returns [`ModelError::InvalidConfig`] on malformed JSON or a missing
-/// or mistyped field.
-pub fn point_from_line(line: &str) -> Result<GridPoint, ModelError> {
-    let json = &Json::parse(line)?;
-    let coords = match field(json, "coords")? {
-        Json::Obj(members) => members
-            .iter()
-            .map(|(name, value)| {
-                value
-                    .as_str()
-                    .map(|v| (name.clone(), v.to_owned()))
-                    .ok_or_else(|| malformed("coordinate value is not a string"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err(malformed("field 'coords' is not an object")),
-    };
-    let gen_json = field(json, "gen")?;
-    let node_util = field(gen_json, "node_util")?;
-    let gen = AggregatedGenStats {
-        apps: count_field(gen_json, "apps")?,
-        avg_tasks: num_field(gen_json, "avg_tasks")?,
-        avg_relay_tasks: num_field(gen_json, "avg_relay_tasks")?,
-        avg_st_messages: num_field(gen_json, "avg_st_messages")?,
-        avg_dyn_messages: num_field(gen_json, "avg_dyn_messages")?,
-        avg_graphs: num_field(gen_json, "avg_graphs")?,
-        node_util: UtilSummary {
-            min: num_field(node_util, "min")?,
-            mean: num_field(node_util, "mean")?,
-            max: num_field(node_util, "max")?,
-        },
-        avg_bus_util: num_field(gen_json, "avg_bus_util")?,
-        depth_histogram: arr_field(gen_json, "depth_histogram")?
-            .iter()
-            .map(|n| {
-                as_count(n)
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| malformed("histogram entry is not a non-negative integer"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let algos = arr_field(json, "algos")?
-        .iter()
-        .map(|algo| {
-            Ok((
-                str_field(algo, "name")?.to_owned(),
-                AlgoStats {
-                    schedulable: count_field(algo, "schedulable")?,
-                    total: count_field(algo, "total")?,
-                    avg_deviation_pct: num_field(algo, "avg_deviation_pct")?,
-                    avg_time_s: num_field(algo, "avg_time_s")?,
-                    avg_evaluations: num_field(algo, "avg_evaluations")?,
-                },
-            ))
-        })
-        .collect::<Result<Vec<_>, ModelError>>()?;
-    Ok(GridPoint {
-        index: count_field(json, "point")?,
-        label: str_field(json, "label")?.to_owned(),
-        coords,
-        algos,
-        gen,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Whole reports
 // ---------------------------------------------------------------------
@@ -807,42 +670,6 @@ pub fn to_jsonl(header: &GridReportHeader, points: &[GridPoint]) -> Result<Strin
         out.push('\n');
     }
     Ok(out)
-}
-
-/// Recovers `(header, completed points)` from a (possibly truncated)
-/// JSON-lines report. A torn final line — the signature of a killed
-/// run — is ignored; malformed lines elsewhere are errors.
-///
-/// # Errors
-///
-/// Returns [`ModelError::InvalidConfig`] on an empty report, a header
-/// mismatch (see [`GridReportHeader::parse`]) or a malformed
-/// non-final record.
-pub fn from_jsonl(content: &str) -> Result<(GridReportHeader, Vec<GridPoint>), ModelError> {
-    let mut lines = content.lines().enumerate();
-    let Some((_, first)) = lines.next() else {
-        return Err(ModelError::InvalidConfig("report is empty".into()));
-    };
-    let header = GridReportHeader::parse(first)?;
-    let mut points = Vec::new();
-    let mut rest = lines.peekable();
-    while let Some((lineno, line)) = rest.next() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match point_from_line(line) {
-            Ok(point) => points.push(point),
-            // only a torn *final* line is recoverable
-            Err(_) if rest.peek().is_none() && !content.ends_with('\n') => break,
-            Err(e) => {
-                return Err(ModelError::InvalidConfig(format!(
-                    "report line {}: {e}",
-                    lineno + 1
-                )))
-            }
-        }
-    }
-    Ok((header, points))
 }
 
 /// Renders the CSV projection: one row per point × algorithm, with one

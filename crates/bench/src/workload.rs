@@ -96,10 +96,10 @@ impl Workload {
     }
 
     /// A 16-hex-digit structural fingerprint, carried in grid report
-    /// headers so a resumed report can only be completed against the
-    /// workload that wrote it. The edge set is hashed in sorted order,
-    /// so a round trip through the interchange format (which may
-    /// reorder edge insertion) keeps the fingerprint stable.
+    /// headers so a report names the workload that wrote it. The edge
+    /// set is hashed in sorted order, so a round trip through the
+    /// interchange format (which may reorder edge insertion) keeps the
+    /// fingerprint stable.
     #[must_use]
     pub fn fingerprint(&self) -> String {
         let mut edges: Vec<(usize, usize)> = self

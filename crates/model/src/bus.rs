@@ -90,23 +90,6 @@ impl BusConfig {
         self.st_bus() + self.dyn_bus()
     }
 
-    /// The static slots owned by `node`, in slot order.
-    #[must_use]
-    pub fn slots_of(&self, node: NodeId) -> Vec<SlotId> {
-        self.static_slot_owners
-            .iter()
-            .enumerate()
-            .filter(|&(_, &owner)| owner == node)
-            .map(|(i, _)| SlotId::new(u16::try_from(i + 1).expect("validated slot count")))
-            .collect()
-    }
-
-    /// Owner of a static slot.
-    #[must_use]
-    pub fn owner_of(&self, slot: SlotId) -> Option<NodeId> {
-        self.static_slot_owners.get(slot.offset()).copied()
-    }
-
     /// Start offset of a static slot within the cycle.
     #[must_use]
     pub fn slot_start(&self, slot: SlotId) -> Time {
@@ -424,9 +407,6 @@ mod tests {
     #[test]
     fn slot_queries() {
         let bus = unit_bus();
-        assert_eq!(bus.slots_of(NodeId::new(0)), vec![SlotId::new(1)]);
-        assert_eq!(bus.owner_of(SlotId::new(2)), Some(NodeId::new(1)));
-        assert_eq!(bus.owner_of(SlotId::new(3)), None);
         assert_eq!(bus.slot_start(SlotId::new(2)), Time::from_us(8.0));
     }
 

@@ -21,14 +21,6 @@ impl Platform {
         }
     }
 
-    /// A platform with explicit node names.
-    #[must_use]
-    pub fn from_names<I: IntoIterator<Item = S>, S: Into<String>>(names: I) -> Self {
-        Platform {
-            node_names: names.into_iter().map(Into::into).collect(),
-        }
-    }
-
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -122,23 +114,6 @@ impl System {
     /// See [`Application::hyperperiod`].
     pub fn hyperperiod(&self) -> Result<Time, ModelError> {
         self.app.hyperperiod()
-    }
-
-    /// Number of bus cycles needed to cover the hyperperiod (the static
-    /// schedule horizon), rounding up.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hyperperiod errors; also fails if the cycle is empty.
-    pub fn cycles_in_horizon(&self) -> Result<i64, ModelError> {
-        let h = self.hyperperiod()?;
-        let cycle = self.bus.gd_cycle();
-        if cycle <= Time::ZERO {
-            return Err(ModelError::ProtocolLimit(
-                "bus cycle has zero length".into(),
-            ));
-        }
-        Ok(h.div_ceil(cycle))
     }
 
     /// Transmission time `C_m` of a message (Eq. (1)).
@@ -326,8 +301,6 @@ mod tests {
     fn horizon_and_cycles() {
         let sys = small_system();
         assert_eq!(sys.hyperperiod().expect("h"), Time::from_us(100.0));
-        // gdCycle = 2*4 + 10 = 18µs, ceil(100/18) = 6
-        assert_eq!(sys.cycles_in_horizon().expect("cycles"), 6);
     }
 
     #[test]
@@ -357,9 +330,9 @@ mod tests {
 
     #[test]
     fn platform_names() {
-        let p = Platform::from_names(["ecu-a", "ecu-b"]);
+        let p = Platform::with_nodes(2);
         assert_eq!(p.len(), 2);
-        assert_eq!(p.name(NodeId::new(1)), "ecu-b");
+        assert_eq!(p.name(NodeId::new(1)), "N1");
         assert!(!p.is_empty());
         assert_eq!(p.nodes().count(), 2);
     }

@@ -111,15 +111,6 @@ impl Time {
         Time(self.0.saturating_mul(k))
     }
 
-    /// Checked addition returning `None` on overflow.
-    #[must_use]
-    pub const fn checked_add(self, rhs: Time) -> Option<Time> {
-        match self.0.checked_add(rhs.0) {
-            Some(v) => Some(Time(v)),
-            None => None,
-        }
-    }
-
     /// `max(self, ZERO)` — clamps negative laxities to zero.
     #[must_use]
     pub const fn clamp_non_negative(self) -> Time {

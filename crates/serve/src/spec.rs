@@ -14,9 +14,10 @@
 //! `workload=FILE` is read when the spec line is parsed, and the report
 //! header pins the workload's fingerprint.
 //!
-//! Keys the daemon owns — `threads` (unit dispatch is the daemon's),
-//! `out`/`csv` (reports live under the daemon's report directory) and
-//! `resume` (the journal is the resume mechanism) — are rejected.
+//! Keys the daemon owns — `threads` (unit dispatch is the daemon's) and
+//! `out`/`csv` (reports live under the daemon's report directory) — are
+//! rejected. A killed job needs no key to recover: the journal replays
+//! its finished points on restart.
 //! `eval_threads` *is* allowed: it sizes the warm multi-session
 //! `Evaluator` pool each unit's candidate evaluations fan out across,
 //! and is bit-identical for any value.
@@ -135,7 +136,7 @@ pub fn parse_job(line: &str) -> Result<JobSpec, ModelError> {
     };
     for arg in &args {
         let key = arg.split_once('=').map_or(arg.as_str(), |(key, _)| key);
-        if matches!(key, "threads" | "out" | "csv" | "resume") {
+        if matches!(key, "threads" | "out" | "csv") {
             return Err(malformed(&format!(
                 "daemon-managed key '{key}' is not allowed in a job spec"
             )));
