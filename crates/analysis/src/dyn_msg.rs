@@ -10,6 +10,12 @@
 //! plus empty minislots of unused lower identifiers (`ms(m)`) push the
 //! minislot counter past the latest-transmission-start bound before slot
 //! `FrameID_m` begins.
+//!
+//! That bound is per message: a frame of `len_m` minislots may start
+//! while the counter is at most `n_minislots − len_m + 1`, i.e. while the
+//! frame itself still fits the rest of the dynamic segment. This is the
+//! rule that reproduces Fig. 4 of the paper (R2 = 37 / 35 / 21), and the
+//! simulator applies the same one.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -18,20 +24,6 @@ use std::hash::BuildHasherDefault;
 use flexray_model::{ActivityId, MessageClass, SystemView, Time};
 
 use crate::session::JitterSpan;
-
-/// How the latest-transmission-start check is performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LatestTxPolicy {
-    /// A frame may start if it itself still fits the remaining dynamic
-    /// segment (`counter ≤ n_minislots − len_m + 1`). This matches the
-    /// behaviour of Fig. 4 of the paper and is the default.
-    #[default]
-    PerMessage,
-    /// The node-level `pLatestTx` derived from the largest dynamic frame
-    /// the node sends, as described in Section 3 — more conservative for
-    /// nodes mixing small and large frames.
-    PerNode,
-}
 
 /// How the set of filled bus cycles is maximised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,25 +72,13 @@ pub fn lf_messages<'a>(sys: impl Into<SystemView<'a>>, m: ActivityId) -> Vec<Act
         .collect()
 }
 
-/// The latest-transmission-start bound applied to `m`, per policy, in
+/// The latest-transmission-start bound of `m` (see the module docs), in
 /// minislot-counter units.
 #[must_use]
-pub(crate) fn latest_tx_bound<'a>(
-    sys: impl Into<SystemView<'a>>,
-    m: ActivityId,
-    policy: LatestTxPolicy,
-) -> u32 {
+pub(crate) fn latest_tx_bound<'a>(sys: impl Into<SystemView<'a>>, m: ActivityId) -> u32 {
     let sys = sys.into().focused(m);
-    match policy {
-        LatestTxPolicy::PerMessage => {
-            let lm = sys.bus.minislots_of(sys.app, m);
-            sys.bus.n_minislots.saturating_sub(lm) + 1
-        }
-        LatestTxPolicy::PerNode => {
-            let node = sys.app.sender_of(m).expect("validated message has sender");
-            sys.bus.p_latest_tx(sys.app, node)
-        }
-    }
+    let lm = sys.bus.minislots_of(sys.app, m);
+    sys.bus.n_minislots.saturating_sub(lm) + 1
 }
 
 /// One lower-identifier interference source of the filled-cycles pool.
@@ -357,7 +337,7 @@ const MEMO_MAX_LEVELS: usize = 64;
 /// path allocation-free in the steady state. Results are bit-identical
 /// either way.
 #[derive(Debug, Default)]
-pub struct DynScratch {
+pub(crate) struct DynScratch {
     pool: LfPool,
     /// Arrival count per `hp(m)` message at the current busy window.
     hp_arrivals: Vec<i64>,
@@ -822,7 +802,7 @@ impl DynScratch {
     /// how many Exact-mode busy-window calls ran, and how many of them
     /// the fill bound resolved entirely on the no-fill path (no DP).
     #[must_use]
-    pub fn exact_stats(&self) -> (u64, u64) {
+    pub(crate) fn exact_stats(&self) -> (u64, u64) {
         (self.exact_calls, self.exact_short_circuits)
     }
 
@@ -831,7 +811,7 @@ impl DynScratch {
     /// many the selection memo answered. Deterministic, and identical
     /// in debug and release builds.
     #[must_use]
-    pub fn select_stats(&self) -> (u64, u64) {
+    pub(crate) fn select_stats(&self) -> (u64, u64) {
         (self.dp_runs, self.memo_hits)
     }
 }
@@ -850,34 +830,24 @@ pub fn dyn_delay<'a>(
     sys: impl Into<SystemView<'a>>,
     m: ActivityId,
     jitter: &[Time],
-    latest_tx: LatestTxPolicy,
     mode: DynAnalysisMode,
     limit: Time,
-) -> Option<Time> {
-    let mut scratch = DynScratch::default();
-    dyn_delay_pooled(sys, m, jitter, latest_tx, mode, limit, &mut scratch)
-}
-
-/// [`dyn_delay`] over a caller-owned [`DynScratch`], so repeated calls
-/// — per candidate configuration, per fixed-point iteration — reuse the
-/// pool, packing and DP storage instead of re-allocating it. Results
-/// are bit-identical to [`dyn_delay`].
-#[must_use]
-pub fn dyn_delay_pooled<'a>(
-    sys: impl Into<SystemView<'a>>,
-    m: ActivityId,
-    jitter: &[Time],
-    latest_tx: LatestTxPolicy,
-    mode: DynAnalysisMode,
-    limit: Time,
-    scratch: &mut DynScratch,
 ) -> Option<Time> {
     let sys = sys.into();
     let hp = hp_messages(sys, m);
     let lf = lf_messages(sys, m);
     let mut spans = vec![JitterSpan::ANY; hp.len() + lf.len()];
+    let mut scratch = DynScratch::default();
     dyn_delay_with(
-        sys, m, &hp, &lf, jitter, latest_tx, mode, limit, scratch, &mut spans,
+        sys,
+        m,
+        &hp,
+        &lf,
+        jitter,
+        mode,
+        limit,
+        &mut scratch,
+        &mut spans,
     )
 }
 
@@ -904,7 +874,6 @@ pub(crate) fn dyn_delay_with(
     hp: &[ActivityId],
     lf: &[ActivityId],
     jitter: &[Time],
-    latest_tx: LatestTxPolicy,
     mode: DynAnalysisMode,
     limit: Time,
     scratch: &mut DynScratch,
@@ -916,7 +885,7 @@ pub(crate) fn dyn_delay_with(
     let st_bus = sys.bus.st_bus();
     let minislot = sys.bus.phy.gd_minislot;
     let base = u32::try_from(fid.preceding_slots()).expect("u16 fits");
-    let p_latest = latest_tx_bound(sys, m, latest_tx);
+    let p_latest = latest_tx_bound(sys, m);
     // A cycle is filled when base + extra >= p_latest.
     let need_extra = match p_latest.checked_sub(base) {
         Some(n) if n > 0 => n,
@@ -1082,12 +1051,19 @@ mod tests {
     }
 
     #[test]
-    fn latest_tx_policies_differ() {
-        // node 0 sends a small (2) and a big (10) frame
+    fn latest_tx_bound_is_per_message() {
+        // node 0 sends a small (2) and a big (10) frame in 20 minislots:
+        // each frame's bound is n_minislots - len + 1, whatever else its
+        // node sends
         let (sys, ids) = dyn_system(&[(2, 1, 0, 0), (10, 2, 0, 0)], 20);
-        let small = ids[0];
-        assert_eq!(latest_tx_bound(&sys, small, LatestTxPolicy::PerMessage), 19);
-        assert_eq!(latest_tx_bound(&sys, small, LatestTxPolicy::PerNode), 11);
+        assert_eq!(latest_tx_bound(&sys, ids[0]), 19);
+        assert_eq!(latest_tx_bound(&sys, ids[1]), 11);
+        // so a node's big frame does not block its small one: at id 10
+        // of an 11-minislot segment the 2-minislot frame still sends
+        let (sys, ids) = dyn_system(&[(10, 1, 0, 0), (2, 10, 0, 0)], 11);
+        let jitter = vec![Time::ZERO; sys.app.activities().len()];
+        let limit = Time::from_us(100_000.0);
+        assert!(dyn_delay(&sys, ids[1], &jitter, DynAnalysisMode::Greedy, limit).is_some());
     }
 
     #[test]
@@ -1098,7 +1074,6 @@ mod tests {
             &sys,
             ids[0],
             &jitter,
-            LatestTxPolicy::PerMessage,
             DynAnalysisMode::Greedy,
             Time::from_us(100_000.0),
         )
@@ -1112,24 +1087,8 @@ mod tests {
         let (sys, ids) = dyn_system(&[(2, 1, 9, 0), (2, 1, 1, 0)], 10);
         let jitter = vec![Time::ZERO; sys.app.activities().len()];
         let limit = Time::from_us(100_000.0);
-        let w_hi = dyn_delay(
-            &sys,
-            ids[0],
-            &jitter,
-            LatestTxPolicy::PerMessage,
-            DynAnalysisMode::Greedy,
-            limit,
-        )
-        .expect("hi");
-        let w_lo = dyn_delay(
-            &sys,
-            ids[1],
-            &jitter,
-            LatestTxPolicy::PerMessage,
-            DynAnalysisMode::Greedy,
-            limit,
-        )
-        .expect("lo");
+        let w_hi = dyn_delay(&sys, ids[0], &jitter, DynAnalysisMode::Greedy, limit).expect("hi");
+        let w_lo = dyn_delay(&sys, ids[1], &jitter, DynAnalysisMode::Greedy, limit).expect("lo");
         // the low-priority sibling waits one extra cycle (gdCycle = 18)
         assert_eq!(w_lo - w_hi, Time::from_us(18.0));
     }
@@ -1137,20 +1096,13 @@ mod tests {
     #[test]
     fn lf_traffic_can_fill_cycles() {
         // m1: 9-minislot frame on id 1; m2: 2 minislots on id 2 with
-        // n_minislots = 10 -> pLatestTx(m2) = 9, base = 1, need_extra = 8;
+        // n_minislots = 10 -> latest_tx_bound(m2) = 9, base = 1, need_extra = 8;
         // m1's extra = 8 fills exactly one cycle.
         let (sys, ids) = dyn_system(&[(9, 1, 0, 0), (2, 2, 0, 1)], 10);
         let jitter = vec![Time::ZERO; sys.app.activities().len()];
         let limit = Time::from_us(100_000.0);
-        let w = dyn_delay(
-            &sys,
-            ids[1],
-            &jitter,
-            LatestTxPolicy::PerMessage,
-            DynAnalysisMode::Greedy,
-            limit,
-        )
-        .expect("converges");
+        let w =
+            dyn_delay(&sys, ids[1], &jitter, DynAnalysisMode::Greedy, limit).expect("converges");
         // sigma = 18 - (8 + 1) = 9; one filled cycle = 18; final = 8 + 1
         // (base) + leftover 0 -> 9 + 18 + 9 = 36
         assert_eq!(w, Time::from_us(36.0));
@@ -1163,48 +1115,10 @@ mod tests {
         let (sys, ids) = dyn_system(&[(4, 1, 0, 0), (2, 2, 0, 1)], 10);
         let jitter = vec![Time::ZERO; sys.app.activities().len()];
         let limit = Time::from_us(100_000.0);
-        let w = dyn_delay(
-            &sys,
-            ids[1],
-            &jitter,
-            LatestTxPolicy::PerMessage,
-            DynAnalysisMode::Greedy,
-            limit,
-        )
-        .expect("converges");
+        let w =
+            dyn_delay(&sys, ids[1], &jitter, DynAnalysisMode::Greedy, limit).expect("converges");
         // sigma = 9; final = 8 + (1 + 3) = 12 -> 21
         assert_eq!(w, Time::from_us(21.0));
-    }
-
-    #[test]
-    fn per_node_policy_can_make_a_position_impossible() {
-        // Node 0 sends a 10-minislot frame (id 1) and a 2-minislot frame
-        // (id 10) in an 11-minislot segment. Per-node pLatestTx = 2, but
-        // the small frame's slot starts at counter 10: never transmittable
-        // under the per-node policy, fine under the per-message policy.
-        let (sys, ids) = dyn_system(&[(10, 1, 0, 0), (2, 10, 0, 0)], 11);
-        let jitter = vec![Time::ZERO; sys.app.activities().len()];
-        let limit = Time::from_us(100_000.0);
-        assert_eq!(
-            dyn_delay(
-                &sys,
-                ids[1],
-                &jitter,
-                LatestTxPolicy::PerNode,
-                DynAnalysisMode::Greedy,
-                limit
-            ),
-            None
-        );
-        assert!(dyn_delay(
-            &sys,
-            ids[1],
-            &jitter,
-            LatestTxPolicy::PerMessage,
-            DynAnalysisMode::Greedy,
-            limit
-        )
-        .is_some());
     }
 
     #[test]
@@ -1215,30 +1129,15 @@ mod tests {
         );
         let jitter = vec![Time::ZERO; sys.app.activities().len()];
         let limit = Time::from_us(1_000_000.0);
-        let wg = dyn_delay(
-            &sys,
-            ids[3],
-            &jitter,
-            LatestTxPolicy::PerMessage,
-            DynAnalysisMode::Greedy,
-            limit,
-        )
-        .expect("greedy converges");
-        let we = dyn_delay(
-            &sys,
-            ids[3],
-            &jitter,
-            LatestTxPolicy::PerMessage,
-            DynAnalysisMode::Exact,
-            limit,
-        )
-        .expect("exact converges");
+        let wg = dyn_delay(&sys, ids[3], &jitter, DynAnalysisMode::Greedy, limit)
+            .expect("greedy converges");
+        let we = dyn_delay(&sys, ids[3], &jitter, DynAnalysisMode::Exact, limit)
+            .expect("exact converges");
         // both bound the interference-free floor from below
         let floor = dyn_delay(
             &dyn_system(&[(2, 4, 0, 1)], 12).0,
             dyn_system(&[(2, 4, 0, 1)], 12).1[0],
             &jitter,
-            LatestTxPolicy::PerMessage,
             DynAnalysisMode::Greedy,
             limit,
         )
@@ -1341,32 +1240,17 @@ mod tests {
         // not the limit, must end the iteration
         let limit = Time::from_us(1e9);
         assert_eq!(
-            dyn_delay(
-                &sys,
-                lo,
-                &jitter,
-                LatestTxPolicy::PerMessage,
-                DynAnalysisMode::Greedy,
-                limit
-            ),
+            dyn_delay(&sys, lo, &jitter, DynAnalysisMode::Greedy, limit),
             None
         );
         // the hp sibling itself is fine
-        assert!(dyn_delay(
-            &sys,
-            hi,
-            &jitter,
-            LatestTxPolicy::PerMessage,
-            DynAnalysisMode::Greedy,
-            limit
-        )
-        .is_some());
+        assert!(dyn_delay(&sys, hi, &jitter, DynAnalysisMode::Greedy, limit).is_some());
     }
 
     #[test]
     fn pooled_scratch_reuse_matches_fresh_calls() {
-        // One scratch across messages, modes and policies must be
-        // bit-identical to a fresh scratch per call.
+        // One scratch across messages and modes must be bit-identical
+        // to a fresh scratch per call.
         let (sys, ids) = dyn_system(
             &[
                 (1, 1, 0, 0),
@@ -1381,13 +1265,23 @@ mod tests {
         let limit = Time::from_us(100_000.0);
         let mut scratch = DynScratch::default();
         for &m in &ids {
+            let view = SystemView::from(&sys);
+            let (hp, lf) = (hp_messages(view, m), lf_messages(view, m));
             for mode in [DynAnalysisMode::Greedy, DynAnalysisMode::Exact] {
-                for policy in [LatestTxPolicy::PerMessage, LatestTxPolicy::PerNode] {
-                    let fresh = dyn_delay(&sys, m, &jitter, policy, mode, limit);
-                    let pooled =
-                        dyn_delay_pooled(&sys, m, &jitter, policy, mode, limit, &mut scratch);
-                    assert_eq!(fresh, pooled, "{m:?} {mode:?} {policy:?}");
-                }
+                let fresh = dyn_delay(&sys, m, &jitter, mode, limit);
+                let mut spans = vec![JitterSpan::ANY; hp.len() + lf.len()];
+                let pooled = dyn_delay_with(
+                    view,
+                    m,
+                    &hp,
+                    &lf,
+                    &jitter,
+                    mode,
+                    limit,
+                    &mut scratch,
+                    &mut spans,
+                );
+                assert_eq!(fresh, pooled, "{m:?} {mode:?}");
             }
         }
     }
@@ -1397,25 +1291,9 @@ mod tests {
         let (sys, ids) = dyn_system(&[(9, 1, 0, 0), (2, 2, 0, 1)], 10);
         let mut jitter = vec![Time::ZERO; sys.app.activities().len()];
         let limit = Time::from_us(10_000_000.0);
-        let w0 = dyn_delay(
-            &sys,
-            ids[1],
-            &jitter,
-            LatestTxPolicy::PerMessage,
-            DynAnalysisMode::Greedy,
-            limit,
-        )
-        .expect("w0");
+        let w0 = dyn_delay(&sys, ids[1], &jitter, DynAnalysisMode::Greedy, limit).expect("w0");
         jitter[ids[0].index()] = Time::from_us(999.0); // almost one period
-        let w1 = dyn_delay(
-            &sys,
-            ids[1],
-            &jitter,
-            LatestTxPolicy::PerMessage,
-            DynAnalysisMode::Greedy,
-            limit,
-        )
-        .expect("w1");
+        let w1 = dyn_delay(&sys, ids[1], &jitter, DynAnalysisMode::Greedy, limit).expect("w1");
         assert!(w1 > w0, "{w1} vs {w0}");
     }
 }

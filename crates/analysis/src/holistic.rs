@@ -18,13 +18,12 @@
 //! once over fresh state, while an
 //! [`AnalysisSession`](crate::AnalysisSession) keeps the state alive so
 //! optimiser loops can amortise the allocations, the cached static
-//! schedule and the DYN fixed-point scratch
-//! ([`DynScratch`](crate::DynScratch) — interference pools, packing
-//! buffers, per-message pool skeletons) across thousands of candidate
-//! configurations.
+//! schedule and the DYN fixed-point scratch (interference pools,
+//! packing buffers, per-message pool skeletons) across thousands of
+//! candidate configurations.
 
 use crate::cost::Cost;
-use crate::dyn_msg::{DynAnalysisMode, LatestTxPolicy};
+use crate::dyn_msg::DynAnalysisMode;
 use crate::scheduler::ScsPlacement;
 use crate::session::{analyse_core, SessionState};
 use crate::table::ScheduleTable;
@@ -33,8 +32,6 @@ use flexray_model::{ActivityId, ModelError, SystemView, Time};
 /// Tuning knobs of the holistic analysis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalysisConfig {
-    /// Latest-transmission-start policy for DYN messages.
-    pub latest_tx: LatestTxPolicy,
     /// Filled-cycle maximisation mode for DYN messages.
     pub dyn_mode: DynAnalysisMode,
     /// SCS placement policy of the list scheduler (Fig. 2 line 11).
@@ -185,15 +182,14 @@ mod tests {
     }
 
     #[test]
-    fn no_dynamic_segment_diverges_dyn_messages() {
+    fn exactly_fitting_dynamic_segment_still_sends() {
         let mut sys = mixed_system();
-        // m_cd needs 4 minislots; pLatestTx = 1. Still valid (frame
-        // fits), but any interference... here none, so shrink further
-        // so it cannot fit at all -> model validation would reject;
-        // instead use per-node policy with a big sibling.
+        // m_cd needs 4 minislots: a 4-minislot segment leaves it a
+        // latest-transmission bound of 1, which its slot still meets
+        let m = sys.app.find("m_cd").expect("m");
+        assert_eq!(sys.bus.minislots_of(&sys.app, m), 4);
         sys.bus.n_minislots = 4;
         let res = analyse(&sys, &AnalysisConfig::default()).expect("analysis");
-        // with exactly-fitting segment the message still goes out
         assert!(res.diverged.is_empty());
     }
 

@@ -56,10 +56,7 @@ mod table;
 
 pub use availability::Availability;
 pub use cost::{cost_of, Cost};
-pub use dyn_msg::{
-    dyn_delay, dyn_delay_pooled, hp_messages, lf_messages, DynAnalysisMode, DynScratch,
-    LatestTxPolicy, MAX_FIXED_POINT_ITERS,
-};
+pub use dyn_msg::{dyn_delay, hp_messages, lf_messages, DynAnalysisMode, MAX_FIXED_POINT_ITERS};
 pub use fps::{fps_local_response, hp_tasks};
 pub use holistic::{analyse, Analysis, AnalysisConfig};
 pub use priority::{criticality, longest_path_from_source, longest_path_to_sink, ready_list_order};

@@ -315,7 +315,6 @@ fn local_response(
                 set_a,
                 set_b,
                 jitter,
-                cfg.latest_tx,
                 cfg.dyn_mode,
                 limit,
                 scratch,
@@ -789,8 +788,7 @@ impl AnalysisSession {
     /// `(calls, short_circuits)` of the Exact-mode DYN fill bound over
     /// this session's lifetime: how many Exact busy-window computations
     /// ran (ET-memo hits run none), and how many of them the fill bound
-    /// resolved without touching the packing DP (see
-    /// [`DynScratch::exact_stats`](crate::DynScratch::exact_stats)).
+    /// resolved without touching the packing DP.
     /// `(0, 0)` under [`DynAnalysisMode::Greedy`](crate::DynAnalysisMode).
     #[must_use]
     pub fn dyn_exact_stats(&self) -> (u64, u64) {
@@ -799,9 +797,8 @@ impl AnalysisSession {
 
     /// `(dp_runs, memo_hits)` of the Exact-mode cycle selections over
     /// this session's lifetime: how many ran the packing DP, and how
-    /// many the per-candidate selection memo answered (see
-    /// [`DynScratch::select_stats`](crate::DynScratch::select_stats)).
-    /// Deterministic work counters; `(0, 0)` under
+    /// many the per-candidate selection memo answered. Deterministic
+    /// work counters; `(0, 0)` under
     /// [`DynAnalysisMode::Greedy`](crate::DynAnalysisMode).
     #[must_use]
     pub fn dyn_select_stats(&self) -> (u64, u64) {
@@ -813,12 +810,6 @@ impl AnalysisSession {
     #[must_use]
     pub fn et_stats(&self) -> EtStats {
         self.state.et_stats
-    }
-
-    /// The analysis configuration applied to every call.
-    #[must_use]
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.cfg
     }
 
     /// Analyses a borrowed candidate bus configuration into the session
@@ -938,7 +929,7 @@ impl AnalysisSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyse, DynAnalysisMode, LatestTxPolicy};
+    use crate::{analyse, DynAnalysisMode};
     use flexray_model::*;
 
     /// Two nodes with an ET chain (no static messages): the static side
@@ -1277,7 +1268,6 @@ mod tests {
                             &hp,
                             &lf,
                             jitter,
-                            LatestTxPolicy::PerMessage,
                             mode,
                             limit,
                             &mut DynScratch::default(),

@@ -379,7 +379,6 @@ pub fn fuzz_app(
                 reps: cfg.reps,
                 order,
                 compress: cfg.compress,
-                ..SimConfig::default()
             },
         )
     };

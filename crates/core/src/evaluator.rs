@@ -4,7 +4,7 @@
 //! The evaluator is a thin accounting layer over a long-lived
 //! [`AnalysisSession`]: candidates are analysed *borrowed* (no `System`
 //! clone per call), all analysis scratch state — including the
-//! incremental DYN fixed point's pooled `DynScratch` — is reused across
+//! incremental DYN fixed point's pooled scratch — is reused across
 //! candidates, and DYN-length sweeps take the session's
 //! [`reanalyse_dyn_length`](AnalysisSession::reanalyse_dyn_length) path.
 //! Where the static schedule is bus-independent, a sweep re-runs only

@@ -1,7 +1,10 @@
 //! Simulated Annealing baseline for design-space exploration.
 //!
 //! The paper uses long SA runs as a close-to-optimal reference when
-//! evaluating BBC/OBC (Section 7). The move set matches the paper's:
+//! evaluating BBC/OBC (Section 7). That holds on schedulable
+//! applications only: on an application nobody schedules, SA can end at
+//! its BBC starting cost while OBC finds less overshoot. The move set
+//! matches the paper's:
 //! number and size of static slots, size of the dynamic segment,
 //! assignment of slots to nodes, and assignment of frame identifiers to
 //! messages.

@@ -133,26 +133,6 @@ impl BusConfig {
         self.phy.minislots_for(self.comm_time(app, message))
     }
 
-    /// `pLatestTx` for `node`: the largest minislot-counter value at which
-    /// the node may still start a transmission, fixed at design time from
-    /// the largest dynamic frame the node sends (Section 3).
-    ///
-    /// A node that sends no dynamic message gets `n_minislots` (it never
-    /// transmits anyway).
-    #[must_use]
-    pub fn p_latest_tx(&self, app: &Application, node: NodeId) -> u32 {
-        let largest = self
-            .frame_ids
-            .keys()
-            .filter(|&&m| app.sender_of(m) == Some(node))
-            .map(|&m| self.minislots_of(app, m))
-            .max();
-        match largest {
-            Some(l) => self.n_minislots.saturating_sub(l) + 1,
-            None => self.n_minislots,
-        }
-    }
-
     /// Smallest dynamic-segment length (in minislots) on which every
     /// dynamic message of `app` can be transmitted at all under the
     /// current frame-identifier assignment: slot `FrameID_m` must still
@@ -498,18 +478,6 @@ mod tests {
             bus.validate_for(&app, 2),
             Err(ModelError::MissingStaticSlot(n)) if n == NodeId::new(0)
         ));
-    }
-
-    #[test]
-    fn p_latest_tx_accounts_for_largest_frame() {
-        let (app, _, dy) = app_with_messages();
-        let mut bus = unit_bus();
-        bus.frame_ids.insert(dy, FrameId::new(1));
-        // 'dy' is 4 bytes => 2 granules * 20 bits * 100ns = 4µs = 4 minislots
-        let lm = bus.minislots_of(&app, dy);
-        assert_eq!(bus.p_latest_tx(&app, NodeId::new(1)), 10 - lm + 1);
-        // node 0 sends no dynamic messages
-        assert_eq!(bus.p_latest_tx(&app, NodeId::new(0)), 10);
     }
 
     #[test]

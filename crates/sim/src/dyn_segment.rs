@@ -3,13 +3,17 @@
 //! (Section 3 of the paper), with the two hooks the hyperperiod
 //! compression needs: a boundary-normalised state fingerprint and the
 //! exact fast-forward relocation.
+//!
+//! A frame starts only while it still fits the rest of the cycle's
+//! dynamic segment (`counter ≤ budget − len_m + 1`): the same
+//! per-message latest-transmission rule the analysis applies
+//! (`flexray_analysis::dyn_delay`).
 
 use crate::event::{JobRef, Signal};
 use crate::kernel::Kernel;
-use flexray_analysis::LatestTxPolicy;
-use flexray_model::{ActivityId, Fingerprint, NodeId, SystemView, Time};
+use flexray_model::{ActivityId, Fingerprint, SystemView, Time};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A frame waiting in a CHI send buffer.
 #[derive(Debug, Clone, Copy)]
@@ -25,9 +29,6 @@ struct ChiFrame {
 pub(crate) struct DynSegment<'a> {
     sys: SystemView<'a>,
     cluster: u16,
-    latest_tx: LatestTxPolicy,
-    /// Owner node of each assigned frame identifier.
-    frame_node: HashMap<u16, NodeId>,
     /// Per communication cycle *within one hyperperiod*: start of the
     /// dynamic segment (hyperperiod-relative) and effective minislot
     /// budget (the final cycle may be truncated by the hyperperiod).
@@ -38,23 +39,10 @@ pub(crate) struct DynSegment<'a> {
 }
 
 impl<'a> DynSegment<'a> {
-    pub(crate) fn new(
-        sys: SystemView<'a>,
-        cluster: u16,
-        latest_tx: LatestTxPolicy,
-        cycle_info: Vec<(Time, u32)>,
-    ) -> Self {
-        let mut frame_node = HashMap::new();
-        for (&m, &fid) in &sys.bus.frame_ids {
-            if let Some(node) = sys.app.sender_of(m) {
-                frame_node.insert(fid.number(), node);
-            }
-        }
+    pub(crate) fn new(sys: SystemView<'a>, cluster: u16, cycle_info: Vec<(Time, u32)>) -> Self {
         DynSegment {
             sys,
             cluster,
-            latest_tx,
-            frame_node,
             cycle_info,
             chi: BTreeMap::new(),
         }
@@ -102,23 +90,7 @@ impl<'a> DynSegment<'a> {
         if let Some((qi, frame)) = pick {
             let msg = ActivityId::new(frame.job.act as usize);
             let lm = self.sys.bus.minislots_of(self.sys.app, msg);
-            let bound = match self.latest_tx {
-                LatestTxPolicy::PerMessage => eff.saturating_sub(lm) + 1,
-                LatestTxPolicy::PerNode => {
-                    let node = self.frame_node[&fid];
-                    // per-node bound relative to the effective budget
-                    let largest = self
-                        .sys
-                        .bus
-                        .frame_ids
-                        .keys()
-                        .filter(|&&m| self.sys.app.sender_of(m) == Some(node))
-                        .map(|&m| self.sys.bus.minislots_of(self.sys.app, m))
-                        .max()
-                        .unwrap_or(1);
-                    eff.saturating_sub(largest) + 1
-                }
-            };
+            let bound = eff.saturating_sub(lm) + 1;
             if counter <= bound {
                 if let Some(q) = self.chi.get_mut(&fid) {
                     q.swap_remove(qi);

@@ -35,7 +35,7 @@ use crate::cpu::Cpu;
 use crate::dyn_segment::DynSegment;
 use crate::event::{Entry, EventQueue, Immediate, JobRef, Signal};
 use crate::kernel::{JobStore, Kernel};
-use flexray_analysis::{Availability, LatestTxPolicy, ScheduleTable};
+use flexray_analysis::{Availability, ScheduleTable};
 use flexray_model::{mix_words, ActivityId, Fingerprint, ModelError, SplitMix64, SystemView, Time};
 use std::collections::HashMap;
 
@@ -61,8 +61,6 @@ pub(crate) const LIMIT_FACTOR: i64 = 4;
 pub struct SimConfig {
     /// Number of hyperperiods to simulate.
     pub reps: i64,
-    /// Latest-transmission-start rule (matches the analysis knob).
-    pub latest_tx: LatestTxPolicy,
     /// Service order of same-instant, same-phase wake-ups.
     pub order: ExecutionOrder,
     /// Detect repeating hyperperiod boundary states and fast-forward
@@ -74,7 +72,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             reps: 2,
-            latest_tx: LatestTxPolicy::default(),
             order: ExecutionOrder::Canonical,
             compress: true,
         }
@@ -245,7 +242,7 @@ impl<'a> Engine<'a> {
             .map(|(c, info)| {
                 #[allow(clippy::cast_possible_truncation)] // n_clusters bounded by u16
                 let c = c as u16;
-                DynSegment::new(sys.focused_cluster(c), c, cfg.latest_tx, info)
+                DynSegment::new(sys.focused_cluster(c), c, info)
             })
             .collect();
 
@@ -841,7 +838,6 @@ mod tests {
             reps,
             order,
             compress,
-            ..SimConfig::default()
         }
     }
 

@@ -12,7 +12,7 @@
 //! sum is unique — the exhaustive minimum is then unambiguous and the
 //! oracle does not have to replicate the production DP's tie-breaking.
 
-use flexray::analysis::{dyn_delay, DynAnalysisMode, LatestTxPolicy};
+use flexray::analysis::{dyn_delay, DynAnalysisMode};
 use flexray::model::ActivityId;
 use flexray::*;
 use std::collections::BTreeMap;
@@ -71,7 +71,6 @@ fn oracle_dyn_delay(
     sys: &System,
     m: ActivityId,
     jitter: &[Time],
-    policy: LatestTxPolicy,
     mode: DynAnalysisMode,
     limit: Time,
 ) -> Option<Time> {
@@ -97,10 +96,7 @@ fn oracle_dyn_delay(
             _ => {}
         }
     }
-    let p_latest = match policy {
-        LatestTxPolicy::PerMessage => bus.n_minislots.saturating_sub(bus.minislots_of(app, m)) + 1,
-        LatestTxPolicy::PerNode => bus.p_latest_tx(app, app.sender_of(m).expect("sender")),
-    };
+    let p_latest = bus.n_minislots.saturating_sub(bus.minislots_of(app, m)) + 1;
     let base = u32::try_from(fid.preceding_slots()).expect("u16 fits");
     let need = match p_latest.checked_sub(base) {
         Some(n) if n > 0 => n,
@@ -223,21 +219,19 @@ fn oracle_select_cycle(
     }
 }
 
-/// Runs production vs oracle on every message of `sys`, both modes and
-/// both latest-transmission policies, under the given jitter.
+/// Runs production vs oracle on every message of `sys` in both modes,
+/// under the given jitter.
 fn assert_oracle_matches(sys: &System, ids: &[ActivityId], jitter: &[Time], limit: Time) {
     for &m in ids {
         for mode in [DynAnalysisMode::Greedy, DynAnalysisMode::Exact] {
-            for policy in [LatestTxPolicy::PerMessage, LatestTxPolicy::PerNode] {
-                let got = dyn_delay(sys, m, jitter, policy, mode, limit);
-                let want = oracle_dyn_delay(sys, m, jitter, policy, mode, limit);
-                assert_eq!(
-                    got,
-                    want,
-                    "message {} ({mode:?}, {policy:?}) diverges from the oracle",
-                    sys.app.activity(m).name
-                );
-            }
+            let got = dyn_delay(sys, m, jitter, mode, limit);
+            let want = oracle_dyn_delay(sys, m, jitter, mode, limit);
+            assert_eq!(
+                got,
+                want,
+                "message {} ({mode:?}) diverges from the oracle",
+                sys.app.activity(m).name
+            );
         }
     }
 }
@@ -437,24 +431,8 @@ fn greedy_is_bounded_by_exact() {
     let jitter = zero_jitter(&sys);
     let limit = Time::from_us(1e7);
     let m = ids[4];
-    let wg = dyn_delay(
-        &sys,
-        m,
-        &jitter,
-        LatestTxPolicy::PerMessage,
-        DynAnalysisMode::Greedy,
-        limit,
-    )
-    .expect("greedy converges");
-    let we = dyn_delay(
-        &sys,
-        m,
-        &jitter,
-        LatestTxPolicy::PerMessage,
-        DynAnalysisMode::Exact,
-        limit,
-    )
-    .expect("exact converges");
+    let wg = dyn_delay(&sys, m, &jitter, DynAnalysisMode::Greedy, limit).expect("greedy converges");
+    let we = dyn_delay(&sys, m, &jitter, DynAnalysisMode::Exact, limit).expect("exact converges");
     assert!(
         wg < we,
         "greedy {wg} should be strictly below exact {we} here"
@@ -462,22 +440,8 @@ fn greedy_is_bounded_by_exact() {
     // And on every message of every mode-comparable system above, the
     // same bound holds.
     for &m in &ids {
-        let wg = dyn_delay(
-            &sys,
-            m,
-            &jitter,
-            LatestTxPolicy::PerMessage,
-            DynAnalysisMode::Greedy,
-            limit,
-        );
-        let we = dyn_delay(
-            &sys,
-            m,
-            &jitter,
-            LatestTxPolicy::PerMessage,
-            DynAnalysisMode::Exact,
-            limit,
-        );
+        let wg = dyn_delay(&sys, m, &jitter, DynAnalysisMode::Greedy, limit);
+        let we = dyn_delay(&sys, m, &jitter, DynAnalysisMode::Exact, limit);
         if let (Some(wg), Some(we)) = (wg, we) {
             assert!(
                 wg <= we,

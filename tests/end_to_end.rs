@@ -509,7 +509,6 @@ fn compression_covers_a_million_cruise_cycles_in_two_hyperperiods() {
         reps,
         compress: true,
         order: ExecutionOrder::Canonical,
-        ..SimConfig::default()
     };
     let report = simulate(&sys, &table, &cfg).expect("simulation");
     assert!(report.is_clean(), "{:?}", report.violations);

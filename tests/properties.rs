@@ -527,15 +527,15 @@ proptest! {
     /// The incremental, pooled DYN fixed point is bit-identical to the
     /// fresh per-call path: a session-backed DYN-length sweep over
     /// generator-random systems equals a from-scratch `analyse` per
-    /// candidate, under both latest-transmission policies.
+    /// candidate, in both DYN analysis modes.
     #[test]
     fn pooled_dyn_sweep_matches_fresh_analysis(
         n_nodes in 2usize..5,
         seed in 0u64..1000,
         pads in prop::collection::vec(0u32..60, 2..6),
-        per_node in any::<bool>(),
+        exact in any::<bool>(),
     ) {
-        use flexray::analysis::LatestTxPolicy;
+        use flexray::analysis::DynAnalysisMode;
         use flexray::gen::{generate, GeneratorConfig};
         use flexray::opt::bbc_skeleton;
         let cfg = GeneratorConfig {
@@ -545,11 +545,7 @@ proptest! {
         let generated = generate(&cfg, seed).expect("generate");
         let template = bbc_skeleton(&generated.platform, &generated.app, PhyParams::bmw_like());
         let acfg = AnalysisConfig {
-            latest_tx: if per_node {
-                LatestTxPolicy::PerNode
-            } else {
-                LatestTxPolicy::PerMessage
-            },
+            dyn_mode: if exact { DynAnalysisMode::Exact } else { DynAnalysisMode::Greedy },
             ..AnalysisConfig::default()
         };
         let min = template.min_minislots(&generated.app).max(1);
@@ -583,52 +579,6 @@ proptest! {
             prop_assert_eq!(session.diverged(), &fresh.diverged[..], "pad {}", pad);
         }
     }
-
-    /// `dyn_delay_pooled` over one long-lived scratch equals the
-    /// fresh-scratch `dyn_delay` on every message of generator-random
-    /// systems, across modes, policies and jitter.
-    #[test]
-    fn pooled_dyn_delay_matches_fresh(
-        n_nodes in 2usize..5,
-        seed in 0u64..1000,
-        pad in 0u32..40,
-        exact in any::<bool>(),
-        per_node in any::<bool>(),
-        jitter_step in 0u32..500,
-    ) {
-        use flexray::analysis::{
-            dyn_delay, dyn_delay_pooled, DynAnalysisMode, DynScratch, LatestTxPolicy,
-        };
-        use flexray::gen::{generate, GeneratorConfig};
-        use flexray::opt::bbc_skeleton;
-        let cfg = GeneratorConfig {
-            tt_fraction: 0.0,
-            ..GeneratorConfig::paper(n_nodes)
-        };
-        let generated = generate(&cfg, seed).expect("generate");
-        let mut bus = bbc_skeleton(&generated.platform, &generated.app, PhyParams::bmw_like());
-        bus.n_minislots = bus.min_minislots(&generated.app).max(1) + pad;
-        if bus.validate_for(&generated.app, generated.platform.len()).is_err() {
-            return Ok(());
-        }
-        let sys = System {
-            platform: generated.platform.clone(),
-            app: generated.app.clone(),
-            bus,
-        };
-        let mode = if exact { DynAnalysisMode::Exact } else { DynAnalysisMode::Greedy };
-        let policy = if per_node { LatestTxPolicy::PerNode } else { LatestTxPolicy::PerMessage };
-        let jitter: Vec<Time> = (0..sys.app.activities().len())
-            .map(|i| Time::from_us(f64::from((i as u32 * 37 + jitter_step) % 900)))
-            .collect();
-        let limit = Time::from_us(1e8);
-        let mut scratch = DynScratch::default();
-        for m in sys.app.messages_of_class(MessageClass::Dynamic) {
-            let fresh = dyn_delay(&sys, m, &jitter, policy, mode, limit);
-            let pooled = dyn_delay_pooled(&sys, m, &jitter, policy, mode, limit, &mut scratch);
-            prop_assert_eq!(fresh, pooled, "message {}", sys.app.activity(m).name);
-        }
-    }
 }
 
 proptest! {
@@ -654,7 +604,6 @@ proptest! {
             reps: 4,
             order: ExecutionOrder::Fuzzed { seed: order_seed },
             compress,
-            ..SimConfig::default()
         };
         let a = simulate_configured(&sys, &cfg(false)).expect("simulation");
         let b = simulate_configured(&sys, &cfg(false)).expect("simulation");
@@ -742,7 +691,6 @@ proptest! {
                     reps: 8,
                     order,
                     compress,
-                    ..SimConfig::default()
                 },
             )
             .expect("simulation")

@@ -105,7 +105,6 @@ fn pin_runs<'a>(
                 reps: REPS,
                 order,
                 compress,
-                ..SimConfig::default()
             };
             let r = simulate(sys, table, &cfg).expect("simulation");
             digest = fnv1a(
