@@ -17,9 +17,9 @@
 //! rule that reproduces Fig. 4 of the paper (R2 = 37 / 35 / 21), and the
 //! simulator applies the same one.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use flexray_model::{ActivityId, MessageClass, SystemView, Time};
 
@@ -81,6 +81,17 @@ pub(crate) fn latest_tx_bound<'a>(sys: impl Into<SystemView<'a>>, m: ActivityId)
     sys.bus.n_minislots.saturating_sub(lm) + 1
 }
 
+/// The indices of the set bits of `word`, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
 /// One lower-identifier interference source of the filled-cycles pool.
 #[derive(Debug, Clone, Copy)]
 struct LfEntry {
@@ -97,19 +108,37 @@ struct LfEntry {
     period: Time,
     /// Arrivals within the current busy window (monotone in `t`).
     arrivals: i64,
-    /// Instances not yet consumed by a filled cycle at the current `t`.
-    remaining: i64,
+}
+
+/// One *level* of the pool: a maximal run of entries sharing `(id,
+/// extra)`. The packing observes only a level's pending count, never
+/// which of its entries an instance came from.
+#[derive(Debug, Clone, Copy)]
+struct LfLevel {
+    id: u16,
+    extra: u32,
+    /// The level's entries, `start..end` in pool order.
+    start: u32,
+    end: u32,
 }
 
 /// Pending interference pool for the filled-cycles computation: one
 /// entry per `lf(m)` message, sorted by (frame identifier, extra
-/// descending). The structure is built once per [`dyn_delay`] call; the
-/// busy-window iteration only updates the pending counts in place
-/// (arrivals are monotone in `t`), so no step of the fixed point
+/// descending) and grouped into levels, so a level index orders the
+/// pool the same way. The structure is built once per [`dyn_delay`]
+/// call; each busy-window step only rewrites the per-level pending
+/// counts (arrivals are monotone in `t`), so no step of the fixed point
 /// re-sorts or re-allocates.
 #[derive(Debug, Clone, Default)]
 struct LfPool {
     entries: Vec<LfEntry>,
+    levels: Vec<LfLevel>,
+    /// Instances per level not yet consumed by a filled cycle at the
+    /// current `t`.
+    counts: Vec<i64>,
+    /// Levels with a pending instance: bit `k % 64` of word `k / 64` is
+    /// set iff `counts[k] > 0`.
+    pending: Vec<u64>,
 }
 
 impl LfPool {
@@ -127,7 +156,6 @@ impl LfPool {
                 extra: sys.bus.minislots_of(sys.app, j).saturating_sub(1),
                 period: sys.app.period_of(j),
                 arrivals: 0,
-                remaining: 0,
             });
         }
         // Entries sharing (id, extra) are interchangeable — the packing
@@ -135,46 +163,86 @@ impl LfPool {
         // allocation-free unstable sort is safe.
         self.entries
             .sort_unstable_by_key(|e| (e.id, core::cmp::Reverse(e.extra)));
+        self.levels.clear();
+        for (i, e) in self.entries.iter().enumerate() {
+            let i = u32::try_from(i).expect("pool fits u32");
+            match self.levels.last_mut() {
+                Some(level) if (level.id, level.extra) == (e.id, e.extra) => level.end = i + 1,
+                _ => self.levels.push(LfLevel {
+                    id: e.id,
+                    extra: e.extra,
+                    start: i,
+                    end: i + 1,
+                }),
+            }
+        }
+        self.reset_counts();
     }
 
-    /// Advances the pool to busy window `t`: per entry, the pending
-    /// count is bumped to the (monotone) arrival count and the whole
-    /// pending set becomes available for packing again. Narrows each
+    /// Restores a cached skeleton: entries (with zero arrivals) and
+    /// their levels.
+    fn restore(&mut self, entries: &[LfEntry], levels: &[LfLevel]) {
+        self.entries.clear();
+        self.entries.extend_from_slice(entries);
+        self.levels.clear();
+        self.levels.extend_from_slice(levels);
+        self.reset_counts();
+    }
+
+    /// Sizes the counts and the pending mask to the levels, all zero.
+    fn reset_counts(&mut self) {
+        self.counts.clear();
+        self.counts.resize(self.levels.len(), 0);
+        self.pending.clear();
+        self.pending.resize(self.levels.len().div_ceil(64), 0);
+    }
+
+    /// Advances the pool to busy window `t`: each level's pending count
+    /// becomes the sum of its entries' (monotone) arrival counts, so the
+    /// whole pending set is available for packing again. Narrows each
     /// entry's span on the count it reads; returns whether any count
     /// moved.
     fn advance(&mut self, t: Time, jitter: &[Time], spans: &mut [JitterSpan]) -> bool {
         let mut moved = false;
-        for e in &mut self.entries {
-            let arrivals = spans[e.src as usize].arrivals(t, jitter[e.msg.index()], e.period);
-            debug_assert!(arrivals >= e.arrivals, "arrivals are monotone in t");
-            moved |= arrivals != e.arrivals;
-            e.arrivals = arrivals;
-            e.remaining = arrivals;
+        for (k, level) in self.levels.iter().enumerate() {
+            let mut count = 0;
+            for e in &mut self.entries[level.start as usize..level.end as usize] {
+                let arrivals = spans[e.src as usize].arrivals(t, jitter[e.msg.index()], e.period);
+                debug_assert!(arrivals >= e.arrivals, "arrivals are monotone in t");
+                moved |= arrivals != e.arrivals;
+                e.arrivals = arrivals;
+                count += arrivals;
+            }
+            self.counts[k] = count;
+            let bit = 1u64 << (k % 64);
+            if count > 0 {
+                self.pending[k / 64] |= bit;
+            } else {
+                self.pending[k / 64] &= !bit;
+            }
         }
         moved
     }
 
     /// Sum over identifiers of the largest extra (the first, in pool
     /// order) with an instance pending at window `t` — what
-    /// [`DynScratch::leftover`] returns after [`LfPool::advance`] when no
+    /// [`LfPool::leftover`] returns after [`LfPool::advance`] when no
     /// cycle is filled. One pass that reads each identifier's entries
     /// only up to its first pending one, and narrows their spans only
     /// to the sign of `t + J`.
     fn pending_heads(&self, t: Time, jitter: &[Time], spans: &mut [JitterSpan]) -> u32 {
         let mut sum = 0;
-        let mut i = 0;
-        while i < self.entries.len() {
-            let id = self.entries[i].id;
-            while i < self.entries.len() && self.entries[i].id == id {
-                let e = &self.entries[i];
-                i += 1;
+        let mut done = None;
+        for level in &self.levels {
+            if done == Some(level.id) {
+                continue;
+            }
+            for e in &self.entries[level.start as usize..level.end as usize] {
                 if spans[e.src as usize].pending(t, jitter[e.msg.index()]) {
-                    sum += e.extra;
+                    sum += level.extra;
+                    done = Some(level.id);
                     break;
                 }
-            }
-            while i < self.entries.len() && self.entries[i].id == id {
-                i += 1;
             }
         }
         sum
@@ -182,152 +250,136 @@ impl LfPool {
 
     /// Sum over identifiers of the largest extra any instance can carry:
     /// the most lf traffic can add to one cycle, whatever the arrival
-    /// counts (the first entry of an identifier carries its largest
+    /// counts (the first level of an identifier carries its largest
     /// extra).
     fn max_fill(&self) -> u64 {
-        let mut max_fill = 0u64;
-        let mut i = 0;
-        while i < self.entries.len() {
-            max_fill += u64::from(self.entries[i].extra);
-            let id = self.entries[i].id;
-            while i < self.entries.len() && self.entries[i].id == id {
-                i += 1;
-            }
-        }
-        max_fill
-    }
-
-    /// One scan over the (sorted) entries collecting, per identifier
-    /// with pending instances, its *head* — the largest pending extra —
-    /// together with the head level's total pending count and starting
-    /// entry index, in ascending identifier order.
-    fn heads_into(&self, out: &mut Vec<Head>) {
-        out.clear();
-        let n = self.entries.len();
-        let mut i = 0;
-        while i < n {
-            let id = self.entries[i].id;
-            // skip drained higher-extra levels of this identifier
-            while i < n && self.entries[i].id == id && self.entries[i].remaining == 0 {
-                i += 1;
-            }
-            if i < n && self.entries[i].id == id {
-                let extra = self.entries[i].extra;
-                let entry_idx = i;
-                let mut count = 0i64;
-                while i < n && self.entries[i].id == id && self.entries[i].extra == extra {
-                    count += self.entries[i].remaining;
-                    i += 1;
-                }
-                out.push(Head {
-                    id,
-                    extra,
-                    count,
-                    entry_idx,
-                });
-                while i < n && self.entries[i].id == id {
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// First entry index of the `(id, extra)` level (entries of one
-    /// level are adjacent in the sort order).
-    fn level_start(&self, id: u16, extra: u32) -> usize {
-        self.entries
-            .partition_point(|e| e.id < id || (e.id == id && e.extra > extra))
-    }
-
-    /// Total pending instances at the `(id, extra)` level.
-    fn level_count(&self, id: u16, extra: u32) -> i64 {
-        self.entries[self.level_start(id, extra)..]
+        self.levels
             .iter()
-            .take_while(|e| e.id == id && e.extra == extra)
-            .map(|e| e.remaining)
+            .enumerate()
+            .filter(|&(k, level)| k == 0 || self.levels[k - 1].id != level.id)
+            .map(|(_, level)| u64::from(level.extra))
             .sum()
     }
 
-    /// Consumes one pending instance at the `(id, extra)` level.
-    /// Returns whether an instance was actually available — a miss
-    /// means the caller chose an instance the pool does not hold.
-    fn consume(&mut self, id: u16, extra: u32) -> bool {
-        self.consume_n(id, extra, 1) == 1
+    /// The levels with a pending instance, in pool order.
+    fn pending_levels(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pending
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| set_bits(word).map(move |bit| w * 64 + bit))
     }
 
-    /// Consumes up to `n` pending instances at the `(id, extra)` level,
-    /// returning how many were actually consumed.
-    fn consume_n(&mut self, id: u16, extra: u32, n: i64) -> i64 {
-        let start = self.level_start(id, extra);
-        if self
-            .entries
-            .get(start)
-            .is_none_or(|e| e.id != id || e.extra != extra)
-        {
-            return 0;
-        }
-        self.drain_level(start, n)
+    /// Per identifier with pending instances, its *head* — the first
+    /// pending level, which carries the largest pending extra — in
+    /// ascending identifier order.
+    fn heads(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut last = None;
+        self.pending_levels().filter(move |&k| {
+            let id = Some(self.levels[k].id);
+            let head = last != id;
+            last = id;
+            head
+        })
     }
 
-    /// Consumes up to `n` instances from the level whose first entry is
-    /// `start`, returning how many were consumed.
-    fn drain_level(&mut self, start: usize, n: i64) -> i64 {
-        let id = self.entries[start].id;
-        let extra = self.entries[start].extra;
-        let mut left = n;
-        for e in &mut self.entries[start..] {
-            if left == 0 || e.id != id || e.extra != extra {
-                break;
-            }
-            let take = e.remaining.min(left);
-            e.remaining -= take;
-            left -= take;
+    /// Sum of the per-identifier head extras still pending — the
+    /// final-cycle delay contribution of the unconsumed pool.
+    fn leftover(&self) -> u32 {
+        self.heads().map(|k| self.levels[k].extra).sum()
+    }
+
+    /// Consumes up to `n` pending instances of level `k`, returning how
+    /// many were actually consumed.
+    fn consume(&mut self, k: usize, n: i64) -> i64 {
+        let taken = self.counts[k].min(n);
+        self.counts[k] -= taken;
+        if self.counts[k] == 0 {
+            self.pending[k / 64] &= !(1u64 << (k % 64));
         }
-        n - left
+        taken
     }
 
     fn has_pending(&self) -> bool {
-        self.entries.iter().any(|e| e.remaining > 0)
+        self.pending.iter().any(|&word| word != 0)
     }
 }
 
-/// The head of one identifier's pending interference: its largest
-/// pending extra, how many instances that level still holds, and where
-/// the level starts in the entry list.
-#[derive(Debug, Clone, Copy)]
-struct Head {
-    id: u16,
-    extra: u32,
-    count: i64,
-    entry_idx: usize,
-}
+/// "No choice": the arena tail of the DP's root cell.
+const NO_CHOICE: u32 = u32::MAX;
 
-/// One node of the Exact-mode DP's choice arena: the `(frame id,
-/// extra)` option taken and the arena index of the previous choice on
-/// the same path (`usize::MAX` at the root).
+/// One node of the Exact-mode DP's choice arena: the pool level taken
+/// and the arena index of the previous choice on the same path
+/// ([`NO_CHOICE`] at the root).
 #[derive(Debug, Clone, Copy)]
 struct DpChoice {
-    id: u16,
-    extra: u32,
-    parent: usize,
+    level: u32,
+    parent: u32,
 }
 
 /// DP cell: minimal total extra consumed to reach this (saturated)
 /// accumulated sum, plus the arena tail of the choices reaching it.
-type DpCell = Option<(u32, usize)>;
+#[derive(Debug, Clone, Copy)]
+struct DpCell {
+    total: u32,
+    tail: u32,
+}
+
+impl DpCell {
+    /// An unreached cell: its total loses every strict comparison.
+    const EMPTY: DpCell = DpCell {
+        total: u32::MAX,
+        tail: NO_CHOICE,
+    };
+}
 
 /// Key of the Exact-mode selection memo: the index of the message whose
 /// pool is packed, the cycle's `need_extra`, and the mask of pool levels
 /// with pending instances (bit `k` = level `k`).
 type SelectKey = (u32, u32, u64);
 
-/// Hasher of the selection memo: fixed keys, so every process hashes
-/// and probes the same way (the memo is private, never fed by input).
-type SelectHasher = BuildHasherDefault<DefaultHasher>;
+/// Hasher of the selection memo: the multiply-rotate scheme of Fx over
+/// the key's three integers. The memo is only probed and filled, never
+/// iterated, so no result depends on the hash values.
+#[derive(Debug, Default)]
+struct SelectHasher(u64);
+
+impl SelectHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for SelectHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        // the multiply mixes upwards; the table indexes by the low bits
+        self.0.rotate_left(26)
+    }
+}
 
 /// Most pool levels the selection memo can key (one mask bit each);
 /// larger pools run the DP on every selection.
 const MEMO_MAX_LEVELS: usize = 64;
+
+/// Appends `items` to `arena`, returning where they landed.
+fn stash<T: Copy>(arena: &mut Vec<T>, items: &[T]) -> Range<usize> {
+    let start = arena.len();
+    arena.extend_from_slice(items);
+    start..arena.len()
+}
 
 /// Reusable scratch state of the dynamic-message busy-window fixed
 /// point: the interference pool, the per-`hp(m)` arrival counts and the
@@ -341,29 +393,36 @@ pub(crate) struct DynScratch {
     pool: LfPool,
     /// Arrival count per `hp(m)` message at the current busy window.
     hp_arrivals: Vec<i64>,
-    /// Per-cycle head buffer (one head per identifier).
-    cand: Vec<Head>,
-    /// The `(id, extra)` choices of the cycle being filled (Exact mode).
-    choices: Vec<(u16, u32)>,
-    /// Exact-mode DP tables, indexed by saturated accumulated sum.
+    /// Per-cycle head levels (one per identifier, Greedy mode).
+    cand: Vec<usize>,
+    /// The pool levels chosen for the cycle being filled (Exact mode),
+    /// ascending.
+    choices: Vec<u32>,
+    /// Exact-mode DP tables, indexed by saturated accumulated sum. Both
+    /// hold the same cells between identifier groups, and every cell is
+    /// empty between selections.
     dp_best: Vec<DpCell>,
     dp_next: Vec<DpCell>,
+    /// Occupied cells of `dp_best`: bit `s % 64` of word `s / 64`.
+    dp_occ: Vec<u64>,
+    /// Cells of `dp_next` written during the current group's
+    /// relaxations (the write log replayed into `dp_best`).
+    dp_log: Vec<u32>,
     /// Exact-mode DP choice arena (see [`DpChoice`]).
     dp_arena: Vec<DpChoice>,
-    /// Exact-mode identifier groups of the current cycle selection:
-    /// per identifier with pending positive extras, its `(start, end)`
-    /// entry range and head (largest pending) extra.
-    dp_groups: Vec<(u32, u32, u32)>,
+    /// The `(level, extra)` options of the current cycle selection: the
+    /// pending levels of positive extra, in pool order.
+    dp_opts: Vec<(u32, u32)>,
+    /// Exact-mode identifier groups of the current cycle selection: per
+    /// identifier with pending positive extras, the start of its options
+    /// in `dp_opts` and its head (largest pending) extra.
+    dp_groups: Vec<(u32, u32)>,
     /// Suffix sums over `dp_groups` of the head extras:
     /// `dp_suffix[g] = Σ_{j ≥ g} head_j` — the most any DP state can
     /// still gain from the remaining identifiers.
     dp_suffix: Vec<u64>,
     /// Per-group head extras, sorted descending for the greedy bound.
     dp_heads: Vec<u32>,
-    /// Occupied cells of `dp_best`, ascending.
-    dp_occ: Vec<usize>,
-    /// Cells newly occupied during the current group's relaxations.
-    dp_new: Vec<usize>,
     /// Exact-mode busy-window calls observed by this scratch.
     exact_calls: u64,
     /// Calls where the fill bound proved no cycle can be filled from
@@ -372,13 +431,9 @@ pub(crate) struct DynScratch {
     /// Index of the message whose pool the scratch currently holds (the
     /// memo key's first component).
     msg: u32,
-    /// First entry index of each *level* of the current pool — a
-    /// maximal run of entries sharing `(id, extra)` — in pool order,
-    /// which is ascending identifier. Filled per Exact-mode call.
-    levels: Vec<u32>,
     /// Exact-mode selection memo: [`SelectKey`] → mask of the levels
     /// the DP chose (0 = the pending pool cannot fill the cycle). The
-    /// DP reads only each entry's `id`, `extra` and whether it is still
+    /// DP reads only each level's `id`, `extra` and whether it is still
     /// pending, and the pool skeleton is fixed per (message,
     /// generation), so within one scope a selection is a pure function
     /// of its key — tie-breaks included. Scope: one candidate under
@@ -386,17 +441,19 @@ pub(crate) struct DynScratch {
     /// one call otherwise; that bounds its size to one candidate's
     /// distinct selections. Pools of more than [`MEMO_MAX_LEVELS`]
     /// levels bypass it.
-    memo: HashMap<SelectKey, u64, SelectHasher>,
+    memo: HashMap<SelectKey, u64, BuildHasherDefault<SelectHasher>>,
     /// Cycle selections the DP actually ran (memo misses and bypasses).
     dp_runs: u64,
     /// Cycle selections answered by the memo.
     memo_hits: u64,
-    /// Session-managed per-message pool skeletons (entries with counts
-    /// zeroed) flattened into one arena, valid for one `skel_gen`.
-    skel_arena: Vec<LfEntry>,
-    /// Per-activity `(start, end)` range into `skel_arena`;
-    /// `(u32::MAX, u32::MAX)` = not cached.
-    skel_range: Vec<(u32, u32)>,
+    /// Session-managed per-message pool skeletons (entries with zero
+    /// arrivals, and their levels) flattened into two arenas, valid for
+    /// one `skel_gen`.
+    skel_entries: Vec<LfEntry>,
+    skel_levels: Vec<LfLevel>,
+    /// Per-activity ranges into `skel_entries` and `skel_levels`;
+    /// `None` = not cached.
+    skel_range: Vec<Option<(Range<usize>, Range<usize>)>>,
     /// Generation of the cached skeletons: 0 = unmanaged (every call
     /// rebuilds), set by the owning session via
     /// [`DynScratch::begin_candidate`].
@@ -414,7 +471,8 @@ impl DynScratch {
         self.memo.clear();
         if self.skel_gen != generation {
             self.skel_gen = generation;
-            self.skel_arena.clear();
+            self.skel_entries.clear();
+            self.skel_levels.clear();
             self.skel_range.clear();
         }
     }
@@ -432,28 +490,17 @@ impl DynScratch {
             return;
         }
         if self.skel_range.len() <= m.index() {
-            self.skel_range.resize(m.index() + 1, (u32::MAX, u32::MAX));
+            self.skel_range.resize(m.index() + 1, None);
         }
-        let (start, end) = self.skel_range[m.index()];
-        if start != u32::MAX {
-            self.pool.entries.clear();
+        if let Some((entries, levels)) = self.skel_range[m.index()].clone() {
             self.pool
-                .entries
-                .extend_from_slice(&self.skel_arena[start as usize..end as usize]);
+                .restore(&self.skel_entries[entries], &self.skel_levels[levels]);
         } else {
             self.pool.rebuild(sys, lf);
-            let start = u32::try_from(self.skel_arena.len()).expect("arena fits u32");
-            self.skel_arena.extend_from_slice(&self.pool.entries);
-            let end = u32::try_from(self.skel_arena.len()).expect("arena fits u32");
-            self.skel_range[m.index()] = (start, end);
+            let entries = stash(&mut self.skel_entries, &self.pool.entries);
+            let levels = stash(&mut self.skel_levels, &self.pool.levels);
+            self.skel_range[m.index()] = Some((entries, levels));
         }
-    }
-
-    /// Sum of the per-identifier head extras still pending — the
-    /// final-cycle delay contribution of the unconsumed pool.
-    fn leftover(&mut self) -> u32 {
-        self.pool.heads_into(&mut self.cand);
-        self.cand.iter().map(|h| h.extra).sum()
     }
 
     /// `(filled, leftover)` of packing the current pool on a copy with a
@@ -466,17 +513,16 @@ impl DynScratch {
             msg: self.msg,
             ..DynScratch::default()
         };
-        copy.index_levels();
         let filled = copy.fill(need_extra, mode);
-        (filled, copy.leftover())
+        (filled, copy.pool.leftover())
     }
 
     /// Packs filled cycles until the pool can no longer push the
     /// counter past the bound, returning the number of filled cycles.
     /// Cycle-by-cycle identical to a one-cycle-at-a-time formulation:
-    /// the selected cycle repeats verbatim until one of its `(id,
-    /// extra)` levels exhausts — the only event that can change the
-    /// option set — so the repeats are applied as one batch.
+    /// the selected cycle repeats verbatim until one of its levels
+    /// exhausts — the only event that can change the option set — so
+    /// the repeats are applied as one batch.
     fn fill(&mut self, need_extra: u32, mode: DynAnalysisMode) -> i64 {
         match mode {
             DynAnalysisMode::Greedy => self.fill_greedy(need_extra),
@@ -489,7 +535,8 @@ impl DynScratch {
     fn fill_greedy(&mut self, need_extra: u32) -> i64 {
         let mut filled: i64 = 0;
         loop {
-            self.pool.heads_into(&mut self.cand);
+            self.cand.clear();
+            self.cand.extend(self.pool.heads());
             if self.cand.is_empty() {
                 break;
             }
@@ -497,31 +544,27 @@ impl DynScratch {
             // a stable sort over the per-id candidates would. Zero-extra
             // heads sort last: an idle identifier contributes nothing
             // beyond its base minislot, so they never help filling.
+            let levels = &self.pool.levels;
             self.cand
-                .sort_unstable_by_key(|h| (core::cmp::Reverse(h.extra), h.id));
+                .sort_unstable_by_key(|&k| (core::cmp::Reverse(levels[k].extra), levels[k].id));
             let mut sum = 0u32;
             let mut taken = 0usize;
             let mut repeats = i64::MAX;
-            for h in &self.cand {
-                if sum >= need_extra || h.extra == 0 {
+            for &k in &self.cand {
+                if sum >= need_extra || levels[k].extra == 0 {
                     break;
                 }
-                sum += h.extra;
-                repeats = repeats.min(h.count);
+                sum += levels[k].extra;
+                repeats = repeats.min(self.pool.counts[k]);
                 taken += 1;
             }
             if sum < need_extra {
                 break;
             }
             debug_assert!(repeats >= 1, "chosen heads must be pending");
-            for k in 0..taken {
-                let h = self.cand[k];
-                let consumed = self.pool.drain_level(h.entry_idx, repeats);
-                debug_assert_eq!(
-                    consumed, repeats,
-                    "head level ({}, {}) exhausted mid-batch",
-                    h.id, h.extra
-                );
+            for &k in &self.cand[..taken] {
+                let consumed = self.pool.consume(k, repeats);
+                debug_assert_eq!(consumed, repeats, "head level {k} exhausted mid-batch");
             }
             filled += repeats;
         }
@@ -539,76 +582,35 @@ impl DynScratch {
             let repeats = self
                 .choices
                 .iter()
-                .map(|&(id, e)| self.pool.level_count(id, e))
+                .map(|&k| self.pool.counts[k as usize])
                 .min()
                 .expect("a filled cycle consumes at least one instance");
             debug_assert!(repeats >= 1, "chosen levels must be pending");
-            if repeats == 1 {
-                for &(id, extra) in &self.choices {
-                    let hit = self.pool.consume(id, extra);
-                    debug_assert!(hit, "chosen instance ({id}, {extra}) missing from pool");
-                }
-            } else {
-                for &(id, extra) in &self.choices {
-                    let consumed = self.pool.consume_n(id, extra, repeats);
-                    debug_assert_eq!(
-                        consumed, repeats,
-                        "level ({id}, {extra}) exhausted mid-batch"
-                    );
-                }
+            for &k in &self.choices {
+                let consumed = self.pool.consume(k as usize, repeats);
+                debug_assert_eq!(consumed, repeats, "level {k} exhausted mid-batch");
             }
             filled += repeats;
         }
         filled
     }
 
-    /// Records the level starts of the current pool (see
-    /// [`DynScratch::levels`]).
-    fn index_levels(&mut self) {
-        self.levels.clear();
-        let entries = &self.pool.entries;
-        for (i, e) in entries.iter().enumerate() {
-            if i == 0 || (entries[i - 1].id, entries[i - 1].extra) != (e.id, e.extra) {
-                self.levels.push(u32::try_from(i).expect("pool fits u32"));
-            }
-        }
-    }
-
-    /// Mask of the levels that still hold a pending instance.
-    fn pending_levels(&self) -> u64 {
-        let entries = &self.pool.entries;
-        let mut mask = 0u64;
-        for (k, &start) in self.levels.iter().enumerate() {
-            let end = self
-                .levels
-                .get(k + 1)
-                .map_or(entries.len(), |&e| e as usize);
-            if entries[start as usize..end].iter().any(|e| e.remaining > 0) {
-                mask |= 1 << k;
-            }
-        }
-        mask
-    }
-
     /// [`DynScratch::select_cycle_exact`] behind the selection memo:
     /// a hit rebuilds `self.choices` from the memoised level mask in
     /// level order — ascending identifier, the order the DP emits — and
-    /// a miss runs the DP and records its answer.
+    /// a miss runs the DP and records its answer. Call only while the
+    /// pool has a pending level.
     fn select_cycle(&mut self, need_extra: u32) -> bool {
-        if self.levels.len() > MEMO_MAX_LEVELS {
+        if self.pool.levels.len() > MEMO_MAX_LEVELS {
             self.dp_runs += 1;
             return self.select_cycle_exact(need_extra);
         }
-        let key = (self.msg, need_extra, self.pending_levels());
+        let key = (self.msg, need_extra, self.pool.pending[0]);
         if let Some(&chosen) = self.memo.get(&key) {
             self.memo_hits += 1;
             self.choices.clear();
-            let mut bits = chosen;
-            while bits != 0 {
-                let e = self.pool.entries[self.levels[bits.trailing_zeros() as usize] as usize];
-                self.choices.push((e.id, e.extra));
-                bits &= bits - 1;
-            }
+            self.choices
+                .extend(set_bits(chosen).map(|k| u32::try_from(k).expect("k < 64")));
             #[cfg(debug_assertions)]
             {
                 let memoised = std::mem::take(&mut self.choices);
@@ -620,88 +622,78 @@ impl DynScratch {
         }
         self.dp_runs += 1;
         let filled = self.select_cycle_exact(need_extra);
-        let mut chosen = 0u64;
-        if filled {
-            for &(id, extra) in &self.choices {
-                let k = self.levels.partition_point(|&start| {
-                    let e = &self.pool.entries[start as usize];
-                    e.id < id || (e.id == id && e.extra > extra)
-                });
-                chosen |= 1 << k;
-            }
-        }
+        let chosen = self.choices.iter().fold(0u64, |mask, &k| mask | 1 << k);
         self.memo.insert(key, chosen);
         filled
     }
 
-    /// Selects the `(id, extra)` choices of the next Exact-mode filled
-    /// cycle into `self.choices`, or returns `false` if the pool can no
-    /// longer push the counter past the bound.
+    /// Selects the levels of the next Exact-mode filled cycle into
+    /// `self.choices`, or returns `false` if the pool can no longer
+    /// push the counter past the bound.
     ///
     /// The min-total-consumption subset-sum DP (sum ≥ `need_extra`, at
-    /// most one option per identifier) is *admissibly pruned*: every
-    /// rule below drops only states that provably cannot change the
-    /// winning chain at `dp_best[cap]`, so the selected subset — not
-    /// just its total — is bit-identical to the unpruned DP's. The
-    /// invariant the proofs lean on: below the cap a cell's total
-    /// equals its sum, so "better" comparisons are strict and
-    /// order-stable, and pruned states (which always lose them) cannot
-    /// block a surviving state.
+    /// most one option per identifier) relaxes, per identifier group in
+    /// ascending identifier order, every occupied sum in ascending
+    /// order by each of the group's pending extras in pool order, and a
+    /// cell takes a new chain only on strict improvement. It is
+    /// *admissibly pruned*: every rule below drops only states that
+    /// provably cannot change the winning chain at `dp_best[cap]`, so
+    /// the selected subset — not just its total — is bit-identical to
+    /// the unpruned DP's. The invariant the proofs lean on: below the
+    /// cap a cell's total equals its sum, so "better" comparisons are
+    /// strict and order-stable, and pruned states (which always lose
+    /// them) cannot block a surviving state.
     ///
     /// * **Reachability**: a state at sum `s` entering group `g` can
     ///   only fill the cycle if `s + dp_suffix[g] ≥ need_extra` (the
     ///   suffix only shrinks, so doomed stays doomed). A doomed state's
     ///   descendants are all doomed, and doomed chains never reach the
-    ///   cap, so skipping them is invisible. When even the root is
-    ///   doomed the whole selection fails without touching the tables —
-    ///   the common final iteration of every [`DynScratch::fill_exact`]
-    ///   call.
+    ///   cap, so skipping them is invisible: each group's walk starts
+    ///   at the floor `need_extra − dp_suffix[g]`. When even the root
+    ///   is doomed the whole selection fails without touching the
+    ///   tables — the common final iteration of every
+    ///   [`DynScratch::fill_exact`] call.
     /// * **Greedy upper bound**: the largest-first head subset is a
     ///   feasible choice, so its total bounds the optimum from above;
     ///   cap states strictly above it are never stored.
     /// * **Dominance**: states with the same saturated sum keep the
-    ///   cheaper total (the DP cell rule), and equal `(id, extra)`
-    ///   levels within a group are interchangeable — relaxing the
-    ///   second is always a strict-comparison no-op — so only the first
-    ///   of each level is relaxed.
-    /// * **Sparse cells**: only occupied cells are scanned, in
-    ///   ascending sum order, preserving the unpruned relaxation order
-    ///   exactly.
+    ///   cheaper total (the DP cell rule), and a group's options are
+    ///   its levels, one per distinct pending extra.
+    /// * **Bitset frontier**: the occupied sums are a bitset walked in
+    ///   ascending order, which is the dense scan's order restricted to
+    ///   the cells it would find occupied.
+    ///
+    /// The two tables are kept equal between groups by replaying only
+    /// the cells a group wrote, and emptied after the selection by
+    /// clearing only the occupied cells, so no step copies or resets a
+    /// whole `need_extra + 1`-cell table.
     fn select_cycle_exact(&mut self, need_extra: u32) -> bool {
         self.choices.clear();
         let cap = need_extra as usize;
-        let need = cap as u64;
-        // Group pass: per identifier with pending positive extras, the
-        // entry range and the head extra.
+        let need = u64::from(need_extra);
+        // Group pass: per identifier, its pending levels of positive
+        // extra in pool order; the first carries the head extra.
+        self.dp_opts.clear();
         self.dp_groups.clear();
-        {
-            let entries = &self.pool.entries;
-            let mut start = 0;
-            while start < entries.len() {
-                let id = entries[start].id;
-                let mut end = start;
-                let mut head = 0u32;
-                while end < entries.len() && entries[end].id == id {
-                    if entries[end].remaining > 0 {
-                        head = head.max(entries[end].extra);
-                    }
-                    end += 1;
-                }
-                if head > 0 {
-                    self.dp_groups.push((
-                        u32::try_from(start).expect("pool fits u32"),
-                        u32::try_from(end).expect("pool fits u32"),
-                        head,
-                    ));
-                }
-                start = end;
+        let mut last = None;
+        for k in self.pool.pending_levels() {
+            let LfLevel { id, extra, .. } = self.pool.levels[k];
+            if extra == 0 {
+                continue;
             }
+            if last != Some(id) {
+                last = Some(id);
+                let start = u32::try_from(self.dp_opts.len()).expect("pool fits u32");
+                self.dp_groups.push((start, extra));
+            }
+            self.dp_opts
+                .push((u32::try_from(k).expect("pool fits u32"), extra));
         }
         let n_groups = self.dp_groups.len();
         self.dp_suffix.clear();
         self.dp_suffix.resize(n_groups + 1, 0);
         for g in (0..n_groups).rev() {
-            self.dp_suffix[g] = self.dp_suffix[g + 1] + u64::from(self.dp_groups[g].2);
+            self.dp_suffix[g] = self.dp_suffix[g + 1] + u64::from(self.dp_groups[g].1);
         }
         if self.dp_suffix[0] < need {
             // Even taking every head cannot fill the cycle.
@@ -710,7 +702,7 @@ impl DynScratch {
         // Greedy upper bound: heads largest-first until the cycle fills.
         self.dp_heads.clear();
         self.dp_heads
-            .extend(self.dp_groups.iter().map(|&(_, _, head)| head));
+            .extend(self.dp_groups.iter().map(|&(_, head)| head));
         self.dp_heads
             .sort_unstable_by_key(|&h| core::cmp::Reverse(h));
         let mut ubound = 0u64;
@@ -720,82 +712,101 @@ impl DynScratch {
             }
             ubound += u64::from(h);
         }
-        self.dp_best.clear();
-        self.dp_best.resize(cap + 1, None);
-        self.dp_best[0] = Some((0, usize::MAX));
+        if self.dp_best.len() <= cap {
+            self.dp_best.resize(cap + 1, DpCell::EMPTY);
+            self.dp_next.resize(cap + 1, DpCell::EMPTY);
+            self.dp_occ.resize(cap / 64 + 1, 0);
+        }
+        debug_assert!(
+            self.dp_occ.iter().all(|&word| word == 0),
+            "tables are empty between selections"
+        );
+        let root = DpCell {
+            total: 0,
+            tail: NO_CHOICE,
+        };
+        self.dp_best[0] = root;
+        self.dp_next[0] = root;
+        self.dp_occ[0] = 1;
         self.dp_arena.clear();
-        self.dp_occ.clear();
-        self.dp_occ.push(0);
+        // Occupied sums below the cap live in words ..= last_word.
+        let last_word = (cap - 1) / 64;
         for g in 0..n_groups {
-            let (gs, ge, _) = self.dp_groups[g];
-            let suffix = self.dp_suffix[g];
+            let start = self.dp_groups[g].0 as usize;
+            let end = self
+                .dp_groups
+                .get(g + 1)
+                .map_or(self.dp_opts.len(), |&(next, _)| next as usize);
+            let opts = &self.dp_opts[start..end];
             let child_suffix = self.dp_suffix[g + 1];
-            // Doomed cells can never reach the cap again; drop them
-            // from the scan for good.
-            self.dp_occ.retain(|&s| s as u64 + suffix >= need);
-            self.dp_next.clear();
-            self.dp_next.extend_from_slice(&self.dp_best);
-            self.dp_new.clear();
-            let group = &self.pool.entries[gs as usize..ge as usize];
-            for &s in &self.dp_occ {
-                if s == cap {
-                    // Relaxing from the cap only adds cost: never better.
-                    continue;
+            // Cells below the floor can never reach the cap again.
+            let floor = need.saturating_sub(self.dp_suffix[g]) as usize;
+            self.dp_log.clear();
+            for w in floor / 64..=last_word {
+                let mut word = self.dp_occ[w];
+                if w == floor / 64 {
+                    word &= !0u64 << (floor % 64);
                 }
-                let Some((total, tail)) = self.dp_best[s] else {
-                    debug_assert!(false, "dp_occ tracks occupied cells");
-                    continue;
-                };
-                let mut prev_extra = None;
-                for e in group {
-                    if e.extra == 0 || e.remaining <= 0 || prev_extra == Some(e.extra) {
-                        continue;
+                for bit in set_bits(word) {
+                    let s = w * 64 + bit;
+                    if s == cap {
+                        // Relaxing from the cap only adds cost: never
+                        // better.
+                        break;
                     }
-                    prev_extra = Some(e.extra);
-                    let ns = (s + e.extra as usize).min(cap);
-                    let nt = total + e.extra;
-                    if ns == cap {
-                        if u64::from(nt) > ubound {
+                    let cell = self.dp_best[s];
+                    debug_assert!(cell.total != u32::MAX, "dp_occ tracks occupied cells");
+                    for &(k, extra) in opts {
+                        let ns = (s + extra as usize).min(cap);
+                        let nt = cell.total + extra;
+                        if ns == cap {
+                            if u64::from(nt) > ubound {
+                                continue;
+                            }
+                        } else if ns as u64 + child_suffix < need {
                             continue;
                         }
-                    } else if ns as u64 + child_suffix < need {
-                        continue;
-                    }
-                    let better = match self.dp_next[ns] {
-                        Some((t, _)) => nt < t,
-                        None => true,
-                    };
-                    if better {
-                        if self.dp_next[ns].is_none() {
-                            self.dp_new.push(ns);
+                        if nt < self.dp_next[ns].total {
+                            self.dp_arena.push(DpChoice {
+                                level: k,
+                                parent: cell.tail,
+                            });
+                            self.dp_next[ns] = DpCell {
+                                total: nt,
+                                tail: u32::try_from(self.dp_arena.len() - 1)
+                                    .expect("arena fits u32"),
+                            };
+                            self.dp_log.push(u32::try_from(ns).expect("cap fits u32"));
                         }
-                        self.dp_arena.push(DpChoice {
-                            id: e.id,
-                            extra: e.extra,
-                            parent: tail,
-                        });
-                        self.dp_next[ns] = Some((nt, self.dp_arena.len() - 1));
                     }
                 }
             }
-            if !self.dp_new.is_empty() {
-                self.dp_occ.append(&mut self.dp_new);
-                self.dp_occ.sort_unstable();
+            for &ns in &self.dp_log {
+                let ns = ns as usize;
+                self.dp_best[ns] = self.dp_next[ns];
+                self.dp_occ[ns / 64] |= 1 << (ns % 64);
             }
-            std::mem::swap(&mut self.dp_best, &mut self.dp_next);
         }
-        let Some((_, mut tail)) = self.dp_best[cap] else {
-            // Unreachable given the suffix feasibility check, but a
-            // `false` here is always a sound answer.
-            return false;
-        };
-        while tail != usize::MAX {
-            let c = self.dp_arena[tail];
-            self.choices.push((c.id, c.extra));
+        let mut tail = self.dp_best[cap].tail;
+        // A cap the suffix check let through is always reached, but a
+        // `false` here would still be a sound answer.
+        let filled = self.dp_best[cap].total != u32::MAX;
+        while tail != NO_CHOICE {
+            let c = self.dp_arena[tail as usize];
+            self.choices.push(c.level);
             tail = c.parent;
         }
         self.choices.reverse();
-        true
+        // Every written cell is marked occupied: clearing those empties
+        // both tables for the next selection.
+        for (w, word) in self.dp_occ[..=cap / 64].iter_mut().enumerate() {
+            for bit in set_bits(*word) {
+                self.dp_best[w * 64 + bit] = DpCell::EMPTY;
+                self.dp_next[w * 64 + bit] = DpCell::EMPTY;
+            }
+            *word = 0;
+        }
+        filled
     }
 
     /// `(exact_calls, exact_short_circuits)` observed by this scratch:
@@ -857,9 +868,9 @@ pub fn dyn_delay<'a>(
 /// sweep — and the scratch state caller-owned.
 ///
 /// The fixed point is incremental across busy-window growth: the
-/// interference pool is built (and sorted) once, the per-step update
-/// only adds the arrival deltas (arrivals are monotone in `t`), and
-/// runs of identical filled cycles are applied as batches. When `lf(m)`
+/// interference pool is built (and sorted into levels) once, the
+/// per-step update only rewrites the per-level pending counts, and runs
+/// of identical filled cycles are applied as batches. When `lf(m)`
 /// can never fill a cycle, no step packs at all, and a step whose
 /// arrival counts all equal the previous step's returns without
 /// packing again.
@@ -921,11 +932,7 @@ pub(crate) fn dyn_delay_with(
     let no_fill = scratch.pool.max_fill() < u64::from(need_extra);
     if mode == DynAnalysisMode::Exact {
         scratch.exact_calls += 1;
-        if no_fill {
-            scratch.exact_short_circuits += 1;
-        } else {
-            scratch.index_levels();
-        }
+        scratch.exact_short_circuits += u64::from(no_fill);
     }
     let mut hp_filled: i64 = 0;
     let mut t = Time::ZERO;
@@ -944,7 +951,11 @@ pub(crate) fn dyn_delay_with(
             {
                 let mut any = vec![JitterSpan::ANY; lf.len()];
                 scratch.pool.advance(t, jitter, &mut any);
-                assert_eq!(leftover, scratch.leftover(), "no-fill leftover disagrees");
+                assert_eq!(
+                    leftover,
+                    scratch.pool.leftover(),
+                    "no-fill leftover disagrees"
+                );
             }
             delay(hp_filled, leftover)
         } else {
@@ -966,7 +977,7 @@ pub(crate) fn dyn_delay_with(
                 return Some(t);
             }
             let filled = hp_filled + scratch.fill(need_extra, mode);
-            delay(filled, scratch.leftover())
+            delay(filled, scratch.pool.leftover())
         };
         if w > limit {
             return None;
@@ -1146,46 +1157,158 @@ mod tests {
         assert!(we >= floor);
     }
 
-    /// A two-entry pool for the consume unit tests: id 3 with extras
-    /// 5 (two instances) and 2 (one instance).
-    fn test_pool() -> LfPool {
-        let entry = |extra: u32, remaining: i64| LfEntry {
-            msg: ActivityId::new(0),
-            src: 0,
-            id: 3,
-            extra,
-            period: Time::MICROSECOND,
-            arrivals: remaining,
-            remaining,
+    /// Bare levels `(id, extra, pending count)` in pool order, without
+    /// entries: packing reads only the levels.
+    fn level_pool(levels: &[(u16, u32, i64)]) -> LfPool {
+        let mut pool = LfPool {
+            levels: levels
+                .iter()
+                .map(|&(id, extra, _)| LfLevel {
+                    id,
+                    extra,
+                    start: 0,
+                    end: 0,
+                })
+                .collect(),
+            ..LfPool::default()
         };
-        LfPool {
-            entries: vec![entry(5, 2), entry(2, 1)],
+        pool.reset_counts();
+        for (k, &(_, _, count)) in levels.iter().enumerate() {
+            pool.counts[k] = count;
+            if count > 0 {
+                pool.pending[k / 64] |= 1 << (k % 64);
+            }
         }
+        pool
     }
 
     #[test]
     fn consume_reports_hit_and_miss() {
-        let mut pool = test_pool();
-        // unknown identifier and unknown extra level: a miss, not a
-        // silent no-op
-        assert!(!pool.consume(4, 5));
-        assert!(!pool.consume(3, 4));
-        assert_eq!(pool.level_count(3, 5), 2);
+        // id 3 with extras 5 (two instances) and 2 (one instance)
+        let mut pool = level_pool(&[(3, 5, 2), (3, 2, 1)]);
+        assert_eq!(pool.heads().collect::<Vec<_>>(), [0]);
         // hits drain the level, then report exhaustion
-        assert!(pool.consume(3, 5));
-        assert!(pool.consume(3, 5));
-        assert!(!pool.consume(3, 5), "exhausted level must miss");
-        assert!(pool.consume(3, 2));
+        assert_eq!(pool.consume(0, 1), 1);
+        assert_eq!(pool.consume(0, 1), 1);
+        assert_eq!(pool.consume(0, 1), 0, "exhausted level must miss");
+        // the drained level leaves the pending mask: the head moves down
+        assert_eq!(pool.heads().collect::<Vec<_>>(), [1]);
+        assert_eq!(pool.leftover(), 2);
+        assert_eq!(pool.consume(1, 1), 1);
         assert!(!pool.has_pending());
     }
 
     #[test]
     fn consume_n_reports_shortfall() {
-        let mut pool = test_pool();
-        assert_eq!(pool.consume_n(3, 5, 3), 2, "only two instances exist");
-        assert_eq!(pool.consume_n(3, 5, 1), 0);
-        assert_eq!(pool.consume_n(9, 1, 4), 0, "unknown identifier");
-        assert_eq!(pool.consume_n(3, 2, 1), 1);
+        let mut pool = level_pool(&[(3, 5, 2), (3, 2, 1)]);
+        assert_eq!(pool.consume(0, 3), 2, "only two instances exist");
+        assert_eq!(pool.consume(0, 1), 0);
+        assert_eq!(pool.consume(1, 1), 1);
+        assert_eq!(pool.pending, [0]);
+    }
+
+    /// The plain subset-sum DP the pruned kernel must agree with, choice
+    /// for choice: no pruning and a full table per identifier group, in
+    /// the kernel's relaxation order — sums ascending, a group's pending
+    /// positive extras in pool order — with `improves(new, old)` deciding
+    /// whether a chain replaces a cell's. Returns the chosen levels (empty
+    /// when the pool cannot fill the cycle).
+    fn dense_select(pool: &LfPool, need: u32, improves: fn(u32, u32) -> bool) -> Vec<u32> {
+        let cap = need as usize;
+        let levels = &pool.levels;
+        let mut best: Vec<Option<(u32, Vec<u32>)>> = vec![None; cap + 1];
+        best[0] = Some((0, Vec::new()));
+        let mut k = 0;
+        while k < levels.len() {
+            let end = (k..levels.len())
+                .find(|&j| levels[j].id != levels[k].id)
+                .unwrap_or(levels.len());
+            let mut next = best.clone();
+            for (s, cell) in best.iter().enumerate() {
+                let Some((total, path)) = cell else {
+                    continue;
+                };
+                for (j, level) in (k..end).zip(&levels[k..end]) {
+                    let extra = level.extra;
+                    if extra == 0 || pool.counts[j] == 0 {
+                        continue;
+                    }
+                    let ns = (s + extra as usize).min(cap);
+                    let nt = total + extra;
+                    if next[ns].as_ref().is_none_or(|&(t, _)| improves(nt, t)) {
+                        let mut path = path.clone();
+                        path.push(u32::try_from(j).expect("small pool"));
+                        next[ns] = Some((nt, path));
+                    }
+                }
+            }
+            best = next;
+            k = end;
+        }
+        best[cap].take().map_or_else(Vec::new, |(_, path)| path)
+    }
+
+    #[test]
+    fn exact_selection_breaks_ties_like_the_dense_dp() {
+        // Small extras repeated across identifiers make many subsets tie
+        // on their total, so which one fills the cycle rests on the
+        // relaxation order and the strict comparison alone. The pruned
+        // kernel must choose the dense DP's subset on a memo miss and
+        // again on the memo hit that follows, with one scratch (and so
+        // recycled tables) across every pool and need. Every tenth pool
+        // has more than 64 levels: both of its calls bypass the memo.
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut scratch = DynScratch::default();
+        let (mut selections, mut tie_breaks) = (0, 0);
+        for trial in 0..300 {
+            let wide = trial % 10 == 9;
+            let n_ids = if wide { 40 + next(10) } else { 1 + next(6) };
+            let mut levels = Vec::new();
+            for id in 1..=n_ids as u16 {
+                let mut extras: Vec<u32> = (0..=next(3)).map(|_| next(7) as u32).collect();
+                extras.sort_unstable_by(|a, b| b.cmp(a));
+                extras.dedup();
+                levels.extend(extras.into_iter().map(|e| (id, e, next(3) as i64)));
+            }
+            scratch.pool = level_pool(&levels);
+            scratch.memo.clear();
+            assert_eq!(wide, levels.len() > MEMO_MAX_LEVELS);
+            let most: u32 = levels.iter().map(|&(_, extra, _)| extra).sum();
+            for need in (1..=most + 1).step_by(if wide { 5 } else { 1 }) {
+                let want = dense_select(&scratch.pool, need, |new, old| new < old);
+                if want != dense_select(&scratch.pool, need, |new, old| new <= old) {
+                    tie_breaks += 1;
+                }
+                let paths = if wide {
+                    [("bypass", (1, 0)), ("bypass", (1, 0))]
+                } else {
+                    [("miss", (1, 0)), ("hit", (0, 1))]
+                };
+                for (path, work) in paths {
+                    let (runs, hits) = scratch.select_stats();
+                    let filled = scratch.select_cycle(need);
+                    let (runs1, hits1) = scratch.select_stats();
+                    assert_eq!((runs1 - runs, hits1 - hits), work, "{path}");
+                    assert_eq!(
+                        (filled, &scratch.choices),
+                        (!want.is_empty(), &want),
+                        "memo {path}: {levels:?}, need {need}"
+                    );
+                }
+                selections += 1;
+            }
+        }
+        assert!(selections > 1000, "{selections} selections");
+        assert!(
+            tie_breaks > 100,
+            "only {tie_breaks} selections hinge on the tie-break"
+        );
     }
 
     #[test]

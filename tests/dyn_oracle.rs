@@ -598,6 +598,65 @@ fn exact_session_sweep_with_selection_memo_matches_fresh_analyses() {
 }
 
 #[test]
+fn exact_bypasses_the_selection_memo_past_64_levels() {
+    // Two lower identifiers with 33 distinct extras each — 1..=33 on
+    // identifier 1, multiples of 34 on identifier 2, so every subset sum
+    // is unique (its base-34 digits) — give the 700-minislot probe on
+    // identifier 3 a pool of 66 levels, more than the selection memo's
+    // 64-bit key holds: every cycle selection runs the DP. Identifier-1
+    // periods are short, so each busy-window step brings new arrivals
+    // and repacks the pool from the same pending mask. Identifier-2
+    // messages cannot fill a cycle from identifier 1 (their fill bound
+    // short-circuits), so the probe is the only message that selects.
+    use flexray::analysis::{AnalysisConfig, AnalysisSession};
+    let specs_without = |skip: &[u32]| {
+        let mut specs = Vec::new();
+        for a in (1..=33u32).filter(|a| !skip.contains(a)) {
+            specs.push((a + 1, 1, 0, 0, 5000.0));
+        }
+        for k in (1..=33u32).filter(|k| !skip.contains(k)) {
+            specs.push((34 * k + 1, 2, 0, 0, 1e6));
+        }
+        specs.push((700, 3, 0, 1, 1e6));
+        specs
+    };
+    let cfg = AnalysisConfig {
+        dyn_mode: DynAnalysisMode::Exact,
+        ..AnalysisConfig::default()
+    };
+    let select_stats = |sys: &System| {
+        let mut session = AnalysisSession::new(sys.platform.clone(), sys.app.clone(), cfg);
+        let cost = session.analyse_into(&sys.bus).expect("analyses");
+        let fresh = analyse(sys, &cfg).expect("fresh analysis");
+        assert_eq!(cost, fresh.cost);
+        assert_eq!(session.responses(), &fresh.responses[..]);
+        session.dyn_select_stats()
+    };
+
+    let (sys, ids) = dyn_system(&specs_without(&[]), 1200);
+    let probe = *ids.last().expect("probe");
+    assert_oracle_matches(&sys, &ids, &zero_jitter(&sys), Time::from_us(1e7));
+    let (dp_runs, memo_hits) = select_stats(&sys);
+    assert!(dp_runs > 0, "the probe must select cycles");
+    assert_eq!(memo_hits, 0, "a pool of 66 levels must bypass the memo");
+    let exact = dyn_delay(
+        &sys,
+        probe,
+        &zero_jitter(&sys),
+        DynAnalysisMode::Exact,
+        Time::from_us(1e7),
+    );
+    assert!(exact.is_some(), "the probe converges");
+
+    // One extra fewer on each identifier: 64 levels, and the same
+    // selections now hit the memo.
+    let (sys, ids) = dyn_system(&specs_without(&[1]), 1200);
+    assert_oracle_matches(&sys, &ids, &zero_jitter(&sys), Time::from_us(1e7));
+    let (dp_runs, memo_hits) = select_stats(&sys);
+    assert!(dp_runs > 0 && memo_hits > 0, "({dp_runs}, {memo_hits})");
+}
+
+#[test]
 fn greedy_sweep_of_a_static_load_pins_the_fps_work() {
     // The Greedy DYN-length sweep of the hard `design` application
     // (`paper(2)` #7, BBC skeleton) runs FPS tasks in the slack of a
