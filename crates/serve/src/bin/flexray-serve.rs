@@ -6,11 +6,13 @@
 //! ```
 //!
 //! Drains the job queue once (or, with `poll=SECS` and/or
-//! `socket=ADDR`, keeps draining as work arrives). Every drain replays
-//! the journal first, so the daemon may be SIGKILLed at any instant
-//! and restarted: completed jobs are never recomputed, in-flight jobs
-//! resume from their last journaled point, and the final journal and
-//! reports are byte-identical to an uninterrupted run's.
+//! `socket=ADDR`, keeps draining as work arrives). The journal is
+//! replayed once, at start-up, so the daemon may be SIGKILLed at any
+//! instant and restarted: completed jobs are never recomputed,
+//! in-flight jobs resume from their last journaled point, and the final
+//! journal and reports are byte-identical to an uninterrupted run's.
+//! Each report is written when its job finishes; a restart rewrites
+//! every completed job's report.
 //!
 //! `jobs=K` schedules up to `K` jobs concurrently over the shared
 //! worker pool; the journal's record order is a pure function of the
@@ -38,7 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flexray_serve::{
-    run_serve_with, spawn_listener, stop_path, JobStatus, ServeConfig, ServeControl, ServeOutcome,
+    spawn_listener, stop_path, Daemon, JobStatus, ServeConfig, ServeControl, ServeOutcome,
     SocketShared,
 };
 
@@ -178,17 +180,32 @@ fn main() -> ExitCode {
         }
         None => None,
     };
-    loop {
-        // Pre-pass check: a stop file present before the drain starts
-        // means exit now, not journal yet another stopped record.
-        if stop_file.exists() {
+    // Pre-pass check: a stop file present before a drain starts means
+    // exit now, not journal yet another stopped record. The first check
+    // runs before the open, so a stopped daemon never touches the
+    // journal.
+    let stop_file_found = || {
+        let found = stop_file.exists();
+        if found {
             eprintln!("serve: stop file {} found, exiting", stop_file.display());
-            return ExitCode::SUCCESS;
         }
+        found
+    };
+    if stop_file_found() {
+        return ExitCode::SUCCESS;
+    }
+    let mut daemon = match Daemon::open(&cli.serve) {
+        Ok(daemon) => daemon,
+        Err(e) => {
+            eprintln!("flexray-serve: {e}");
+            return ExitCode::from(1);
+        }
+    };
+    loop {
         if let Some(shared) = &shared {
             shared.begin_pass();
         }
-        let outcome = match run_serve_with(&cli.serve, &control) {
+        let outcome = match daemon.pass(&control) {
             Ok(outcome) => outcome,
             Err(e) => {
                 eprintln!("flexray-serve: {e}");
@@ -223,6 +240,9 @@ fn main() -> ExitCode {
                     }
                 }
             }
+        }
+        if stop_file_found() {
+            return ExitCode::SUCCESS;
         }
     }
 }

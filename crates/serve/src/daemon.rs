@@ -1,14 +1,25 @@
 //! The queue-draining engine behind the `flexray-serve` binary.
 //!
-//! [`run_serve_with`] performs one *drain*: it reads the job queue,
+//! [`Daemon::open`] replays the journal once per process: it reads and
 //! replays the journal (recovering completed and in-flight work),
-//! truncates the journal's torn tail, journals a rejection for every
-//! malformed queue line, then hands every job — terminal ones
-//! included — to the static-plan scheduler ([`crate::scheduler`]),
-//! which runs up to [`ServeConfig::jobs`] jobs concurrently over the
-//! shared work-stealing pool. Jobs whose `end` record is journaled are
-//! **never recomputed**: their reports are rewritten straight from
-//! journal data.
+//! truncates the journal's torn tail, opens the append handle and
+//! writes the header if the journal is new. Each [`Daemon::pass`] then
+//! performs one *drain*: it re-reads the job queue (clients may append
+//! to it directly), parses it against the live [`JournalState`],
+//! journals a rejection for every new malformed queue line, and hands
+//! every job — terminal ones included — to the static-plan scheduler
+//! ([`crate::scheduler`]), which runs up to [`ServeConfig::jobs`] jobs
+//! concurrently over the shared work-stealing pool. The journal sink
+//! applies every record it appends to the live state with
+//! [`JournalState::apply`], the transition replay folds, so the state
+//! always equals a replay of the file. Jobs whose `end` record is
+//! journaled are **never recomputed**.
+//!
+//! A pass writes the report of each job whose `done` record it
+//! journaled; the first pass after an open writes the report of every
+//! done job, so a restart rewrites every completed job's report
+//! straight from journal data. [`run_serve_with`] is the one-shot
+//! entry point: open, then one pass.
 //!
 //! Points stream to the journal the moment their plan slot is reached,
 //! via unbuffered `write_all` calls — a SIGKILL can lose at most the
@@ -98,10 +109,13 @@ fn infra(what: &str, err: &dyn std::fmt::Display) -> ModelError {
 }
 
 /// The journal's append handle: unbuffered, one `write_all` per line,
-/// so a kill never loses a record that was reported as written.
+/// so a kill never loses a record that was reported as written. Every
+/// appended record is also applied to `state`, so `state` always equals
+/// a replay of the file.
 struct JournalWriter {
     file: File,
     path: PathBuf,
+    state: JournalState,
 }
 
 impl JournalSink for JournalWriter {
@@ -110,7 +124,8 @@ impl JournalSink for JournalWriter {
         line.push('\n');
         self.file
             .write_all(line.as_bytes())
-            .map_err(|e| infra(&format!("append to journal {}", self.path.display()), &e))
+            .map_err(|e| infra(&format!("append to journal {}", self.path.display()), &e))?;
+        self.state.apply(record)
     }
 }
 
@@ -118,11 +133,7 @@ impl JournalSink for JournalWriter {
 /// its point lines, straight from journal data. The codec's
 /// parse→write round trip is byte-stable, so a report rewritten from
 /// the journal is byte-identical to one written live.
-fn write_report<'a>(
-    reports: &Path,
-    spec: &JobSpec,
-    points: impl Iterator<Item = &'a Json>,
-) -> Result<(), ModelError> {
+fn write_report(reports: &Path, spec: &JobSpec, points: &[Json]) -> Result<(), ModelError> {
     let mut out = spec.kind.header_line()?;
     out.push('\n');
     for data in points {
@@ -133,14 +144,13 @@ fn write_report<'a>(
     fs::write(&path, out).map_err(|e| infra(&format!("write report {}", path.display()), &e))
 }
 
-/// Parses the queue against the replayed journal state: journals a
+/// Parses the queue against the live journal state: journals a
 /// rejection for every *new* malformed line (all of them up front,
 /// before any job starts), verifies fingerprints of already-journaled
 /// lines, and assembles the scheduler's job list.
 fn parse_queue(
     queue: &str,
-    state: &JournalState,
-    journal: &mut dyn JournalSink,
+    journal: &mut JournalWriter,
     outcome: &mut ServeOutcome,
 ) -> Result<Vec<ScheduledJob>, ModelError> {
     let mut jobs: Vec<ScheduledJob> = Vec::new();
@@ -151,7 +161,8 @@ fn parse_queue(
             continue;
         }
         let fp = line_fp(raw);
-        if let Some((_, journaled_fp, error)) = state.rejected.iter().find(|(l, _, _)| *l == lineno)
+        if let Some((_, journaled_fp, error)) =
+            journal.state.rejected.iter().find(|(l, _, _)| *l == lineno)
         {
             if *journaled_fp != fp {
                 return Err(infra(
@@ -184,7 +195,7 @@ fn parse_queue(
                 continue;
             }
         };
-        let (recovered, start_journaled, terminal) = match state.job(&spec.id) {
+        let (recovered, start_journaled, terminal) = match journal.state.job(&spec.id) {
             Some(progress) => {
                 if progress.fp != fp {
                     return Err(infra(
@@ -198,9 +209,9 @@ fn parse_queue(
                         &"journal start record disagrees with the parsed spec",
                     ));
                 }
-                (progress.points.clone(), true, progress.status.clone())
+                (progress.points.len(), true, progress.status.clone())
             }
-            None => (Vec::new(), false, None),
+            None => (0, false, None),
         };
         jobs.push(ScheduledJob {
             spec,
@@ -213,6 +224,138 @@ fn parse_queue(
     Ok(jobs)
 }
 
+/// A daemon with its journal open: the state replayed at open, kept
+/// live by every append since. See the module docs.
+pub struct Daemon {
+    cfg: ServeConfig,
+    journal: JournalWriter,
+    /// Whether no pass has run since the open: the first pass writes
+    /// the report of every done job, later ones only of the jobs they
+    /// finish.
+    first_pass: bool,
+}
+
+impl Daemon {
+    /// Opens the daemon: reads and replays the journal, truncates its
+    /// torn tail, opens the append handle, writes the header if the
+    /// journal is new, and creates the reports directory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidConfig`] on IO failures (with the
+    /// path named) or a corrupt journal (a malformed record *before*
+    /// the torn tail).
+    pub fn open(cfg: &ServeConfig) -> Result<Daemon, ModelError> {
+        let content = match fs::read_to_string(&cfg.journal) {
+            Ok(content) => content,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+            Err(e) => {
+                return Err(infra(
+                    &format!("read journal {}", cfg.journal.display()),
+                    &e,
+                ))
+            }
+        };
+        let (records, valid_len) = read_journal(&content)?;
+        let state = JournalState::replay(&records)?;
+        fs::create_dir_all(&cfg.reports)
+            .map_err(|e| infra(&format!("create reports dir {}", cfg.reports.display()), &e))?;
+
+        // Not `truncate(true)`: the valid prefix must survive — only the
+        // torn tail past `valid_len` is cut, by the `set_len` below.
+        let mut file = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(&cfg.journal)
+            .map_err(|e| infra(&format!("open journal {}", cfg.journal.display()), &e))?;
+        file.set_len(valid_len as u64)
+            .map_err(|e| infra("truncate journal torn tail", &e))?;
+        file.seek(SeekFrom::End(0))
+            .map_err(|e| infra("seek journal", &e))?;
+        let mut journal = JournalWriter {
+            file,
+            path: cfg.journal.clone(),
+            state,
+        };
+        if records.is_empty() {
+            journal.append(&Record::Header {
+                version: SERVE_SCHEMA_VERSION,
+            })?;
+        }
+        Ok(Daemon {
+            cfg: cfg.clone(),
+            journal,
+            first_pass: true,
+        })
+    }
+
+    /// The journal state: the replay at open plus every record
+    /// appended since.
+    #[must_use]
+    pub fn state(&self) -> &JournalState {
+        &self.journal.state
+    }
+
+    /// Performs one drain of the queue. See the module docs for the
+    /// crash-safety and determinism contract. `control` carries
+    /// shutdown, cancellation and status-board state shared with a
+    /// socket front-end. After an error the daemon must not run
+    /// another pass; open it again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidConfig`] on IO failures (including
+    /// a journal append failing mid-drain — e.g. a full disk — with the
+    /// journal path named) or a queue line that changed under the
+    /// journal (fingerprint mismatch). Job failures and rejected queue
+    /// lines are *not* errors — they are journaled and reported in the
+    /// [`ServeOutcome`].
+    pub fn pass(&mut self, control: &ServeControl) -> Result<ServeOutcome, ModelError> {
+        let cfg = &self.cfg;
+        let queue = fs::read_to_string(&cfg.queue)
+            .map_err(|e| infra(&format!("read queue {}", cfg.queue.display()), &e))?;
+        let mut outcome = ServeOutcome::default();
+        let jobs = parse_queue(&queue, &mut self.journal, &mut outcome)?;
+
+        let stop_file = stop_path(&cfg.journal);
+        let (results, stopped) = run_schedule(
+            &jobs,
+            cfg.jobs.max(1),
+            cfg.threads,
+            control,
+            Some(&stop_file),
+            &mut self.journal,
+        )?;
+        outcome.stopped = stopped;
+
+        for (job, result) in jobs.iter().zip(&results) {
+            // Done now and not terminal at the start of the pass: this
+            // pass journaled the job's `done` record.
+            if matches!(result.status, Some(JobStatus::Done { .. }))
+                && (job.terminal.is_none() || self.first_pass)
+            {
+                let progress = self
+                    .journal
+                    .state
+                    .job(&job.spec.id)
+                    .expect("a done job is journaled");
+                write_report(&cfg.reports, &job.spec, &progress.points)?;
+            }
+            outcome.jobs.push(JobSummary {
+                id: job.spec.id.clone(),
+                kind: job.spec.kind_name.clone(),
+                recovered: job.recovered,
+                computed: result.computed,
+                evaluations: result.evaluations,
+                status: result.status.clone(),
+            });
+        }
+        self.first_pass = false;
+        Ok(outcome)
+    }
+}
+
 /// Performs one drain of the queue with a default (inert) control
 /// block. See [`run_serve_with`].
 ///
@@ -223,96 +366,16 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, ModelError> {
     run_serve_with(cfg, &ServeControl::default())
 }
 
-/// Performs one drain of the queue. See the module docs for the
-/// crash-safety and determinism contract. `control` carries shutdown,
-/// cancellation and status-board state shared with a socket front-end.
+/// The one-shot drain: [`Daemon::open`], then one [`Daemon::pass`].
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::InvalidConfig`] on IO failures (including a
-/// journal append failing mid-drain — e.g. a full disk — with the
-/// journal path named), a corrupt journal (a malformed record *before*
-/// the torn tail), or a queue line that changed under the journal
-/// (fingerprint mismatch). Job failures and rejected queue lines are
-/// *not* errors — they are journaled and reported in the
-/// [`ServeOutcome`].
+/// The errors of [`Daemon::open`] and [`Daemon::pass`].
 pub fn run_serve_with(
     cfg: &ServeConfig,
     control: &ServeControl,
 ) -> Result<ServeOutcome, ModelError> {
-    let queue = fs::read_to_string(&cfg.queue)
-        .map_err(|e| infra(&format!("read queue {}", cfg.queue.display()), &e))?;
-    let content = match fs::read_to_string(&cfg.journal) {
-        Ok(content) => content,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => {
-            return Err(infra(
-                &format!("read journal {}", cfg.journal.display()),
-                &e,
-            ))
-        }
-    };
-    let (records, valid_len) = read_journal(&content)?;
-    let state = JournalState::replay(&records)?;
-    fs::create_dir_all(&cfg.reports)
-        .map_err(|e| infra(&format!("create reports dir {}", cfg.reports.display()), &e))?;
-
-    // Not `truncate(true)`: the valid prefix must survive — only the
-    // torn tail past `valid_len` is cut, by the `set_len` below.
-    let file = OpenOptions::new()
-        .create(true)
-        .truncate(false)
-        .write(true)
-        .open(&cfg.journal)
-        .map_err(|e| infra(&format!("open journal {}", cfg.journal.display()), &e))?;
-    file.set_len(valid_len as u64)
-        .map_err(|e| infra("truncate journal torn tail", &e))?;
-    let mut journal = JournalWriter {
-        file,
-        path: cfg.journal.clone(),
-    };
-    journal
-        .file
-        .seek(SeekFrom::End(0))
-        .map_err(|e| infra("seek journal", &e))?;
-    if records.is_empty() {
-        journal.append(&Record::Header {
-            version: SERVE_SCHEMA_VERSION,
-        })?;
-    }
-
-    let mut outcome = ServeOutcome::default();
-    let jobs = parse_queue(&queue, &state, &mut journal, &mut outcome)?;
-
-    let stop_file = stop_path(&cfg.journal);
-    let (results, stopped) = run_schedule(
-        &jobs,
-        cfg.jobs.max(1),
-        cfg.threads,
-        control,
-        Some(&stop_file),
-        &mut journal,
-    )?;
-    outcome.stopped = stopped;
-
-    for (job, result) in jobs.iter().zip(&results) {
-        if let Some(JobStatus::Done { .. }) = &result.status {
-            write_report(
-                &cfg.reports,
-                &job.spec,
-                job.recovered.iter().chain(result.new_points.iter()),
-            )?;
-        }
-        outcome.jobs.push(JobSummary {
-            id: job.spec.id.clone(),
-            kind: job.spec.kind_name.clone(),
-            recovered: job.recovered.len(),
-            computed: result.new_points.len(),
-            evaluations: result.evaluations,
-            status: result.status.clone(),
-        });
-    }
-    Ok(outcome)
+    Daemon::open(cfg)?.pass(control)
 }
 
 #[cfg(test)]
@@ -339,6 +402,7 @@ mod tests {
         let mut writer = JournalWriter {
             file,
             path: dir.clone(),
+            state: JournalState::default(),
         };
         let err = writer
             .append(&Record::Header {

@@ -28,7 +28,8 @@
 //! signature of a kill mid-append); [`JournalState::replay`] folds the
 //! records into per-job progress with full structural validation
 //! (start before point/end, contiguous point indices, nothing after
-//! end).
+//! end), one [`JournalState::apply`] per record — the same transition
+//! a live daemon applies as it appends.
 
 use flexray_bench::report::{count_field, malformed, str_field, Json};
 use flexray_model::{mix_bytes, ModelError};
@@ -273,13 +274,15 @@ pub fn read_journal(content: &str) -> Result<(Vec<Record>, usize), ModelError> {
 
 /// Where journal records go as they are produced.
 ///
-/// The daemon's sink appends to the journal file (fsync'd per record);
-/// tests substitute in-memory or failing sinks. An `Err` from
-/// [`append`](JournalSink::append) must abort the drain — the scheduler
-/// propagates it and the daemon exits with code 1 naming the journal
-/// path, never panicking.
+/// The daemon's sink appends each record to the journal file with one
+/// unbuffered write and nothing is fsync'd: a record whose append
+/// returned survives a kill of the process, not a power loss or an
+/// operating-system crash. Tests substitute in-memory or failing
+/// sinks. An `Err` from [`append`](JournalSink::append) must abort the
+/// drain — the scheduler propagates it and the daemon exits with code 1
+/// naming the journal path, never panicking.
 pub trait JournalSink {
-    /// Durably appends one record.
+    /// Appends one record.
     ///
     /// # Errors
     ///
@@ -290,7 +293,7 @@ pub trait JournalSink {
 }
 
 /// Per-job progress recovered from the journal.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobProgress {
     /// Job kind from the start record.
     pub kind: String,
@@ -305,12 +308,14 @@ pub struct JobProgress {
 }
 
 /// The fold of a journal: per-job progress plus the rejected lines.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JournalState {
     /// `(job id, progress)` in start-record order.
     pub jobs: Vec<(String, JobProgress)>,
     /// `(queue line number, fp, error)` of journaled rejections.
     pub rejected: Vec<(usize, String, String)>,
+    /// Records applied so far (the header is record 0).
+    records: usize,
 }
 
 impl JournalState {
@@ -320,8 +325,26 @@ impl JournalState {
         self.jobs.iter().find(|(j, _)| j == id).map(|(_, p)| p)
     }
 
-    /// Folds a record sequence into per-job progress, validating the
-    /// journal's structural invariants.
+    /// Folds a record sequence into per-job progress: [`apply`] over
+    /// every record, in order.
+    ///
+    /// [`apply`]: JournalState::apply
+    ///
+    /// # Errors
+    ///
+    /// The first error [`apply`](JournalState::apply) returns.
+    pub fn replay(records: &[Record]) -> Result<JournalState, ModelError> {
+        let mut state = JournalState::default();
+        for record in records {
+            state.apply(record)?;
+        }
+        Ok(state)
+    }
+
+    /// Advances the state by the journal's next record, validating the
+    /// journal's structural invariants. The one transition both
+    /// [`replay`](JournalState::replay) and the live daemon's journal
+    /// sink use.
     ///
     /// # Errors
     ///
@@ -329,93 +352,93 @@ impl JournalState {
     /// not the header (or a header reappears), a point or end record
     /// precedes its start, a start or rejected record repeats, points
     /// arrive out of order, records follow a job's end, or a done
-    /// record's point count disagrees with the journaled points.
-    pub fn replay(records: &[Record]) -> Result<JournalState, ModelError> {
+    /// record's point count disagrees with the journaled points. The
+    /// state is unchanged on error.
+    pub fn apply(&mut self, record: &Record) -> Result<(), ModelError> {
         let fail = |msg: String| Err(ModelError::InvalidConfig(format!("journal replay: {msg}")));
-        let mut state = JournalState::default();
-        for (k, record) in records.iter().enumerate() {
-            match record {
-                Record::Header { .. } => {
-                    if k != 0 {
-                        return fail(format!("header reappears at record {k}"));
-                    }
+        let k = self.records;
+        match record {
+            Record::Header { .. } => {
+                if k != 0 {
+                    return fail(format!("header reappears at record {k}"));
                 }
-                _ if k == 0 => {
-                    return fail("first record is not the schema header".into());
+            }
+            _ if k == 0 => {
+                return fail("first record is not the schema header".into());
+            }
+            Record::Rejected { line, fp, error } => {
+                if self.rejected.iter().any(|(l, _, _)| l == line) {
+                    return fail(format!("queue line {line} rejected twice"));
                 }
-                Record::Rejected { line, fp, error } => {
-                    if state.rejected.iter().any(|(l, _, _)| l == line) {
-                        return fail(format!("queue line {line} rejected twice"));
-                    }
-                    state.rejected.push((*line, fp.clone(), error.clone()));
+                self.rejected.push((*line, fp.clone(), error.clone()));
+            }
+            Record::Start {
+                job,
+                kind,
+                fp,
+                total_points,
+            } => {
+                if self.job(job).is_some() {
+                    return fail(format!("job '{job}' started twice"));
                 }
-                Record::Start {
-                    job,
-                    kind,
-                    fp,
-                    total_points,
-                } => {
-                    if state.job(job).is_some() {
-                        return fail(format!("job '{job}' started twice"));
-                    }
-                    state.jobs.push((
-                        job.clone(),
-                        JobProgress {
-                            kind: kind.clone(),
-                            fp: fp.clone(),
-                            total_points: *total_points,
-                            points: Vec::new(),
-                            status: None,
-                        },
+                self.jobs.push((
+                    job.clone(),
+                    JobProgress {
+                        kind: kind.clone(),
+                        fp: fp.clone(),
+                        total_points: *total_points,
+                        points: Vec::new(),
+                        status: None,
+                    },
+                ));
+            }
+            Record::Point { job, data } => {
+                let Some((_, progress)) = self.jobs.iter_mut().find(|(j, _)| j == job) else {
+                    return fail(format!("point for job '{job}' before its start"));
+                };
+                if progress.status.is_some() {
+                    return fail(format!("point for job '{job}' after its end"));
+                }
+                let index: usize = count_field(data, "point")?;
+                if index != progress.points.len() {
+                    return fail(format!(
+                        "job '{job}' point {index} journaled after {} point(s)",
+                        progress.points.len()
                     ));
                 }
-                Record::Point { job, data } => {
-                    let Some((_, progress)) = state.jobs.iter_mut().find(|(j, _)| j == job) else {
-                        return fail(format!("point for job '{job}' before its start"));
-                    };
-                    if progress.status.is_some() {
-                        return fail(format!("point for job '{job}' after its end"));
-                    }
-                    let index: usize = count_field(data, "point")?;
-                    if index != progress.points.len() {
+                if index >= progress.total_points {
+                    return fail(format!(
+                        "job '{job}' point {index} beyond its {} total",
+                        progress.total_points
+                    ));
+                }
+                progress.points.push(data.clone());
+            }
+            Record::End { job, status } => {
+                let Some((_, progress)) = self.jobs.iter_mut().find(|(j, _)| j == job) else {
+                    return fail(format!("end for job '{job}' before its start"));
+                };
+                if progress.status.is_some() {
+                    return fail(format!("job '{job}' ended twice"));
+                }
+                if let JobStatus::Done { points } = status {
+                    if *points != progress.points.len() || *points != progress.total_points {
                         return fail(format!(
-                            "job '{job}' point {index} journaled after {} point(s)",
-                            progress.points.len()
-                        ));
-                    }
-                    if index >= progress.total_points {
-                        return fail(format!(
-                            "job '{job}' point {index} beyond its {} total",
+                            "job '{job}' done with {points} point(s) but journaled {} of {}",
+                            progress.points.len(),
                             progress.total_points
                         ));
                     }
-                    progress.points.push(data.clone());
                 }
-                Record::End { job, status } => {
-                    let Some((_, progress)) = state.jobs.iter_mut().find(|(j, _)| j == job) else {
-                        return fail(format!("end for job '{job}' before its start"));
-                    };
-                    if progress.status.is_some() {
-                        return fail(format!("job '{job}' ended twice"));
-                    }
-                    if let JobStatus::Done { points } = status {
-                        if *points != progress.points.len() || *points != progress.total_points {
-                            return fail(format!(
-                                "job '{job}' done with {points} point(s) but journaled {} of {}",
-                                progress.points.len(),
-                                progress.total_points
-                            ));
-                        }
-                    }
-                    progress.status = Some(status.clone());
-                }
-                // A stopped marker only says the drain exited early; it
-                // changes no job state and may appear any number of
-                // times (one per interrupted drain).
-                Record::Stopped => {}
+                progress.status = Some(status.clone());
             }
+            // A stopped marker only says the drain exited early; it
+            // changes no job state and may appear any number of times
+            // (one per interrupted drain).
+            Record::Stopped => {}
         }
-        Ok(state)
+        self.records += 1;
+        Ok(())
     }
 }
 

@@ -13,12 +13,14 @@
 //! The journal is the service contract:
 //!
 //! * **Crash safety** — the daemon may be SIGKILLed at any instant; a
-//!   restart replays the journal, truncates the torn tail (at most the
-//!   final, newline-less line), and continues exactly where the journal
-//!   ends.
+//!   restart replays the journal (once, at start-up), truncates the
+//!   torn tail (at most the final, newline-less line), and continues
+//!   exactly where the journal ends.
 //! * **No recomputation** — jobs with an `end` record are never
-//!   re-evaluated (their reports are rewritten from journal data);
-//!   in-flight jobs resume from their last journaled point.
+//!   re-evaluated (a live daemon writes each report when its job
+//!   finishes; a restart rewrites every completed job's report from
+//!   journal data); in-flight jobs resume from their last journaled
+//!   point.
 //! * **Determinism** — every journal record is a pure function of the
 //!   queue content (wall-clock fields are zeroed: the *deterministic
 //!   projection*), and points are journaled strictly in queue/point
@@ -48,7 +50,7 @@ pub mod socket;
 pub mod spec;
 
 pub use control::{stop_path, JobView, ServeControl};
-pub use daemon::{run_serve, run_serve_with, JobSummary, ServeConfig, ServeOutcome};
+pub use daemon::{run_serve, run_serve_with, Daemon, JobSummary, ServeConfig, ServeOutcome};
 pub use journal::{
     read_journal, JobStatus, JournalSink, JournalState, Record, SERVE_SCHEMA, SERVE_SCHEMA_VERSION,
 };

@@ -21,7 +21,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use flexray_bench::engine::{run_plan, Job, Step};
-use flexray_bench::report::Json;
 use flexray_model::ModelError;
 
 use crate::control::{JobView, ServeControl};
@@ -36,8 +35,8 @@ pub struct ScheduledJob {
     pub spec: JobSpec,
     /// Fingerprint of the raw queue line (for the `start` record).
     pub fp: String,
-    /// Point data recovered from the journal, contiguous from point 0.
-    pub recovered: Vec<Json>,
+    /// Points the journal already holds, contiguous from point 0.
+    pub recovered: usize,
     /// Whether the journal already holds the job's `start` record.
     pub start_journaled: bool,
     /// The journaled terminal status, if any. Terminal jobs stay in
@@ -49,8 +48,8 @@ pub struct ScheduledJob {
 /// input slice.
 #[derive(Debug, Clone)]
 pub struct JobResult {
-    /// Points journaled by this drain, in point order.
-    pub new_points: Vec<Json>,
+    /// Points journaled by this drain.
+    pub computed: usize,
     /// Optimiser candidate evaluations performed by this drain.
     pub evaluations: u64,
     /// Terminal status — `None` when the drain stopped with the job
@@ -59,7 +58,7 @@ pub struct JobResult {
 }
 
 fn publish_view(control: &ServeControl, job: &ScheduledJob, result: &JobResult) {
-    let points = job.recovered.len() + result.new_points.len();
+    let points = job.recovered + result.computed;
     let (state, error, points) = match &result.status {
         None => ("running", None, points),
         Some(JobStatus::Done { points }) => ("done", None, *points),
@@ -103,14 +102,14 @@ pub fn run_schedule(
         .map(|job| Job {
             units_per_point: job.spec.kind.grid().apps_per_point,
             done: (0..job.spec.total_points())
-                .map(|p| job.terminal.is_some() || p < job.recovered.len())
+                .map(|p| job.terminal.is_some() || p < job.recovered)
                 .collect(),
         })
         .collect();
     let mut results: Vec<JobResult> = jobs
         .iter()
         .map(|job| JobResult {
-            new_points: Vec::new(),
+            computed: 0,
             evaluations: 0,
             status: job.terminal.clone(),
         })
@@ -156,12 +155,11 @@ pub fn run_schedule(
                     units: Some(units),
                 } => {
                     let job = &jobs[j];
-                    let data = job.spec.kind.fold_point(point, units);
                     journal.append(&Record::Point {
                         job: job.spec.id.clone(),
-                        data: data.clone(),
+                        data: job.spec.kind.fold_point(point, units),
                     })?;
-                    results[j].new_points.push(data);
+                    results[j].computed += 1;
                     publish_view(control, job, &results[j]);
                 }
                 // recovered or terminal: already journaled
@@ -342,7 +340,7 @@ mod tests {
         let jobs = vec![ScheduledJob {
             spec: parse_job(line).expect("valid spec"),
             fp: line_fp(line),
-            recovered: Vec::new(),
+            recovered: 0,
             start_journaled: false,
             terminal: None,
         }];

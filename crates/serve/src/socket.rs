@@ -321,6 +321,11 @@ pub fn handle_request(shared: &SocketShared, line: &str) -> String {
 }
 
 fn serve_connection(shared: &SocketShared, stream: TcpStream) {
+    // A reply line is a whole message its client waits for: send it at
+    // once rather than hold it for the client's delayed ACK (Nagle).
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -331,12 +336,10 @@ fn serve_connection(shared: &SocketShared, stream: TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
-        let reply = handle_request(shared, &line);
-        if writer
-            .write_all(reply.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .is_err()
-        {
+        // Reply and newline in one write: one segment per reply.
+        let mut reply = handle_request(shared, &line);
+        reply.push('\n');
+        if writer.write_all(reply.as_bytes()).is_err() {
             break;
         }
     }

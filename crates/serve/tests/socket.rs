@@ -1,17 +1,23 @@
 //! Socket front-end suite: strict protocol error replies (in-process,
 //! via [`handle_request`]) and the live TCP daemon (spawned binary) —
-//! submit/status/cancel/drain/shutdown round trips, plus a
+//! submit/status/cancel/drain/shutdown round trips, replies that do not
+//! stall, reports written only when their job finishes, plus a
 //! kill-mid-`submit` crash test proving the queue file is never torn.
+//! An in-process socket daemon checks that the live journal state
+//! equals a replay of the journal file after every pass.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use flexray_serve::{handle_request, parse_job, ServeControl, SocketShared};
+use flexray_serve::{
+    handle_request, parse_job, read_journal, spawn_listener, JobStatus, JournalState, ServeConfig,
+    ServeControl, SocketShared,
+};
 
 /// A tiny fuzz job spec (the fastest kind in smoke mode).
 fn spec(id: &str) -> String {
@@ -367,4 +373,175 @@ fn a_kill_mid_submit_never_tears_the_queue_file() {
         .status()
         .expect("restart daemon");
     assert!(status.success(), "post-crash drain must succeed: {status}");
+}
+
+#[test]
+fn sequential_requests_on_one_connection_do_not_stall() {
+    let dir = workdir("socket_no_stall");
+    fs::write(dir.join("jobs.jsonl"), "# empty\n").expect("write queue");
+    let daemon = spawn_daemon(&dir);
+    let mut conn = connect(&daemon.addr);
+    conn.writer.set_nodelay(true).expect("TCP_NODELAY");
+    // Each reply must leave as one segment: a reply whose newline trails
+    // in a second write waits for the client's delayed ACK (~40 ms).
+    let start = Instant::now();
+    for _ in 0..20 {
+        let reply = conn.request(r#"{"req":"status","id":"nope"}"#);
+        assert!(
+            reply.contains("unknown job id 'nope'"),
+            "status of an unknown id: {reply}"
+        );
+    }
+    let elapsed = start.elapsed();
+    let reply = conn.request(r#"{"req":"shutdown"}"#);
+    assert!(reply.contains(r#""shutdown":true"#), "shutdown: {reply}");
+    let status = wait_exit(daemon.child, Duration::from_secs(60));
+    assert!(status.success(), "graceful shutdown must exit 0: {status}");
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 sequential round trips took {elapsed:?}"
+    );
+}
+
+#[test]
+fn a_live_pass_writes_only_the_reports_of_jobs_it_finishes() {
+    let dir = workdir("socket_report_rule");
+    fs::write(dir.join("jobs.jsonl"), "# report workload\n").expect("write queue");
+    let daemon = spawn_daemon(&dir);
+    let mut conn = connect(&daemon.addr);
+    let report = |id: &str| dir.join("out").join(format!("{id}.jsonl"));
+
+    let reply = conn.request(&format!(r#"{{"req":"submit","spec":{}}}"#, spec("r1")));
+    assert!(reply.contains(r#""ok":true"#), "submit r1: {reply}");
+    let reply = conn.request(r#"{"req":"drain"}"#);
+    assert!(reply.contains(r#""drained":true"#), "drain r1: {reply}");
+    let reference = fs::read(report("r1")).expect("report r1 after its drain");
+    fs::write(report("r1"), "sentinel\n").expect("overwrite report r1");
+
+    // A later pass finishes r2 only: it must leave r1's report alone.
+    let reply = conn.request(&format!(r#"{{"req":"submit","spec":{}}}"#, spec("r2")));
+    assert!(reply.contains(r#""ok":true"#), "submit r2: {reply}");
+    let reply = conn.request(r#"{"req":"drain"}"#);
+    assert!(reply.contains(r#""drained":true"#), "drain r2: {reply}");
+    let live_r1 = fs::read_to_string(report("r1")).expect("report r1");
+    let live_r2 = fs::read(report("r2")).expect("report r2 after its drain");
+    let reply = conn.request(r#"{"req":"shutdown"}"#);
+    assert!(reply.contains(r#""shutdown":true"#), "shutdown: {reply}");
+    let status = wait_exit(daemon.child, Duration::from_secs(60));
+    assert!(status.success(), "graceful shutdown must exit 0: {status}");
+    assert_eq!(
+        live_r1, "sentinel\n",
+        "a pass rewrote the report of a job it did not finish"
+    );
+
+    // A restart rewrites every completed job's report from the journal.
+    let status = Command::new(env!("CARGO_BIN_EXE_flexray-serve"))
+        .arg(format!("queue={}", dir.join("jobs.jsonl").display()))
+        .arg(format!("journal={}", dir.join("serve.journal").display()))
+        .arg(format!("reports={}", dir.join("out").display()))
+        .arg("threads=1")
+        .arg("jobs=2")
+        .stderr(Stdio::null())
+        .status()
+        .expect("restart daemon");
+    assert!(status.success(), "one-shot restart must succeed: {status}");
+    assert_eq!(
+        fs::read(report("r1")).expect("report r1"),
+        reference,
+        "the restart must restore r1's report byte for byte"
+    );
+    assert_eq!(
+        fs::read(report("r2")).expect("report r2"),
+        live_r2,
+        "the restart must reproduce r2's live report byte for byte"
+    );
+}
+
+#[test]
+fn the_live_journal_state_equals_a_replay_of_the_file_after_every_pass() {
+    let dir = workdir("socket_live_state");
+    fs::write(
+        dir.join("jobs.jsonl"),
+        format!("{}\nnot a job spec\n", spec("l1")),
+    )
+    .expect("write queue");
+    let cfg = ServeConfig {
+        queue: dir.join("jobs.jsonl"),
+        journal: dir.join("serve.journal"),
+        reports: dir.join("out"),
+        threads: 1,
+        jobs: 2,
+    };
+    let control = Arc::new(ServeControl::default());
+    let shared = Arc::new(SocketShared::new(cfg.queue.clone(), Arc::clone(&control)));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind socket");
+    let addr = listener.local_addr().expect("socket address").to_string();
+    spawn_listener(listener, Arc::clone(&shared));
+    let mut conn = connect(&addr);
+
+    let mut daemon = flexray_serve::Daemon::open(&cfg).expect("open daemon");
+    let replayed = || {
+        let text = fs::read_to_string(&cfg.journal).expect("read journal");
+        let (records, valid_len) = read_journal(&text).expect("journal reads");
+        assert_eq!(valid_len, text.len(), "a live journal has no torn tail");
+        JournalState::replay(&records).expect("journal replays")
+    };
+    assert_eq!(daemon.state(), &replayed(), "after open");
+    let mut pass = |what: &str| {
+        shared.begin_pass();
+        let outcome = daemon.pass(&control).expect("pass");
+        shared.end_pass();
+        assert_eq!(daemon.state(), &replayed(), "after {what}");
+        outcome
+    };
+
+    // Pass 1: l1 and the malformed line from the initial queue.
+    let outcome = pass("pass 1");
+    assert_eq!(outcome.rejected.len(), 1, "the malformed line is rejected");
+
+    // Pass 2: two submits, one of them cancelled before the pass, and a
+    // malformed line a client appended to the queue file directly.
+    for id in ["l2", "l3"] {
+        let reply = conn.request(&format!(r#"{{"req":"submit","spec":{}}}"#, spec(id)));
+        assert!(reply.contains(r#""ok":true"#), "submit {id}: {reply}");
+    }
+    let reply = conn.request(r#"{"req":"cancel","id":"l2"}"#);
+    assert!(reply.contains(r#""cancelled":true"#), "cancel l2: {reply}");
+    let mut queue = fs::read_to_string(&cfg.queue).expect("read queue");
+    queue.push_str("{\"schema\":\"broken\"}\n");
+    fs::write(&cfg.queue, queue).expect("append malformed line");
+    let outcome = pass("pass 2");
+    assert_eq!(outcome.rejected.len(), 2, "both malformed lines are known");
+    let status = |id: &str| {
+        outcome
+            .jobs
+            .iter()
+            .find(|j| j.id == id)
+            .and_then(|j| j.status.clone())
+    };
+    assert_eq!(
+        status("l2"),
+        Some(JobStatus::Failed {
+            error: "cancelled by request".to_owned()
+        })
+    );
+    assert!(matches!(status("l3"), Some(JobStatus::Done { .. })));
+
+    // Pass 3: one more submit; pass 4: nothing new.
+    let reply = conn.request(&format!(r#"{{"req":"submit","spec":{}}}"#, spec("l4")));
+    assert!(reply.contains(r#""ok":true"#), "submit l4: {reply}");
+    let outcome = pass("pass 3");
+    assert_eq!(outcome.jobs.len(), 4);
+    assert!(outcome
+        .jobs
+        .iter()
+        .all(|j| j.id == "l2" || matches!(j.status, Some(JobStatus::Done { .. }))));
+    let before = fs::read(&cfg.journal).expect("read journal");
+    let outcome = pass("pass 4");
+    assert!(outcome.jobs.iter().all(|j| j.computed == 0));
+    assert_eq!(
+        fs::read(&cfg.journal).expect("read journal"),
+        before,
+        "a pass with nothing new appends nothing"
+    );
 }

@@ -33,6 +33,9 @@ pub(crate) struct DynSegment<'a> {
     /// dynamic segment (hyperperiod-relative) and effective minislot
     /// budget (the final cycle may be truncated by the hyperperiod).
     cycle_info: Vec<(Time, u32)>,
+    /// Number of dynamic slots: the highest frame identifier on the bus
+    /// (fixed for the arbiter's lifetime).
+    n_dyn: u16,
     /// CHI send buffers by frame identifier, insertion-ordered (ties in
     /// arbitration resolve against the insertion index).
     chi: BTreeMap<u16, Vec<ChiFrame>>,
@@ -41,6 +44,7 @@ pub(crate) struct DynSegment<'a> {
 impl<'a> DynSegment<'a> {
     pub(crate) fn new(sys: SystemView<'a>, cluster: u16, cycle_info: Vec<(Time, u32)>) -> Self {
         DynSegment {
+            n_dyn: sys.bus.dyn_slot_count(),
             sys,
             cluster,
             cycle_info,
@@ -74,7 +78,7 @@ impl<'a> DynSegment<'a> {
             debug_assert!(false, "dyn slot in an unknown cycle");
             return;
         };
-        let n_dyn = self.sys.bus.dyn_slot_count();
+        let n_dyn = self.n_dyn;
         if fid > n_dyn || counter > eff {
             return;
         }
