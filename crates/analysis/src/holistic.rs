@@ -9,7 +9,11 @@
 //!    extracted from the table;
 //! 3. the event-triggered side — FPS tasks and DYN messages — is solved
 //!    by a fixed-point iteration that propagates release jitter along
-//!    the task-graph edges (`J_a = max R_pred`);
+//!    the task-graph edges: the worst ready time `max R_pred` minus the
+//!    contention-free one. Each sweep visits the event-triggered
+//!    activities in topological order and reads the predecessor
+//!    responses of the same sweep (Gauss–Seidel), until a sweep moves
+//!    no jitter and no response, or 32 sweeps have run;
 //! 4. if time-triggered activities depend on event-triggered ones, the
 //!    table is rebuilt with the updated completion bounds (outer loop);
 //! 5. the cost function of Eq. (5) grades the result.

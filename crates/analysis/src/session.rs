@@ -25,6 +25,14 @@
 //!   session caches the schedule table, the per-node availabilities and
 //!   the time-triggered responses outright and only re-runs the
 //!   event-triggered fixed point per candidate;
+//! * the event-triggered fixed point is chaotic iteration in dependency
+//!   order (Bourdoncle 1993): each sweep visits the event-triggered
+//!   activities once, in topological order, and a visit derives the
+//!   activity's jitter from its predecessors' responses *of the same
+//!   sweep*, so a response change travels a whole precedence chain in
+//!   one sweep rather than one edge per sweep. Time-triggered activities
+//!   stay out of the sweep: their responses come from the table, and no
+//!   interference set reads their jitter;
 //! * every event-triggered `local` response — an FPS busy window or a
 //!   DYN-message delay — is memoised per activity. It reads the jitter
 //!   of its interference set only through arrival counts
@@ -57,6 +65,9 @@ struct Prep {
     horizon: Time,
     max_deadline: Time,
     topo: Vec<ActivityId>,
+    /// The event-triggered activities of `topo`, in its order: the
+    /// visiting order of the ET fixed point's sweeps.
+    et_topo: Vec<ActivityId>,
     /// Does any time-triggered activity depend on an event-triggered
     /// one? Decides whether the outer (table ↔ ET) loop iterates.
     tt_needs_et: bool,
@@ -83,9 +94,12 @@ pub(crate) struct SessionState {
     pub(crate) responses: Vec<Time>,
     pub(crate) diverged: Vec<ActivityId>,
     pub(crate) cost: Cost,
+    /// Contention-free completion time of every activity.
     earliest: Vec<Time>,
+    /// Contention-free ready time (latest earliest completion of the
+    /// predecessors, at least the release): the jitter's reference.
+    earliest_ready: Vec<Time>,
     jitter: Vec<Time>,
-    diverged_next: Vec<ActivityId>,
     avails: Vec<Availability>,
     /// One node's merged busy windows, on their way into `avails`.
     windows: Vec<(Time, Time)>,
@@ -106,7 +120,7 @@ pub(crate) struct SessionState {
     /// availability and the arrival counts it read of its `hp` set; a
     /// DYN message's delay is a pure function of the bus and the
     /// arrival counts it read of `hp(m) ∪ lf(m)`. Jitters that read the
-    /// same counts skip the fixed-point body — across inner iterations,
+    /// same counts skip the fixed-point body — across sweeps,
     /// and across candidates while the cached static side stays valid.
     et_memo: Vec<EtMemo>,
     /// Bumped whenever the availabilities are rebuilt (invalidates FPS
@@ -116,7 +130,7 @@ pub(crate) struct SessionState {
     /// delay depends on the bus configuration itself).
     bus_stamp: u64,
     /// Pool/packing/DP scratch of the DYN busy-window fixed point,
-    /// reused across messages, fixed-point iterations and candidates so
+    /// reused across messages, fixed-point sweeps and candidates so
     /// DYN-length sweeps run with zero steady-state allocation.
     dyn_scratch: DynScratch,
     /// Generation of the scratch's per-message pool skeletons: bumped
@@ -221,10 +235,10 @@ pub struct EtStats {
     pub dyn_runs: u64,
     /// Local responses the ET memo answered.
     pub memo_hits: u64,
-    /// Iterations of the inner (event-triggered) fixed point.
+    /// Sweeps of the inner (event-triggered) fixed point.
     pub inner_iters: u64,
-    /// Inner fixed points that stopped at the cap of 32 iterations
-    /// without converging.
+    /// Inner fixed points that stopped at the cap of 32 sweeps without
+    /// converging.
     pub inner_cap_hits: u64,
 }
 
@@ -238,8 +252,8 @@ impl Default for SessionState {
             diverged: Vec::new(),
             cost: Cost::infeasible(),
             earliest: Vec::new(),
+            earliest_ready: Vec::new(),
             jitter: Vec::new(),
-            diverged_next: Vec::new(),
             avails: Vec::new(),
             windows: Vec::new(),
             static_key: None,
@@ -355,7 +369,8 @@ const NO_ENTRY: Time = Time::from_ns(i64::MIN);
 /// depend on event-triggered ones.
 const MAX_OUTER_ITERS: usize = 4;
 
-/// Maximum inner (jitter) fixed-point iterations per outer iteration.
+/// Maximum inner (event-triggered) fixed-point sweeps per outer
+/// iteration.
 const MAX_INNER_ITERS: usize = 32;
 
 /// Divergence cap factor: responses are capped at
@@ -409,10 +424,16 @@ pub(crate) fn analyse_core(
                 }
             })
             .collect();
+        let et_topo = topo
+            .iter()
+            .copied()
+            .filter(|&id| !sys.app.activity(id).is_time_triggered())
+            .collect();
         st.prep = Some(Prep {
             horizon,
             max_deadline,
             topo,
+            et_topo,
             tt_needs_et,
             static_is_bus_independent: !has_st_messages && !tt_needs_et,
             hp_specs: hp.iter().map(|set| hp_specs(sys, set)).collect(),
@@ -452,8 +473,7 @@ pub(crate) fn analyse_core(
     let limit = horizon
         .max(prep.max_deadline)
         .saturating_mul(DIVERGENCE_FACTOR);
-    let tt_needs_et = prep.tt_needs_et;
-    let outer_iters = if tt_needs_et { MAX_OUTER_ITERS } else { 1 };
+    let outer_iters = if prep.tt_needs_et { MAX_OUTER_ITERS } else { 1 };
     let static_cached = prep.static_is_bus_independent
         && st.static_key == Some((sys.bus.phy, cfg.scs_placement))
         && st.responses_init.len() == n;
@@ -468,10 +488,8 @@ pub(crate) fn analyse_core(
             .extend(sys.app.ids().map(|id| sys.duration_of(id)));
         st.static_key = None;
     }
-    st.diverged.clear();
 
     for _outer in 0..outer_iters {
-        st.diverged.clear();
         if !static_cached {
             st.builder
                 .build_into(sys, &st.responses, cfg.scs_placement, &mut st.table)?;
@@ -515,20 +533,22 @@ pub(crate) fn analyse_core(
             }
             st.avail_stamp = st.avail_stamp.wrapping_add(1);
 
-            if st.prep.as_ref().expect("prep").static_is_bus_independent {
+            if prep.static_is_bus_independent {
                 st.static_key = Some((sys.bus.phy, cfg.scs_placement));
                 st.responses_init.clear();
                 st.responses_init.extend_from_slice(&st.responses);
             }
         }
 
-        // Earliest (contention-free) completion of every activity,
-        // topologically: time-triggered activities finish exactly at
-        // their table time (zero variability); event-triggered ones at
-        // earliest-release + duration.
+        // Earliest (contention-free) ready and completion times of every
+        // activity, topologically: time-triggered activities finish
+        // exactly at their table time (zero variability); event-triggered
+        // ones at earliest-ready + duration.
         st.earliest.clear();
         st.earliest.resize(n, Time::ZERO);
-        for &id in &st.prep.as_ref().expect("prep").topo {
+        st.earliest_ready.clear();
+        st.earliest_ready.resize(n, Time::ZERO);
+        for &id in &prep.topo {
             let a = sys.app.activity(id);
             let ready = sys
                 .app
@@ -538,6 +558,7 @@ pub(crate) fn analyse_core(
                 .max()
                 .unwrap_or(Time::ZERO)
                 .max(a.release);
+            st.earliest_ready[id.index()] = ready;
             st.earliest[id.index()] = if a.is_time_triggered() {
                 st.responses[id.index()].max(ready)
             } else {
@@ -545,42 +566,25 @@ pub(crate) fn analyse_core(
             };
         }
 
-        // Event-triggered fixed point. Interference uses release
-        // *variability* (worst ready − earliest ready), the classical
-        // holistic jitter — using the full predecessor response would
-        // double-count the chain offsets and blow up with depth.
+        // Event-triggered fixed point, one Gauss–Seidel sweep at a time
+        // in topological order. Interference uses release *variability*
+        // (worst ready − earliest ready), the classical holistic jitter
+        // — using the full predecessor response would double-count the
+        // chain offsets and blow up with depth. A visit reads its
+        // predecessors' responses of this very sweep, so a response
+        // change travels a whole precedence chain in one sweep. After a
+        // sweep every jitter agrees with the responses it was read from,
+        // so a sweep that moves no jitter and no response is a fixed
+        // point.
         st.jitter.clear();
         st.jitter.resize(n, Time::ZERO);
         let mut converged = false;
-        for _inner in 0..MAX_INNER_ITERS {
+        for _sweep in 0..MAX_INNER_ITERS {
             st.et_stats.inner_iters += 1;
-            for id in sys.app.ids() {
-                let a = sys.app.activity(id);
-                let worst_ready = sys
-                    .app
-                    .preds(id)
-                    .iter()
-                    .map(|&p| st.responses[p.index()])
-                    .max()
-                    .unwrap_or(Time::ZERO)
-                    .max(a.release);
-                let earliest_ready = sys
-                    .app
-                    .preds(id)
-                    .iter()
-                    .map(|&p| st.earliest[p.index()])
-                    .max()
-                    .unwrap_or(Time::ZERO)
-                    .max(a.release);
-                st.jitter[id.index()] = (worst_ready - earliest_ready).clamp_non_negative();
-            }
             let mut changed = false;
-            st.diverged_next.clear();
-            for id in sys.app.ids() {
+            st.diverged.clear();
+            for &id in &prep.et_topo {
                 let a = sys.app.activity(id);
-                if a.is_time_triggered() {
-                    continue;
-                }
                 let worst_ready = sys
                     .app
                     .preds(id)
@@ -589,11 +593,15 @@ pub(crate) fn analyse_core(
                     .max()
                     .unwrap_or(Time::ZERO)
                     .max(a.release);
+                let jitter = (worst_ready - st.earliest_ready[id.index()]).clamp_non_negative();
+                if jitter != st.jitter[id.index()] {
+                    st.jitter[id.index()] = jitter;
+                    changed = true;
+                }
                 // The expensive `local` response is a pure function of
                 // the arrival counts it reads (plus the stamped
                 // environment): recompute only when a jitter of the
                 // interference set leaves its memoised span.
-                let prep = st.prep.as_ref().expect("prep");
                 let hp_specs = &prep.hp_specs[id.index()];
                 let (stamp, set_a, set_b): (u64, &[ActivityId], &[ActivityId]) = match &a.kind {
                     flexray_model::ActivityKind::Task(_) => {
@@ -658,7 +666,7 @@ pub(crate) fn analyse_core(
                 let r = match local {
                     Some(local) => (worst_ready + local).min(limit),
                     None => {
-                        st.diverged_next.push(id);
+                        st.diverged.push(id);
                         limit
                     }
                 };
@@ -667,18 +675,14 @@ pub(crate) fn analyse_core(
                     changed = true;
                 }
             }
-            std::mem::swap(&mut st.diverged, &mut st.diverged_next);
             if !changed {
                 converged = true;
                 break;
             }
         }
+        st.diverged.sort_unstable();
         if !converged {
             st.et_stats.inner_cap_hits += 1;
-        }
-
-        if !tt_needs_et {
-            break;
         }
     }
 
@@ -1129,6 +1133,146 @@ mod tests {
             AnalysisConfig::default(),
         );
         let _ = session.reanalyse_dyn_length(10);
+    }
+
+    /// One Jacobi step over a finished analysis, from scratch: every
+    /// event-triggered activity's jitter from the returned responses,
+    /// then its local response with fresh interference sets, no memo and
+    /// a fresh scratch. Returns the responses and the diverged set that
+    /// step yields; a fixed point returns its own.
+    fn jacobi_step(
+        sys: SystemView<'_>,
+        cfg: &AnalysisConfig,
+        st: &SessionState,
+    ) -> (Vec<Time>, Vec<ActivityId>) {
+        let prep = st.prep.as_ref().expect("analysed");
+        let limit = prep
+            .horizon
+            .max(prep.max_deadline)
+            .saturating_mul(DIVERGENCE_FACTOR);
+        let ready = |id: ActivityId, of: &[Time]| {
+            sys.app
+                .preds(id)
+                .iter()
+                .map(|&p| of[p.index()])
+                .max()
+                .unwrap_or(Time::ZERO)
+                .max(sys.app.activity(id).release)
+        };
+        let mut earliest = vec![Time::ZERO; st.responses.len()];
+        let mut jitter = vec![Time::ZERO; st.responses.len()];
+        for id in sys.app.topological_order().expect("acyclic") {
+            let r = ready(id, &earliest);
+            if sys.app.activity(id).is_time_triggered() {
+                earliest[id.index()] = st.responses[id.index()].max(r);
+            } else {
+                earliest[id.index()] = r + sys.duration_of(id);
+                jitter[id.index()] = (ready(id, &st.responses) - r).clamp_non_negative();
+            }
+        }
+        let mut responses = st.responses.clone();
+        let mut diverged = Vec::new();
+        for id in sys.app.ids() {
+            if sys.app.activity(id).is_time_triggered() {
+                continue;
+            }
+            let (set_a, set_b) = if sys.app.activity(id).as_task().is_some() {
+                (hp_tasks(sys, id), Vec::new())
+            } else {
+                (hp_messages(sys, id), lf_messages(sys, id))
+            };
+            let local = local_response(
+                sys,
+                cfg,
+                &st.avails,
+                id,
+                &hp_specs(sys, &set_a),
+                &set_a,
+                &set_b,
+                &jitter,
+                limit,
+                &mut DynScratch::default(),
+                &mut vec![JitterSpan::ANY; set_a.len() + set_b.len()],
+                &mut 0,
+            );
+            responses[id.index()] = match local {
+                Some(local) => (ready(id, &st.responses) + local).min(limit),
+                None => {
+                    diverged.push(id);
+                    limit
+                }
+            };
+        }
+        (responses, diverged)
+    }
+
+    /// A bus for a generated application: frame identifiers in message
+    /// order, one static slot per static sender, sized for the largest
+    /// static frame.
+    fn plain_bus(app: &Application, phy: PhyParams) -> BusConfig {
+        let mut bus = BusConfig::new(phy);
+        for (i, m) in app.messages_of_class(MessageClass::Dynamic).enumerate() {
+            bus.frame_ids
+                .insert(m, FrameId::new(u16::try_from(i + 1).expect("few")));
+        }
+        let statics: Vec<ActivityId> = app.messages_of_class(MessageClass::Static).collect();
+        bus.static_slot_owners = statics.iter().filter_map(|&m| app.sender_of(m)).collect();
+        bus.static_slot_owners.sort_unstable();
+        bus.static_slot_owners.dedup();
+        bus.static_slot_len = statics
+            .iter()
+            .map(|&m| bus.comm_time(app, m))
+            .max()
+            .map_or(Time::ZERO, |c| {
+                c.round_up_to(phy.gd_macrotick).max(phy.gd_macrotick)
+            });
+        bus
+    }
+
+    #[test]
+    fn a_converged_analysis_is_a_fixed_point() {
+        use flexray_gen::{generate, GeneratorConfig};
+        // `(nodes, all event-triggered, seed)` and the DYN lengths in
+        // minislots, analysed in order on one session state. A Jacobi
+        // loop, refreshing every jitter from the previous iteration's
+        // responses, stopped at its 32-iteration cap on `paper(3)`
+        // ET-only seed 0 at 4091 minislots and on `paper(4)` ET-only
+        // seed 5 at 275 (both modes) and 515 (Exact).
+        let cases = [
+            ((2, false, 0), &[133, 400, 4000][..]),
+            ((2, true, 1), &[138, 600, 7994]),
+            ((3, false, 2), &[138, 1000]),
+            ((3, true, 0), &[101, 251, 4091]),
+            ((4, true, 5), &[155, 275, 515]),
+        ];
+        for ((nodes, et_only, seed), lengths) in cases {
+            let mut gen_cfg = GeneratorConfig::paper(nodes);
+            if et_only {
+                gen_cfg.tt_fraction = 0.0;
+            }
+            let g = generate(&gen_cfg, seed).expect("generates");
+            let mut bus = plain_bus(&g.app, gen_cfg.phy);
+            for dyn_mode in [DynAnalysisMode::Greedy, DynAnalysisMode::Exact] {
+                let cfg = AnalysisConfig {
+                    dyn_mode,
+                    ..AnalysisConfig::default()
+                };
+                let mut st = SessionState::default();
+                for &n in lengths {
+                    bus.n_minislots = n;
+                    bus.validate_for(&g.app, g.platform.len())
+                        .expect("valid candidate");
+                    let sys = SystemView::new(&g.platform, &g.app, &bus);
+                    let caps = st.et_stats.inner_cap_hits;
+                    analyse_core(sys, &cfg, &mut st).expect("analyses");
+                    let at = format!("{nodes}/{et_only}/{seed} {dyn_mode:?} n = {n}");
+                    assert_eq!(st.et_stats.inner_cap_hits, caps, "{at}: stopped at the cap");
+                    let (responses, diverged) = jacobi_step(sys, &cfg, &st);
+                    assert_eq!(responses, st.responses, "{at}");
+                    assert_eq!(diverged, st.diverged, "{at}");
+                }
+            }
+        }
     }
 
     /// SplitMix64: a deterministic stream for the span property tests.

@@ -9,6 +9,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
+mod common;
+
+use common::Reaped;
+
 /// A multi-kind workload: grid, fig9 and fuzz jobs, a malformed line
 /// and a comment. Tiny smoke-mode configs keep the 1-CPU debug-build
 /// runtime in check.
@@ -103,9 +107,11 @@ fn reference(dir: &Path, threads: usize, jobs: usize) -> (Vec<u8>, Vec<(String, 
 /// `offset` bytes. Returns false if the daemon finished first.
 fn kill_at(dir: &Path, threads: usize, jobs: usize, offset: usize) -> bool {
     let journal = dir.join("serve.journal");
-    let mut child = serve(dir, threads, jobs)
-        .spawn()
-        .expect("spawn flexray-serve");
+    let mut child = Reaped(
+        serve(dir, threads, jobs)
+            .spawn()
+            .expect("spawn flexray-serve"),
+    );
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
         let grown = fs::metadata(&journal).map_or(0, |m| m.len() as usize);

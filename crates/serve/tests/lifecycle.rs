@@ -8,6 +8,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
+mod common;
+
+use common::Reaped;
 use flexray_serve::{run_serve_with, JobStatus, ServeConfig, ServeControl};
 
 const QUEUE: &str = concat!(
@@ -118,7 +121,7 @@ fn the_stop_file_halts_the_drain_resumably_and_the_restart_converges() {
     // Drop the stop file as soon as the journal exists — the drain is
     // already past its pre-pass check, so the stop lands at a unit
     // boundary inside the drain.
-    let mut child = serve_cmd(&dir, &["jobs=2"]).spawn().expect("spawn daemon");
+    let mut child = Reaped(serve_cmd(&dir, &["jobs=2"]).spawn().expect("spawn daemon"));
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
         if journal.exists() {

@@ -14,6 +14,9 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+mod common;
+
+use common::Reaped;
 use flexray_serve::{
     handle_request, parse_job, read_journal, spawn_listener, JobStatus, JournalState, ServeConfig,
     ServeControl, SocketShared,
@@ -204,22 +207,25 @@ fn drain_returns_once_a_pass_covers_the_prior_submits() {
 // ---------------------------------------------------------------- //
 
 struct Daemon {
-    child: Child,
-    stderr: BufReader<std::process::ChildStderr>,
+    child: Reaped,
+    /// Held open for the daemon's lifetime: it keeps logging there.
+    _stderr: BufReader<std::process::ChildStderr>,
     addr: String,
 }
 
 fn spawn_daemon(dir: &Path) -> Daemon {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_flexray-serve"))
-        .arg(format!("queue={}", dir.join("jobs.jsonl").display()))
-        .arg(format!("journal={}", dir.join("serve.journal").display()))
-        .arg(format!("reports={}", dir.join("out").display()))
-        .arg("threads=1")
-        .arg("jobs=2")
-        .arg("socket=127.0.0.1:0")
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn flexray-serve");
+    let mut child = Reaped(
+        Command::new(env!("CARGO_BIN_EXE_flexray-serve"))
+            .arg(format!("queue={}", dir.join("jobs.jsonl").display()))
+            .arg(format!("journal={}", dir.join("serve.journal").display()))
+            .arg(format!("reports={}", dir.join("out").display()))
+            .arg("threads=1")
+            .arg("jobs=2")
+            .arg("socket=127.0.0.1:0")
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn flexray-serve"),
+    );
     let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
     let addr = loop {
         let mut line = String::new();
@@ -233,7 +239,7 @@ fn spawn_daemon(dir: &Path) -> Daemon {
     };
     Daemon {
         child,
-        stderr,
+        _stderr: stderr,
         addr,
     }
 }
@@ -266,7 +272,7 @@ impl ClientConn {
     }
 }
 
-fn wait_exit(mut child: Child, deadline: Duration) -> std::process::ExitStatus {
+fn wait_exit(child: &mut Child, deadline: Duration) -> std::process::ExitStatus {
     let end = Instant::now() + deadline;
     loop {
         if let Some(status) = child.try_wait().expect("poll daemon") {
@@ -281,7 +287,7 @@ fn wait_exit(mut child: Child, deadline: Duration) -> std::process::ExitStatus {
 fn daemon_serves_submit_drain_status_shutdown_over_tcp() {
     let dir = workdir("socket_live");
     fs::write(dir.join("jobs.jsonl"), "# socket workload\n").expect("write queue");
-    let daemon = spawn_daemon(&dir);
+    let mut daemon = spawn_daemon(&dir);
     let mut conn = connect(&daemon.addr);
 
     for id in ["s1", "s2"] {
@@ -311,7 +317,7 @@ fn daemon_serves_submit_drain_status_shutdown_over_tcp() {
 
     let reply = conn.request(r#"{"req":"shutdown"}"#);
     assert!(reply.contains(r#""shutdown":true"#), "shutdown: {reply}");
-    let status = wait_exit(daemon.child, Duration::from_secs(60));
+    let status = wait_exit(&mut daemon.child, Duration::from_secs(60));
     assert!(status.success(), "graceful shutdown must exit 0: {status}");
 }
 
@@ -339,7 +345,7 @@ fn a_kill_mid_submit_never_tears_the_queue_file() {
     }
     daemon.child.kill().expect("SIGKILL daemon");
     daemon.child.wait().expect("reap daemon");
-    drop(daemon.stderr);
+    drop(daemon);
 
     // The queue must be whole: newline-terminated, every non-comment
     // line a complete, parseable spec — and every acknowledged submit
@@ -379,7 +385,7 @@ fn a_kill_mid_submit_never_tears_the_queue_file() {
 fn sequential_requests_on_one_connection_do_not_stall() {
     let dir = workdir("socket_no_stall");
     fs::write(dir.join("jobs.jsonl"), "# empty\n").expect("write queue");
-    let daemon = spawn_daemon(&dir);
+    let mut daemon = spawn_daemon(&dir);
     let mut conn = connect(&daemon.addr);
     conn.writer.set_nodelay(true).expect("TCP_NODELAY");
     // Each reply must leave as one segment: a reply whose newline trails
@@ -395,7 +401,7 @@ fn sequential_requests_on_one_connection_do_not_stall() {
     let elapsed = start.elapsed();
     let reply = conn.request(r#"{"req":"shutdown"}"#);
     assert!(reply.contains(r#""shutdown":true"#), "shutdown: {reply}");
-    let status = wait_exit(daemon.child, Duration::from_secs(60));
+    let status = wait_exit(&mut daemon.child, Duration::from_secs(60));
     assert!(status.success(), "graceful shutdown must exit 0: {status}");
     assert!(
         elapsed < Duration::from_millis(400),
@@ -407,7 +413,7 @@ fn sequential_requests_on_one_connection_do_not_stall() {
 fn a_live_pass_writes_only_the_reports_of_jobs_it_finishes() {
     let dir = workdir("socket_report_rule");
     fs::write(dir.join("jobs.jsonl"), "# report workload\n").expect("write queue");
-    let daemon = spawn_daemon(&dir);
+    let mut daemon = spawn_daemon(&dir);
     let mut conn = connect(&daemon.addr);
     let report = |id: &str| dir.join("out").join(format!("{id}.jsonl"));
 
@@ -427,7 +433,7 @@ fn a_live_pass_writes_only_the_reports_of_jobs_it_finishes() {
     let live_r2 = fs::read(report("r2")).expect("report r2 after its drain");
     let reply = conn.request(r#"{"req":"shutdown"}"#);
     assert!(reply.contains(r#""shutdown":true"#), "shutdown: {reply}");
-    let status = wait_exit(daemon.child, Duration::from_secs(60));
+    let status = wait_exit(&mut daemon.child, Duration::from_secs(60));
     assert!(status.success(), "graceful shutdown must exit 0: {status}");
     assert_eq!(
         live_r1, "sentinel\n",
