@@ -5,14 +5,12 @@
 //! campaign sweeps the grid engine's point enumeration (generator
 //! corners) crossed with a set of order seeds and checks, for every
 //! schedulable optimised instance, that **no execution order can push
-//! the simulation outside the analysis**:
-//!
-//! * no precedence violation may appear under any order;
-//! * every observed response must stay within its analytic WCRT;
-//! * every observed response must meet its deadline.
-//!
-//! Any such finding is a *divergence* — evidence against either the
-//! engine's ordering policy or the analysis — and fails the campaign.
+//! the simulation outside the analysis**. Every run goes to the judge,
+//! [`SimReport::audit`]. Each of its findings (a precedence violation,
+//! unfinished jobs, an activity never observed, a response above its
+//! WCRT or above its deadline) is a *divergence*: evidence against
+//! either the engine's ordering policy or the analysis, which fails the
+//! campaign.
 //! Fuzzed runs whose response vector differs from the canonical order's
 //! (without leaving the bounds) are *order-sensitive*: a legitimate
 //! protocol race (e.g. CHI insertion order between equal-priority
@@ -29,9 +27,9 @@ use crate::engine::run_job;
 use crate::grid::{GridConfig, PointSpec, SeedPolicy};
 use crate::report::Json;
 use crate::sweep::Algo;
-use flexray_analysis::{analyse, Analysis, AnalysisConfig};
+use flexray_analysis::{analyse, AnalysisConfig};
 use flexray_gen::{generate, GeneratorConfig};
-use flexray_model::{ModelError, System};
+use flexray_model::{ModelError, System, Time};
 use flexray_opt::{obc, DynSearch, OptParams, SaParams};
 use flexray_sim::{simulate_configured, ExecutionOrder, SimConfig, SimReport};
 
@@ -189,7 +187,8 @@ pub struct FuzzPoint {
     /// a pass.
     pub divergences: Vec<String>,
     /// Tightest observed analysis margin (µs) across all runs: the
-    /// minimum of `WCRT − observed`. `None` if nothing completed.
+    /// minimum of `WCRT − observed`, negative when a response exceeds
+    /// its WCRT. `None` if nothing completed.
     pub min_margin_us: Option<f64>,
 }
 
@@ -299,44 +298,6 @@ pub struct FuzzAppOutcome {
     pub evaluations: usize,
 }
 
-/// Audits one simulation run against the analysis: collects divergences
-/// and tightens the running margin.
-fn audit_run(
-    sys: &System,
-    analysis: &Analysis,
-    ctx: &str,
-    report: &SimReport,
-    divergences: &mut Vec<String>,
-    margin: &mut Option<f64>,
-) {
-    for v in &report.violations {
-        divergences.push(format!("{ctx}: precedence violation: {v}"));
-    }
-    for id in sys.app.ids() {
-        let Some(observed) = report.response(id) else {
-            continue;
-        };
-        let name = &sys.app.activity(id).name;
-        let bound = analysis.response(id);
-        if observed > bound {
-            divergences.push(format!(
-                "{ctx}: '{name}' observed {observed} > WCRT {bound}"
-            ));
-        } else {
-            let m = (bound - observed).as_us();
-            if margin.is_none_or(|cur| m < cur) {
-                *margin = Some(m);
-            }
-        }
-        let deadline = sys.app.deadline_of(id);
-        if observed > deadline {
-            divergences.push(format!(
-                "{ctx}: '{name}' observed {observed} misses its deadline {deadline}"
-            ));
-        }
-    }
-}
-
 /// Generates, optimises and fuzz-simulates one application — the
 /// single work unit of the campaign, in [`run_fuzz`] and in
 /// [`Plan::solve_unit`](crate::args::Plan::solve_unit). Seeds follow
@@ -384,28 +345,23 @@ pub fn fuzz_app(
     };
     let mut divergences = Vec::new();
     let mut margin = None;
+    let mut judge = |ctx: String, report: &SimReport| {
+        let audit = report.audit(&sys, &analysis);
+        let found = audit.describe(&sys.app).into_iter();
+        divergences.extend(found.map(|d| format!("{ctx}: {d}")));
+        margin = margin.into_iter().chain(audit.min_margin).min();
+    };
     let canonical = sim(ExecutionOrder::Canonical)?;
     let label = &spec.label;
-    audit_run(
-        &sys,
-        &analysis,
-        &format!("{label} app {app_index} canonical"),
-        &canonical,
-        &mut divergences,
-        &mut margin,
-    );
+    judge(format!("{label} app {app_index} canonical"), &canonical);
     let mut runs = 1;
     let mut order_sensitive = 0;
     for &order_seed in &cfg.order_seeds {
         let fuzzed = sim(ExecutionOrder::Fuzzed { seed: order_seed })?;
         runs += 1;
-        audit_run(
-            &sys,
-            &analysis,
-            &format!("{label} app {app_index} order-seed {order_seed}"),
+        judge(
+            format!("{label} app {app_index} order-seed {order_seed}"),
             &fuzzed,
-            &mut divergences,
-            &mut margin,
         );
         if fuzzed.responses != canonical.responses {
             order_sensitive += 1;
@@ -416,7 +372,7 @@ pub fn fuzz_app(
         runs,
         order_sensitive,
         divergences,
-        min_margin_us: margin,
+        min_margin_us: margin.map(Time::as_us),
         evaluations,
     })
 }

@@ -61,6 +61,11 @@ impl<'a> DynSegment<'a> {
         });
     }
 
+    /// `true` while some CHI send buffer holds a frame.
+    pub(crate) fn holds_frames(&self) -> bool {
+        self.chi.values().any(|q| !q.is_empty())
+    }
+
     /// Arbitrates one dynamic slot boundary; the wake-up for the next
     /// boundary of the chain is scheduled through the kernel. Runs of
     /// empty slots are coalesced into a single jump (exact: the skipped

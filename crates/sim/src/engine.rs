@@ -52,8 +52,9 @@ pub enum ExecutionOrder {
     },
 }
 
-/// CPU-starvation guard: projections beyond `reps · H ·
-/// LIMIT_FACTOR` are treated as never completing.
+/// Starvation guard: CPU projections beyond `reps · H · LIMIT_FACTOR`
+/// are treated as never completing, and the DYN drain after the last
+/// hyperperiod stops there.
 pub(crate) const LIMIT_FACTOR: i64 = 4;
 
 /// Simulation parameters.
@@ -93,7 +94,8 @@ pub struct SimReport {
     /// deduplicated; times are hyperperiod-relative so canonical,
     /// fuzzed and compressed runs report comparably.
     pub violations: Vec<String>,
-    /// Hyperperiods actually event-stepped.
+    /// Hyperperiods actually event-stepped, not counting the drain of
+    /// the carryover after the last one.
     pub hyperperiods_simulated: i64,
     /// Hyperperiods skipped by the compression fast-forward.
     pub hyperperiods_skipped: i64,
@@ -304,9 +306,23 @@ impl<'a> Engine<'a> {
                 h.insert(key, (next_rep, self.kernel.completed));
             }
         }
-        // Drain the carryover past the last boundary (completions may
-        // trail into later hyperperiods; CPU projections are bounded by
-        // the starvation limit, dynamic chains by their cycle budgets).
+        // Drain the carryover past the last boundary: completions may
+        // trail into later hyperperiods, and CPU projections are bounded
+        // by the starvation limit. A DYN frame buffered in a CHI, or
+        // made ready later by a trailing completion, goes out only in a
+        // later cycle. So while one may be sent, the next hyperperiod's
+        // dynamic-slot chain heads are seeded, and nothing else: no
+        // activation, SCS start or ST delivery.
+        let mut boundary = self.horizon.saturating_mul(next_rep);
+        while boundary < self.kernel.limit
+            && (self.dyns.iter().any(DynSegment::holds_frames)
+                || self.kernel.dyn_frame_may_follow())
+        {
+            self.kernel.queue.seed_dyn_heads(next_rep);
+            next_rep += 1;
+            boundary = self.horizon.saturating_mul(next_rep);
+            self.process_until(boundary);
+        }
         self.process_until(Time::MAX);
         SimReport {
             responses: std::mem::take(&mut self.kernel.responses),
@@ -829,6 +845,58 @@ mod tests {
                     assert!(msg.contains(&format!("got {reps}")), "{msg}");
                 }
                 other => panic!("reps={reps} was not refused: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn frames_left_at_the_last_boundary_are_still_sent() {
+        // 20 µs cycles (8 µs static, 12 minislots), five per 100 µs
+        // hyperperiod. `s` ends after the last dynamic segment has
+        // started: at 95 µs, with `m` (4 minislots) buffered at the
+        // boundary, or at 105 µs, past it. Either way `m` goes out in
+        // the next hyperperiod's first cycle, 108–112 µs, and `r` ends
+        // at 113 µs.
+        for (wcet, release) in [(95.0, 0.0), (55.0, 50.0)] {
+            let mut app = Application::new();
+            let g = app.add_graph("g", Time::from_us(100.0), Time::from_us(100.0));
+            let s = app.add_task(
+                g,
+                "s",
+                NodeId::new(0),
+                Time::from_us(wcet),
+                SchedPolicy::Fps,
+                1,
+            );
+            app.set_release(s, Time::from_us(release));
+            let r = app.add_task(
+                g,
+                "r",
+                NodeId::new(1),
+                Time::MICROSECOND,
+                SchedPolicy::Fps,
+                1,
+            );
+            let m = app.add_message(g, "m", 8, MessageClass::Dynamic, 1);
+            app.connect(s, m, r).expect("edges");
+            let mut bus = BusConfig::new(fine_phy());
+            bus.static_slot_len = Time::from_us(8.0);
+            bus.static_slot_owners = vec![NodeId::new(0)];
+            bus.n_minislots = 12;
+            bus.frame_ids.insert(m, FrameId::new(1));
+            let sys = System::validated(Platform::with_nodes(2), app, bus).expect("valid");
+            for reps in [1, 2] {
+                for compress in [false, true] {
+                    let cfg = configured(ExecutionOrder::Canonical, reps, compress);
+                    let report = simulate_configured(&sys, &cfg).expect("simulation");
+                    let run = format!("s ends at {} µs, reps {reps}", wcet + release);
+                    assert_eq!(report.completed_jobs, report.total_jobs, "{run}");
+                    assert_eq!(report.response(m), Some(Time::from_us(112.0)), "{run}");
+                    assert_eq!(report.response(r), Some(Time::from_us(113.0)), "{run}");
+                    // the drain's hyperperiods are not simulated ones
+                    let reported = report.hyperperiods_simulated + report.hyperperiods_skipped;
+                    assert_eq!(reported, reps, "{run}");
+                }
             }
         }
     }

@@ -334,6 +334,18 @@ impl EventQueue {
         }
     }
 
+    /// Makes only the template's dynamic-slot chain heads pending for
+    /// hyperperiod `rep`: the cycles that send the DYN frames left over
+    /// after a run's last hyperperiod.
+    pub(crate) fn seed_dyn_heads(&mut self, rep: i64) {
+        let off = self.horizon.saturating_mul(rep);
+        for e in &self.template {
+            if matches!(e.signal, Signal::DynSlot { .. }) {
+                self.heap.push(Reverse(e.shifted(off, rep)));
+            }
+        }
+    }
+
     /// Schedules a wake-up with `signal` at absolute time `at`.
     pub(crate) fn push(&mut self, at: Time, signal: Signal) {
         self.heap.push(Reverse(Entry { time: at, signal }));

@@ -193,6 +193,18 @@ impl JobStore {
         true
     }
 
+    /// `true` if some job in the window is unfinished and `pred` holds
+    /// for its activity index.
+    pub(crate) fn any_unfinished(&self, pred: impl Fn(usize) -> bool) -> bool {
+        let unfinished = |slab: &RepSlab| {
+            let mut jobs = slab.jobs.iter().enumerate();
+            jobs.any(|(i, s)| !s.completed && pred(self.act_of(i)))
+        };
+        self.window
+            .iter()
+            .any(|slab| slab.incomplete > 0 && unfinished(slab))
+    }
+
     /// Drops fully completed hyperperiods older than `keep_from`.
     pub(crate) fn gc(&mut self, keep_from: i64) {
         while self.front_rep < keep_from {
@@ -342,6 +354,20 @@ impl<'a> Kernel<'a> {
             };
             self.resolve_dependency(succ, t);
         }
+    }
+
+    /// `true` while a DYN frame may still become ready: a wake-up is
+    /// pending and some job of a message that enters a CHI buffer once
+    /// ready is unfinished.
+    pub(crate) fn dyn_frame_may_follow(&self) -> bool {
+        let sys = self.sys;
+        let enters_chi = |act: usize| {
+            let id = ActivityId::new(act);
+            matches!(&sys.app.activity(id).kind,
+                ActivityKind::Message(spec) if spec.class == MessageClass::Dynamic)
+                && sys.bus_of(id).frame_id_of(id).is_some()
+        };
+        self.queue.peek_time().is_some() && self.jobs.any_unfinished(enters_chi)
     }
 
     /// Audits an SCS start against readiness.

@@ -18,8 +18,17 @@
 //!
 //! Observed response times are reported per activity and, by
 //! construction, must be bounded by the worst-case response times of
-//! `flexray-analysis` — the cross-check the integration tests and
-//! property tests perform.
+//! `flexray-analysis`. [`SimReport::audit`] is the one judge of that
+//! cross-check: it returns every way a run disagrees with the analysis
+//! as a typed [`Finding`] (a violation, unfinished jobs, an activity
+//! never observed, a response above its WCRT or above its deadline).
+//! The integration tests, the property tests and the fuzz campaign all
+//! judge through it.
+//!
+//! A run simulates whole hyperperiods and then drains the carryover:
+//! completions that trail past the last boundary, and the DYN frames
+//! still buffered there or made ready later, which go out in the
+//! dynamic segments of the following hyperperiods.
 //!
 //! The engine is one dispatch over a closed set of handlers: every
 //! wake-up drawn from the time-ordered queue names its handler by its
@@ -68,6 +77,7 @@
 //! ## Example
 //!
 //! ```
+//! use flexray_analysis::{analyse, AnalysisConfig};
 //! use flexray_model::*;
 //! use flexray_sim::simulate_default;
 //!
@@ -83,19 +93,22 @@
 //! let sys = System::validated(Platform::with_nodes(2), app, bus)?;
 //!
 //! let report = simulate_default(&sys)?;
-//! assert!(report.is_clean());
+//! let analysis = analyse(&sys, &AnalysisConfig::default())?;
+//! assert!(report.audit(&sys, &analysis).findings.is_empty());
 //! # Ok::<(), ModelError>(())
 //! ```
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+mod audit;
 mod cpu;
 mod dyn_segment;
 mod engine;
 mod event;
 mod kernel;
 
+pub use audit::{Audit, Finding};
 pub use engine::{
     simulate, simulate_configured, simulate_default, ExecutionOrder, SimConfig, SimReport,
 };

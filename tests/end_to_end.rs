@@ -43,28 +43,9 @@ fn generated_systems_round_trip_through_the_whole_stack() {
 
         if result.is_schedulable() {
             // Analysis says schedulable: the simulator must agree on
-            // every observed instance.
-            assert!(
-                report.violations.is_empty(),
-                "seed {seed}: {:?}",
-                report.violations
-            );
-            for id in sys.app.ids() {
-                if let Some(observed) = report.response(id) {
-                    assert!(
-                        observed <= analysis.response(id),
-                        "seed {seed}: '{}' observed {} > WCRT {}",
-                        sys.app.activity(id).name,
-                        observed,
-                        analysis.response(id)
-                    );
-                    assert!(
-                        observed <= sys.app.deadline_of(id),
-                        "seed {seed}: '{}' misses its deadline in simulation",
-                        sys.app.activity(id).name
-                    );
-                }
-            }
+            // every instance.
+            let findings = report.audit(&sys, &analysis).describe(&sys.app);
+            assert!(findings.is_empty(), "seed {seed}: {findings:?}");
         }
     }
 }
@@ -85,9 +66,9 @@ fn lighten(cfg: GeneratorConfig) -> GeneratorConfig {
 
 /// Simulation cross-validation over seeded scenarios: wherever the
 /// analysis declares the optimised system schedulable, the independent
-/// discrete-event simulator must agree — no deadline misses, and every
-/// analytic WCRT bounds the simulated response. Returns the number of
-/// schedulable instances checked.
+/// discrete-event simulator must agree: every job finishes, and every
+/// activity is observed within its WCRT and its deadline. Returns the
+/// number of schedulable instances checked.
 fn cross_validate(label: &str, cfg: &GeneratorConfig, seeds: &[u64]) -> usize {
     let mut checked = 0;
     for &seed in seeds {
@@ -115,27 +96,8 @@ fn cross_validate(label: &str, cfg: &GeneratorConfig, seeds: &[u64]) -> usize {
         let analysis = analyse(&sys, &AnalysisConfig::default()).expect("analysis runs");
         checked += 1;
         let report = simulate_default(&sys).expect("simulation runs");
-        assert!(
-            report.violations.is_empty(),
-            "{label} seed {seed}: {:?}",
-            report.violations
-        );
-        for id in sys.app.ids() {
-            if let Some(observed) = report.response(id) {
-                assert!(
-                    observed <= analysis.response(id),
-                    "{label} seed {seed}: '{}' observed {} > WCRT {}",
-                    sys.app.activity(id).name,
-                    observed,
-                    analysis.response(id)
-                );
-                assert!(
-                    observed <= sys.app.deadline_of(id),
-                    "{label} seed {seed}: '{}' misses its deadline in simulation",
-                    sys.app.activity(id).name
-                );
-            }
-        }
+        let findings = report.audit(&sys, &analysis).describe(&sys.app);
+        assert!(findings.is_empty(), "{label} seed {seed}: {findings:?}");
     }
     checked
 }
@@ -255,27 +217,8 @@ fn simulation_cross_validates_two_cluster_networks() {
         let analysis = analyse(net.view(), &AnalysisConfig::default()).expect("analysis runs");
         let report = simulate_default(net.view()).expect("simulation runs");
         checked += 1;
-        assert!(
-            report.violations.is_empty(),
-            "seed {seed}: {:?}",
-            report.violations
-        );
-        for id in net.app.ids() {
-            if let Some(observed) = report.response(id) {
-                assert!(
-                    observed <= analysis.response(id),
-                    "seed {seed}: '{}' observed {} > WCRT {}",
-                    net.app.activity(id).name,
-                    observed,
-                    analysis.response(id)
-                );
-                assert!(
-                    observed <= net.app.deadline_of(id),
-                    "seed {seed}: '{}' misses its deadline in simulation",
-                    net.app.activity(id).name
-                );
-            }
-        }
+        let findings = report.audit(net.view(), &analysis).describe(&net.app);
+        assert!(findings.is_empty(), "seed {seed}: {findings:?}");
     }
     assert!(checked > 0, "no schedulable two-cluster instance sampled");
 }
@@ -464,18 +407,11 @@ fn exact_dyn_mode_also_bounds_the_simulation() {
         },
     )
     .expect("exact");
+    // The system is schedulable under Exact too: the full judge holds.
+    assert!(exact.is_schedulable());
     let report = simulate_default(&sys).expect("simulation");
-    for m in sys.app.messages_of_class(MessageClass::Dynamic) {
-        if let Some(observed) = report.response(m) {
-            assert!(
-                exact.response(m) >= observed,
-                "'{}': exact WCRT {} < observed {}",
-                sys.app.activity(m).name,
-                exact.response(m),
-                observed
-            );
-        }
-    }
+    let findings = report.audit(&sys, &exact).describe(&sys.app);
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 /// Million-cycle soak on the cruise-controller case study: with
