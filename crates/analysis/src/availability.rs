@@ -4,6 +4,7 @@
 //! table" (Section 2). This module turns the busy windows of a node into
 //! a queryable availability function that repeats with the hyperperiod.
 
+use crate::divisor::Divisor;
 use flexray_model::Time;
 
 /// The periodic availability of one node: busy windows over one
@@ -11,15 +12,17 @@ use flexray_model::Time;
 ///
 /// Alongside each window it keeps the free time before the window's
 /// start, so the cumulative free time up to any instant — and its
-/// inverse — is a binary search plus one division by the hyperperiod
-/// (see [`Availability::advance`] and [`Availability::free_between`]).
+/// inverse — is a binary search plus the number of whole periods before
+/// it (see [`Availability::advance`] and [`Availability::free_between`]).
+/// That number multiplies by the reciprocal of the hyperperiod (or of the
+/// free time per hyperperiod) kept beside it instead of dividing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Availability {
-    horizon: Time,
+    horizon: Divisor,
     /// Sorted, disjoint busy windows within `[0, horizon)`.
     windows: Vec<Window>,
-    /// Free time per hyperperiod.
-    free: Time,
+    /// Free time per hyperperiod; `None` on a node without slack.
+    free: Option<Divisor>,
 }
 
 /// One busy window and the free time that precedes it.
@@ -49,10 +52,11 @@ impl Availability {
     #[must_use]
     pub fn idle(horizon: Time) -> Self {
         assert!(horizon > Time::ZERO, "horizon must be positive");
+        let horizon = Divisor::new(horizon);
         Availability {
             horizon,
             windows: Vec::new(),
-            free: horizon,
+            free: Some(horizon),
         }
     }
 
@@ -68,7 +72,7 @@ impl Availability {
             windows.windows(2).all(|w| w[0].1 <= w[1].0),
             "windows sorted"
         );
-        self.horizon = horizon;
+        self.horizon = Divisor::new(horizon);
         self.windows.clear();
         let mut busy = Time::ZERO;
         for &(start, end) in windows {
@@ -83,19 +87,20 @@ impl Availability {
             });
             busy += end - start;
         }
-        self.free = horizon - busy;
+        let free = horizon - busy;
+        self.free = (free > Time::ZERO).then(|| Divisor::new(free));
     }
 
     /// The repeating period of the availability pattern.
     #[must_use]
     pub fn horizon(&self) -> Time {
-        self.horizon
+        self.horizon.get()
     }
 
     /// Total free time per hyperperiod.
     #[must_use]
     pub fn free_per_period(&self) -> Time {
-        self.free
+        self.free.map_or(Time::ZERO, Divisor::get)
     }
 
     /// Earliest start `s ≥ from` of a contiguous free interval of length
@@ -149,22 +154,20 @@ impl Availability {
         if demand <= Time::ZERO {
             return Some(start);
         }
-        if self.free <= Time::ZERO {
-            return None;
-        }
+        let free = self.free?;
         let target = free_at_start + demand;
         // The completion lies `r` free units into the period `k` with
         // `k·F < target ≤ (k+1)·F`, in the free stretch that ends at the
         // first window with at least `r` free time before it (or at the
         // horizon).
-        let k = (target - Time::NANOSECOND).div_floor(self.free);
-        let r = target - self.free * k;
+        let k = free.div_floor(target - Time::NANOSECOND);
+        let r = target - free.get() * k;
         let j = self.windows.partition_point(|w| w.free_before < r);
         let (stretch, free_at_stretch) = match j.checked_sub(1) {
             Some(i) => (self.windows[i].end, self.windows[i].free_before),
             None => (Time::ZERO, Time::ZERO),
         };
-        let stretch = self.horizon * k + stretch;
+        let stretch = self.horizon.get() * k + stretch;
         if stretch.max(start) > limit {
             return None;
         }
@@ -185,8 +188,8 @@ impl Availability {
     /// Free time in `[0, t)` (negative for `t < 0`): whole periods plus
     /// the free time of the last partial one.
     pub(crate) fn free_until(&self, t: Time) -> Time {
-        let k = t.div_floor(self.horizon);
-        let local = t - self.horizon * k;
+        let k = self.horizon.div_floor(t);
+        let local = t - self.horizon.get() * k;
         let j = self.windows.partition_point(|w| w.start <= local);
         let partial = match j.checked_sub(1) {
             Some(i) => {
@@ -195,7 +198,7 @@ impl Availability {
             }
             None => local,
         };
-        self.free * k + partial
+        self.free_per_period() * k + partial
     }
 
     /// The busy windows `(start, end)` of one hyperperiod.

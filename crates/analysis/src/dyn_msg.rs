@@ -23,6 +23,7 @@ use std::ops::Range;
 
 use flexray_model::{ActivityId, MessageClass, SystemView, Time};
 
+use crate::divisor::Divisor;
 use crate::session::JitterSpan;
 
 /// How the set of filled bus cycles is maximised.
@@ -104,8 +105,8 @@ struct LfEntry {
     id: u16,
     /// Extra minislots consumed beyond the idle one.
     extra: u32,
-    /// Arrival divisor of the message.
-    period: Time,
+    /// Period of the message, the divisor of its arrival count.
+    period: Divisor,
     /// Arrivals within the current busy window (monotone in `t`).
     arrivals: i64,
 }
@@ -154,7 +155,7 @@ impl LfPool {
                 src: u32::try_from(k).expect("lf fits u32"),
                 id: fid,
                 extra: sys.bus.minislots_of(sys.app, j).saturating_sub(1),
-                period: sys.app.period_of(j),
+                period: Divisor::new(sys.app.period_of(j)),
                 arrivals: 0,
             });
         }
@@ -393,6 +394,8 @@ pub(crate) struct DynScratch {
     pool: LfPool,
     /// Arrival count per `hp(m)` message at the current busy window.
     hp_arrivals: Vec<i64>,
+    /// Period per `hp(m)` message, the divisor of its arrival count.
+    hp_periods: Vec<Divisor>,
     /// Per-cycle head levels (one per identifier, Greedy mode).
     cand: Vec<usize>,
     /// The pool levels chosen for the cycle being filled (Exact mode),
@@ -447,13 +450,14 @@ pub(crate) struct DynScratch {
     /// Cycle selections answered by the memo.
     memo_hits: u64,
     /// Session-managed per-message pool skeletons (entries with zero
-    /// arrivals, and their levels) flattened into two arenas, valid for
-    /// one `skel_gen`.
+    /// arrivals, and their levels) and `hp(m)` periods, flattened into
+    /// three arenas, valid for one `skel_gen`.
     skel_entries: Vec<LfEntry>,
     skel_levels: Vec<LfLevel>,
-    /// Per-activity ranges into `skel_entries` and `skel_levels`;
-    /// `None` = not cached.
-    skel_range: Vec<Option<(Range<usize>, Range<usize>)>>,
+    skel_hp: Vec<Divisor>,
+    /// Per-activity ranges into `skel_entries`, `skel_levels` and
+    /// `skel_hp`; `None` = not cached.
+    skel_range: Vec<Option<[Range<usize>; 3]>>,
     /// Generation of the cached skeletons: 0 = unmanaged (every call
     /// rebuilds), set by the owning session via
     /// [`DynScratch::begin_candidate`].
@@ -473,34 +477,47 @@ impl DynScratch {
             self.skel_gen = generation;
             self.skel_entries.clear();
             self.skel_levels.clear();
+            self.skel_hp.clear();
             self.skel_range.clear();
         }
     }
 
     /// Prepares the scratch for one message's fixed point: restores the
-    /// message's pool skeleton if the generation holds one, otherwise
-    /// rebuilds (and, under session management, caches) it.
+    /// message's pool skeleton and `hp(m)` periods if the generation
+    /// holds them, otherwise rebuilds (and, under session management,
+    /// caches) them.
     fn begin(&mut self, sys: SystemView<'_>, m: ActivityId, hp: &[ActivityId], lf: &[ActivityId]) {
         self.hp_arrivals.clear();
         self.hp_arrivals.resize(hp.len(), 0);
         self.msg = u32::try_from(m.index()).expect("activity index fits u32");
         if self.skel_gen == 0 {
             self.memo.clear();
-            self.pool.rebuild(sys, lf);
+            self.rebuild(sys, hp, lf);
             return;
         }
         if self.skel_range.len() <= m.index() {
             self.skel_range.resize(m.index() + 1, None);
         }
-        if let Some((entries, levels)) = self.skel_range[m.index()].clone() {
+        if let Some([entries, levels, hp_range]) = self.skel_range[m.index()].clone() {
             self.pool
                 .restore(&self.skel_entries[entries], &self.skel_levels[levels]);
+            self.hp_periods.clear();
+            self.hp_periods.extend_from_slice(&self.skel_hp[hp_range]);
         } else {
-            self.pool.rebuild(sys, lf);
+            self.rebuild(sys, hp, lf);
             let entries = stash(&mut self.skel_entries, &self.pool.entries);
             let levels = stash(&mut self.skel_levels, &self.pool.levels);
-            self.skel_range[m.index()] = Some((entries, levels));
+            let hp_range = stash(&mut self.skel_hp, &self.hp_periods);
+            self.skel_range[m.index()] = Some([entries, levels, hp_range]);
         }
+    }
+
+    /// Rebuilds the pool from `lf` and the periods of `hp`.
+    fn rebuild(&mut self, sys: SystemView<'_>, hp: &[ActivityId], lf: &[ActivityId]) {
+        self.pool.rebuild(sys, lf);
+        self.hp_periods.clear();
+        self.hp_periods
+            .extend(hp.iter().map(|&j| Divisor::new(sys.app.period_of(j))));
     }
 
     /// `(filled, leftover)` of packing the current pool on a copy with a
@@ -941,7 +958,7 @@ pub(crate) fn dyn_delay_with(
         // cycle; arrivals are monotone in t, so only the delta is added.
         let hp_before = hp_filled;
         for (k, &j) in hp.iter().enumerate() {
-            let arrivals = hp_spans[k].arrivals(t, jitter[j.index()], sys.app.period_of(j));
+            let arrivals = hp_spans[k].arrivals(t, jitter[j.index()], scratch.hp_periods[k]);
             hp_filled += arrivals - scratch.hp_arrivals[k];
             scratch.hp_arrivals[k] = arrivals;
         }

@@ -30,6 +30,7 @@
 //! of the counts read.
 
 use crate::availability::Availability;
+use crate::divisor::Divisor;
 use crate::session::JitterSpan;
 use flexray_model::{ActivityId, SchedPolicy, SystemView, Time};
 
@@ -62,7 +63,7 @@ pub(crate) struct HpTask {
     /// Activity index, into the jitter vector.
     pub(crate) index: usize,
     pub(crate) wcet: Time,
-    pub(crate) period: Time,
+    pub(crate) period: Divisor,
 }
 
 /// The [`HpTask`] of every member of `hp`, in order.
@@ -71,7 +72,7 @@ pub(crate) fn hp_specs(sys: SystemView<'_>, hp: &[ActivityId]) -> Vec<HpTask> {
         .map(|&j| HpTask {
             index: j.index(),
             wcet: sys.app.activity(j).as_task().expect("hp task").wcet,
-            period: sys.app.period_of(j),
+            period: Divisor::new(sys.app.period_of(j)),
         })
         .collect()
 }

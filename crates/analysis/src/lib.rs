@@ -46,6 +46,7 @@
 
 mod availability;
 mod cost;
+mod divisor;
 mod dyn_msg;
 mod fps;
 mod holistic;

@@ -39,7 +39,10 @@
 //!   `⌈max(t + J, 0)/T⌉` at the busy-window steps it visits, so it is a
 //!   pure function of the counts it read, not of the exact jitter. The
 //!   memo keeps, per member, the [`JitterSpan`] over which those counts
-//!   stay put, and recomputes only when a jitter leaves its span.
+//!   stay put, and recomputes only when a jitter leaves its span;
+//! * no arrival count runs a divide: counts of 0 and 1 are answered on
+//!   a branch, and larger ones multiply by the reciprocal of the period
+//!   (a [`Divisor`]) that each member's entry keeps beside it.
 //!
 //! Results are bit-identical to [`analyse`](crate::analyse): the session
 //! only skips work it can prove is input-independent, never approximates.
@@ -48,6 +51,7 @@
 
 use crate::availability::Availability;
 use crate::cost::{cost_of, Cost};
+use crate::divisor::Divisor;
 use crate::dyn_msg::{dyn_delay_with, hp_messages, lf_messages, DynScratch};
 use crate::fps::{fps_local_response_with, hp_specs, hp_tasks, HpTask};
 use crate::holistic::{Analysis, AnalysisConfig};
@@ -190,13 +194,25 @@ impl JitterSpan {
     /// Reads the arrival count `a = ⌈max(t + jitter, 0)/period⌉` of a
     /// busy window of length `t`, narrowing the span to the jitters with
     /// the same count: `((a−1)T − t, aT − t]`, or `(−∞, −t]` for `a = 0`.
-    pub(crate) fn arrivals(&mut self, t: Time, jitter: Time, period: Time) -> i64 {
-        let a = (t + jitter).clamp_non_negative().div_ceil(period);
+    ///
+    /// Counts of 0 and 1 are answered on a branch; larger ones multiply
+    /// by the period's reciprocal, with no divide either way.
+    pub(crate) fn arrivals(&mut self, t: Time, jitter: Time, period: Divisor) -> i64 {
+        let x = t + jitter;
+        let a = if x <= Time::ZERO {
+            0
+        } else if x <= period.get() {
+            1
+        } else {
+            period.div_ceil_positive(x)
+        };
+        debug_assert_eq!(a, x.clamp_non_negative().div_ceil(period.get()));
         if a == 0 {
             self.hi = self.hi.min(-t);
         } else {
-            self.lo = self.lo.max(period * (a - 1) - t);
-            self.hi = self.hi.min(period * a - t);
+            let hi = period.get() * a - t;
+            self.lo = self.lo.max(hi - period.get());
+            self.hi = self.hi.min(hi);
         }
         a
     }

@@ -43,7 +43,7 @@ use crate::grid::{solve_app, AppRun, GridConfig, GridPoint, WorkloadSource};
 use crate::report::{point_to_json, GridReportHeader, Json};
 use crate::sweep::{parse_algo_set, parse_thread_count, search_mode, SweepAxis};
 use crate::workload::Workload;
-use flexray_model::ModelError;
+use flexray_model::{ModelError, MAX_STATIC_SLOTS};
 
 /// A harness front-end, selecting which keys [`parse`] accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,6 +237,23 @@ fn list<T: std::str::FromStr>(key: &str, value: &str) -> Result<Vec<T>, ModelErr
         .map_err(|_| invalid(format!("invalid value list '{value}' for key '{key}'")))
 }
 
+/// The `nodes=` list, every count between 1 and [`MAX_STATIC_SLOTS`]:
+/// a system has at least one node, more nodes than a cycle has static
+/// slots cannot be configured, and an unbounded count overflows the
+/// Fig. 9 seed offsets (`1000·n`).
+fn node_counts(value: &str) -> Result<Vec<usize>, ModelError> {
+    let counts: Vec<usize> = list("nodes", value)?;
+    if counts
+        .iter()
+        .any(|&n| !(1..=usize::from(MAX_STATIC_SLOTS)).contains(&n))
+    {
+        return Err(invalid(format!(
+            "invalid value list '{value}' for key 'nodes': between 1 and {MAX_STATIC_SLOTS} nodes"
+        )));
+    }
+    Ok(counts)
+}
+
 fn read_workload(path: &str) -> Result<WorkloadSource, ModelError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| invalid(format!("cannot read workload file '{path}': {e}")))?;
@@ -286,11 +303,11 @@ pub fn parse<S: AsRef<str>>(kind: Kind, tokens: &[S]) -> Result<Args, ModelError
         }
         match key {
             "nodes" if kind == Kind::Fig9 => {
-                let preset = fig9::grid(list(key, value)?);
+                let preset = fig9::grid(node_counts(value)?);
                 cfg.axes = preset.axes;
                 cfg.seed_policy = preset.seed_policy;
             }
-            "nodes" => cfg.axes.push(SweepAxis::NodeCount(list(key, value)?)),
+            "nodes" => cfg.axes.push(SweepAxis::NodeCount(node_counts(value)?)),
             "depth" => {
                 let depths: Vec<usize> = list(key, value)?;
                 if depths.contains(&0) {
@@ -456,6 +473,12 @@ mod tests {
             (Kind::Fuzz, &["nodes=2", "algos=bbc"], "'algos'"),
             (Kind::Fuzz, &["nodes=2", "csv=r.csv"], "'csv'"),
             (Kind::Fuzz, &["apps=1"], "axis"),
+            (Kind::Grid, &["nodes=18446744073709551615"], "'nodes'"),
+            (Kind::Fig9, &["nodes=2,18446744073709551615"], "'nodes'"),
+            (Kind::Sweep, &["nodes=1024"], "'nodes'"),
+            (Kind::Fuzz, &["nodes=2,1024"], "'nodes'"),
+            (Kind::Grid, &["nodes=0"], "'nodes'"),
+            (Kind::Fig9, &["nodes=0,2"], "'nodes'"),
         ];
         for &(kind, tokens, needle) in cases {
             let err = parse(kind, tokens)
@@ -505,6 +528,14 @@ mod tests {
                 assert_eq!(cfg.sa, sa);
             }
         }
+    }
+
+    #[test]
+    fn node_counts_up_to_the_static_slot_limit_parse() {
+        let cfg = grid_of(Kind::Fig9, &["nodes=1023"]);
+        assert_eq!(cfg.seed_policy, SeedPolicy::PointOffsets(vec![1_023_000]));
+        let cfg = grid_of(Kind::Grid, &["nodes=2,1023"]);
+        assert_eq!(cfg.axes, vec![SweepAxis::NodeCount(vec![2, 1023])]);
     }
 
     #[test]

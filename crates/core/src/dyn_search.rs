@@ -38,7 +38,7 @@ use crate::evaluator::Evaluator;
 use crate::newton::NewtonPoly;
 use crate::params::OptParams;
 use flexray_analysis::Cost;
-use flexray_model::{Application, BusConfig, Time, MAX_CYCLE, MAX_MINISLOTS};
+use flexray_model::{Application, BusConfig, Time};
 
 /// Number of initial interpolation points of the curve fit (Fig. 8:
 /// five, evenly spaced across the candidate lengths).
@@ -100,14 +100,8 @@ pub(crate) fn dyn_bounds(app: &Application, bus: &BusConfig) -> Option<(u32, u32
     if bus.frame_ids.is_empty() {
         return None;
     }
-    let min = bus.min_minislots(app).max(1);
-    let budget = MAX_CYCLE - bus.st_bus();
-    if budget <= Time::ZERO {
-        return None;
-    }
-    let fit = u32::try_from(budget / bus.phy.gd_minislot).unwrap_or(u32::MAX);
-    let max = fit.min(MAX_MINISLOTS);
-    (min <= max).then_some((min, max))
+    bus.dyn_lengths(app)
+        .map(|lengths| (*lengths.start(), *lengths.end()))
 }
 
 /// The candidate grid [`determine_dyn_length`] sweeps for the given

@@ -70,45 +70,37 @@ fn sweep_dyn_lengths(
     template: &BusConfig,
     lengths: &[u32],
 ) -> Vec<Option<Cost>> {
-    let mut out = Vec::with_capacity(lengths.len());
-    let mut candidate: Option<BusConfig> = None;
-    // Length of the sweep candidate the session last analysed; set
-    // once the session's retained bus is template-shaped.
-    let mut analysed_n: Option<u32> = None;
-    for &n in lengths {
-        if let Some(prev_n) = analysed_n {
-            // The session already holds template-with-prev_n: flip
-            // the length in place, re-validate, re-analyse.
-            session
-                .last_bus_mut()
-                .expect("analysed_n implies a retained bus")
-                .n_minislots = n;
-            if !is_valid(session, session.last_bus().expect("retained")) {
-                // Restore the retained bus so it keeps describing
-                // the candidate the session state was analysed for.
-                session.last_bus_mut().expect("retained").n_minislots = prev_n;
-                out.push(None);
-                continue;
+    // Only the length varies: validate the rest of the layout once, and
+    // each length against the range the layout allows.
+    let valid = template
+        .validate_layout_for_cluster(
+            session.app(),
+            session.platform().len(),
+            session.cluster_map(),
+            0,
+        )
+        .ok()
+        .and_then(|()| template.dyn_lengths(session.app()));
+    let mut bus = template.clone();
+    // Whether the session retains a template-shaped bus to re-analyse
+    // at another length.
+    let mut retained = false;
+    lengths
+        .iter()
+        .map(|&n| {
+            if !valid.as_ref().is_some_and(|range| range.contains(&n)) {
+                return None;
             }
-            analysed_n = Some(n);
-            out.push(Some(
-                session
-                    .reanalyse_dyn_length(n)
-                    .unwrap_or_else(|_| Cost::infeasible()),
-            ));
-        } else {
-            let bus = candidate.get_or_insert_with(|| template.clone());
-            bus.n_minislots = n;
-            let (cost, ran) = analyse_one(session, bus);
-            // analyse_one stored the bus in the session unless
-            // validation rejected the candidate.
-            if ran {
-                analysed_n = Some(n);
-            }
-            out.push(ran.then_some(cost));
-        }
-    }
-    out
+            let cost = if retained {
+                session.reanalyse_dyn_length(n)
+            } else {
+                retained = true;
+                bus.n_minislots = n;
+                session.analyse_into(&bus)
+            };
+            Some(cost.unwrap_or_else(|_| Cost::infeasible()))
+        })
+        .collect()
 }
 
 impl Evaluator {
@@ -518,6 +510,77 @@ mod tests {
         let retained = ev.session().last_bus().expect("retained");
         assert_eq!(retained.n_minislots, 40);
         assert_eq!(ev.session().cost(), costs[0]);
+    }
+
+    /// On generated single- and multi-cluster sessions a sweep analyses
+    /// exactly the lengths in `[0, MAX_MINISLOTS + 1]` that full
+    /// validation accepts (none for a broken layout).
+    #[test]
+    fn sweep_accepts_exactly_the_valid_lengths() {
+        use crate::bbc::skeleton;
+        use flexray_gen::{generate, GeneratorConfig};
+        // With 1 µs minislots the longest segment fits the 16 ms cycle.
+        let unit = GeneratorConfig {
+            phy: PhyParams::unit(),
+            ..GeneratorConfig::paper(3)
+        };
+        for (cfg, seed) in [
+            (GeneratorConfig::paper(3), 1),
+            (unit, 3),
+            (GeneratorConfig::clustered(5, 2), 2),
+        ] {
+            let g = generate(&cfg, seed).expect("generated");
+            let msg_cluster = derive_msg_clusters(&g.app, &g.node_cluster, &g.gateways);
+            let buses: Vec<BusConfig> = (0..g.clusters)
+                .map(|c| {
+                    let c = u16::try_from(c).expect("cluster fits u16");
+                    let mut bus = skeleton(&g.platform, &g.app, cfg.phy, &msg_cluster, c);
+                    bus.n_minislots = bus.min_minislots(&g.app).max(1);
+                    bus
+                })
+                .collect();
+            let session = AnalysisSession::with_network(
+                g.platform.clone(),
+                g.app.clone(),
+                buses[1..].to_vec(),
+                msg_cluster,
+                AnalysisConfig::default(),
+            );
+            let mut broken = buses[0].clone();
+            broken.frame_ids.pop_first().expect("a DYN frame");
+            // The broken layout is probed where the intact one is valid.
+            let (mut lo, mut hi) = (1, 1);
+            for template in [&buses[0], &broken] {
+                let valid: Vec<u32> = (0..=MAX_MINISLOTS + 1)
+                    .filter(|&n| {
+                        let bus = BusConfig {
+                            n_minislots: n,
+                            ..template.clone()
+                        };
+                        is_valid(&session, &bus)
+                    })
+                    .collect();
+                assert_eq!(valid.is_empty(), std::ptr::eq(template, &broken));
+                if cfg.phy == PhyParams::unit() && !valid.is_empty() {
+                    assert_eq!(valid.last(), Some(&MAX_MINISLOTS));
+                }
+                if let (Some(&first), Some(&last)) = (valid.first(), valid.last()) {
+                    (lo, hi) = (first, last);
+                }
+                let lengths = [0, lo - 1, lo, lo + 1, hi, hi + 1, MAX_MINISLOTS + 1];
+                let mut ev = Evaluator::over_session(AnalysisSession::with_network(
+                    g.platform.clone(),
+                    g.app.clone(),
+                    buses[1..].to_vec(),
+                    session.cluster_map().to_vec(),
+                    AnalysisConfig::default(),
+                ));
+                let swept = ev.evaluate_valid_dyn_lengths(template, &lengths);
+                let analysed: Vec<bool> = swept.iter().map(Option::is_some).collect();
+                let want: Vec<bool> = lengths.iter().map(|n| valid.contains(n)).collect();
+                assert_eq!(analysed, want, "lengths {lengths:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// A complete FlexRay bus configuration.
 ///
@@ -143,10 +144,38 @@ impl BusConfig {
     pub fn min_minislots(&self, app: &Application) -> u32 {
         let mut need = u32::from(self.dyn_slot_count());
         for (&m, &fid) in &self.frame_ids {
-            let lm = self.minislots_of(app, m);
-            need = need.max(u32::try_from(fid.preceding_slots()).expect("u16 fits") + lm);
+            need = need.max(self.frame_need(app, m, fid));
         }
         need
+    }
+
+    /// The dynamic-segment length `(FrameID_m − 1) + len_m` that the
+    /// frame of `message` needs to fit at all.
+    fn frame_need(&self, app: &Application, message: ActivityId, fid: FrameId) -> u32 {
+        u32::try_from(fid.preceding_slots()).expect("u16 fits") + self.minislots_of(app, message)
+    }
+
+    /// The dynamic-segment lengths, in minislots, this layout can take:
+    /// from [`Self::min_minislots`] up to the longest segment within
+    /// [`MAX_MINISLOTS`] whose cycle stays within [`MAX_CYCLE`]; `None`
+    /// when no length is valid. A layout that passes
+    /// [`Self::validate_layout_for_cluster`] passes
+    /// [`Self::validate_for_cluster`] at exactly these lengths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gd_minislot` is not positive or a `frame_ids` key is
+    /// not a message of `app` (both rejected by the layout validation).
+    #[must_use]
+    pub fn dyn_lengths(&self, app: &Application) -> Option<RangeInclusive<u32>> {
+        let budget = MAX_CYCLE - self.st_bus();
+        if budget < Time::ZERO {
+            // The static segment alone overruns the cycle.
+            return None;
+        }
+        let fit = u32::try_from(budget.div_floor(self.phy.gd_minislot)).unwrap_or(u32::MAX);
+        let (min, max) = (self.min_minislots(app), fit.min(MAX_MINISLOTS));
+        (min <= max).then_some(min..=max)
     }
 
     /// Validates the configuration against the protocol limits and an
@@ -187,13 +216,12 @@ impl BusConfig {
         msg_cluster: &[u16],
         cluster: u16,
     ) -> Result<(), ModelError> {
-        let cluster_of = |m: ActivityId| msg_cluster.get(m.index()).copied().unwrap_or(0);
-        self.phy.validate()?;
-        if self.static_slot_count() > usize::from(MAX_STATIC_SLOTS) {
-            return Err(ModelError::ProtocolLimit(format!(
-                "{} static slots exceed the maximum of {MAX_STATIC_SLOTS}",
-                self.static_slot_count()
-            )));
+        self.validate_layout_for_cluster(app, n_nodes, msg_cluster, cluster)?;
+        if self
+            .dyn_lengths(app)
+            .is_some_and(|lengths| lengths.contains(&self.n_minislots))
+        {
+            return Ok(());
         }
         if self.n_minislots > MAX_MINISLOTS {
             return Err(ModelError::ProtocolLimit(format!(
@@ -205,6 +233,47 @@ impl BusConfig {
             return Err(ModelError::ProtocolLimit(format!(
                 "gdCycle {} exceeds the 16 ms maximum",
                 self.gd_cycle()
+            )));
+        }
+        // Within both limits but outside the range: below the length
+        // some frame needs, and every frame needs at least its slot.
+        let (message, need) = self
+            .frame_ids
+            .iter()
+            .map(|(&m, &fid)| (m, self.frame_need(app, m, fid)))
+            .find(|&(_, need)| need > self.n_minislots)
+            .expect("a length below min_minislots leaves some frame unfit");
+        Err(ModelError::FrameTooLarge {
+            message,
+            context: format!(
+                "dynamic segment of {} minislots (needs {need})",
+                self.n_minislots
+            ),
+        })
+    }
+
+    /// Everything [`Self::validate_for_cluster`] checks except the
+    /// dynamic-segment length, which may then be any length of
+    /// [`Self::dyn_lengths`]: a sweep over lengths validates the layout
+    /// once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::validate_for_cluster`], except the errors that only
+    /// the length causes.
+    pub fn validate_layout_for_cluster(
+        &self,
+        app: &Application,
+        n_nodes: usize,
+        msg_cluster: &[u16],
+        cluster: u16,
+    ) -> Result<(), ModelError> {
+        let cluster_of = |m: ActivityId| msg_cluster.get(m.index()).copied().unwrap_or(0);
+        self.phy.validate()?;
+        if self.static_slot_count() > usize::from(MAX_STATIC_SLOTS) {
+            return Err(ModelError::ProtocolLimit(format!(
+                "{} static slots exceed the maximum of {MAX_STATIC_SLOTS}",
+                self.static_slot_count()
             )));
         }
         for &owner in &self.static_slot_owners {
@@ -255,7 +324,7 @@ impl BusConfig {
             }
         }
 
-        // Dynamic messages: assigned, single node per frame id, fits.
+        // Dynamic messages: assigned, single node per frame id.
         let mut frame_nodes: BTreeMap<FrameId, NodeId> = BTreeMap::new();
         for m in app.messages_of_class(MessageClass::Dynamic) {
             if cluster_of(m) != cluster {
@@ -282,17 +351,6 @@ impl BusConfig {
                 }
             } else {
                 frame_nodes.insert(fid, sender);
-            }
-            let lm = self.minislots_of(app, m);
-            let need = u32::try_from(fid.preceding_slots()).expect("u16 fits") + lm;
-            if need > self.n_minislots {
-                return Err(ModelError::FrameTooLarge {
-                    message: m,
-                    context: format!(
-                        "dynamic segment of {} minislots (needs {need})",
-                        self.n_minislots
-                    ),
-                });
             }
         }
         for &m in self.frame_ids.keys() {
@@ -487,6 +545,36 @@ mod tests {
         bus.frame_ids.insert(dy, FrameId::new(3));
         let lm = bus.minislots_of(&app, dy);
         assert_eq!(bus.min_minislots(&app), 2 + lm);
+    }
+
+    #[test]
+    fn dyn_lengths_are_the_valid_lengths() {
+        let (app, _, dy) = app_with_messages();
+        let lm = unit_bus().minislots_of(&app, dy);
+        // 2, 20 and 25 static slots of 661 µs leave room for every
+        // length, for 2,780 minislots, and for none.
+        for (slots, end) in [(2, Some(MAX_MINISLOTS)), (20, Some(2780)), (25, None)] {
+            let mut bus = unit_bus();
+            bus.frame_ids.insert(dy, FrameId::new(3));
+            bus.static_slot_len = Time::from_us(661.0);
+            bus.static_slot_owners = (0..slots).map(|i| NodeId::new(i % 2)).collect();
+            let lengths = bus.dyn_lengths(&app);
+            assert_eq!(lengths, end.map(|end| 2 + lm..=end));
+            assert!(bus.validate_layout_for_cluster(&app, 2, &[], 0).is_ok());
+            for n in 0..=MAX_MINISLOTS + 1 {
+                bus.n_minislots = n;
+                let valid = lengths.as_ref().is_some_and(|l| l.contains(&n));
+                assert_eq!(bus.validate_for(&app, 2).is_ok(), valid, "{n}");
+            }
+        }
+        // A static segment of exactly 16 ms leaves room for no minislot,
+        // which suits a bus without DYN frames and no other.
+        let mut bus = unit_bus();
+        bus.static_slot_len = Time::from_us(640.0);
+        bus.static_slot_owners = (0..25).map(|i| NodeId::new(i % 2)).collect();
+        assert_eq!(bus.dyn_lengths(&app), Some(0..=0));
+        bus.frame_ids.insert(dy, FrameId::new(1));
+        assert_eq!(bus.dyn_lengths(&app), None);
     }
 
     #[test]

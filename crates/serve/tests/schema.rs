@@ -132,3 +132,48 @@ fn malformed_queue_lines_are_journaled_and_skipped_not_fatal() {
         .count();
     assert_eq!(rejected, 1, "the rejection must be journaled");
 }
+
+#[test]
+fn a_poison_node_count_is_rejected_and_the_next_job_runs() {
+    let dir = workdir("schema_poison_nodes");
+    // `bad` used to panic the daemon under the scheduler, and again on
+    // every restart, so `good` never ran.
+    let queue = concat!(
+        r#"{"schema":"flexray-serve-job","version":1,"id":"bad","kind":"grid","args":["nodes=18446744073709551615","apps=1","mode=smoke","algos=bbc"]}"#,
+        "\n",
+        r#"{"schema":"flexray-serve-job","version":1,"id":"good","kind":"grid","args":["nodes=2","apps=1","mode=smoke","algos=bbc"]}"#,
+        "\n",
+    );
+    fs::write(dir.join("jobs.jsonl"), queue).expect("write queue");
+    let cfg = ServeConfig {
+        queue: dir.join("jobs.jsonl"),
+        journal: dir.join("serve.journal"),
+        reports: dir.join("out"),
+        threads: 1,
+        jobs: 1,
+    };
+    let outcome = run_serve(&cfg).expect("the queue drains");
+    assert_eq!(outcome.rejected.len(), 1);
+    let (line, error) = &outcome.rejected[0];
+    assert_eq!(*line, 1);
+    assert!(
+        error.contains("'nodes'"),
+        "rejection must name the key: {error}"
+    );
+    assert_eq!(outcome.jobs.len(), 1);
+    assert!(matches!(
+        outcome.jobs[0].status,
+        Some(JobStatus::Done { .. })
+    ));
+
+    let journal = fs::read_to_string(dir.join("serve.journal")).expect("read journal");
+    let rejected: Vec<String> = journal
+        .lines()
+        .filter_map(|l| match Record::parse(l) {
+            Ok(Record::Rejected { line: 1, error, .. }) => Some(error),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rejected.len(), 1, "the rejection must be journaled");
+    assert!(rejected[0].contains("'nodes'"), "{}", rejected[0]);
+}

@@ -82,6 +82,25 @@ fn malformed_requests_get_error_replies_naming_the_offending_token() {
 }
 
 #[test]
+fn submit_refuses_a_node_count_above_the_static_slot_limit() {
+    let dir = workdir("socket_poison_nodes");
+    fs::write(dir.join("jobs.jsonl"), "# empty\n").expect("write queue");
+    let shared = shared(&dir);
+    let bad = r#"{"schema":"flexray-serve-job","version":1,"id":"bad","kind":"grid","args":["nodes=18446744073709551615","apps=1","mode=smoke"]}"#;
+    let reply = handle_request(&shared, &format!(r#"{{"req":"submit","spec":{bad}}}"#));
+    assert!(reply.starts_with(r#"{"ok":false"#), "accepted: {reply}");
+    assert!(
+        reply.contains("'nodes'"),
+        "error must name the key: {reply}"
+    );
+    assert_eq!(
+        fs::read_to_string(dir.join("jobs.jsonl")).expect("read queue"),
+        "# empty\n",
+        "a refused submit must not touch the queue"
+    );
+}
+
+#[test]
 fn submit_appends_the_canonical_line_and_refuses_duplicates() {
     let dir = workdir("socket_submit");
     fs::write(dir.join("jobs.jsonl"), "# header comment\n").expect("write queue");

@@ -11,6 +11,10 @@
 //! * `advance` and `free_between` are compared with the stretch-by-
 //!   stretch walk they replaced, kept below as the reference, including
 //!   the instants where `advance`'s `limit` starts to bite;
+//! * both are checked again where their count of whole hyperperiods
+//!   changes — instants either side of `0` and `H`, free-time targets
+//!   of `F` and `F + 1` — on nodes with no windows, with no free time,
+//!   and from negative starts;
 //! * on tables with many windows, where the analysis settles most
 //!   window starts with one supply check, the response is compared with
 //!   a plain loop that runs a busy window at every start.
@@ -136,6 +140,78 @@ fn walk_free_between(horizon: Time, windows: &[(Time, Time)], a: Time, b: Time) 
         period_index += 1;
     }
     free
+}
+
+/// `free_between` and `advance` against the walks where their count of
+/// whole hyperperiods changes: the instants `−H−1, −1, 0, H−1, H, 3H`,
+/// and from each of them the demands that put the free-time target
+/// `free_until(start) + demand` at `0`, `1`, `F` and `F + 1` (`F` = free
+/// time per hyperperiod), where the demand is positive.
+fn check_slack_edges(h: i64, windows: &[(Time, Time)]) -> Result<(), TestCaseError> {
+    let horizon = Time::from_ns(h);
+    let avail = Availability::new(horizon, windows.to_vec());
+    let free = avail.free_per_period();
+    let instants = [-h - 1, -1, 0, h - 1, h, 3 * h].map(Time::from_ns);
+    for &a in &instants {
+        for &b in instants.iter().filter(|&&b| b >= a) {
+            prop_assert_eq!(
+                avail.free_between(a, b),
+                walk_free_between(horizon, windows, a, b),
+                "free_between({}, {}) over {:?} / {} ns",
+                a,
+                b,
+                windows,
+                h
+            );
+        }
+    }
+    for &start in &instants {
+        let free_at_start = if start >= Time::ZERO {
+            avail.free_between(Time::ZERO, start)
+        } else {
+            -avail.free_between(start, Time::ZERO)
+        };
+        let targets = [Time::ZERO, Time::NANOSECOND, free, free + Time::NANOSECOND];
+        let demands = targets.map(|target| target - free_at_start);
+        for demand in demands.into_iter().filter(|&d| d > Time::ZERO) {
+            let far = start + horizon * 8;
+            let done = avail.advance(start, demand, far);
+            if free == Time::ZERO {
+                prop_assert_eq!(done, None, "a node without slack never completes");
+            }
+            for limit in [start, far] {
+                prop_assert_eq!(
+                    avail.advance(start, demand, limit),
+                    walk_advance(horizon, windows, start, demand, limit),
+                    "advance({}, {}, {}) over {:?} / {} ns",
+                    start,
+                    demand,
+                    limit,
+                    windows,
+                    h
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The period-boundary edges on fixed tables: no windows, no free time, a
+/// window at `0`, one ending at `H`, and a one-nanosecond hyperperiod.
+#[test]
+fn slack_edges_on_fixed_tables() {
+    let ns = |s: i64, f: i64| (Time::from_ns(s), Time::from_ns(f));
+    let tables = [
+        (100, vec![]),
+        (100, vec![ns(0, 100)]),
+        (100, vec![ns(0, 10), ns(40, 55)]),
+        (100, vec![ns(30, 60), ns(90, 100)]),
+        (1, vec![]),
+        (1, vec![ns(0, 1)]),
+    ];
+    for (h, windows) in tables {
+        check_slack_edges(h, &windows).unwrap();
+    }
 }
 
 /// An FPS task of the brute force: wcet, period, jitter (ns), priority.
@@ -325,6 +401,18 @@ proptest! {
                 "advance({}, {}, {}) over {:?} / {} ns", start, demand, limit, windows, h
             );
         }
+    }
+
+    /// The period-boundary edges on random tables.
+    #[test]
+    fn slack_edges_match_the_walks(
+        h in 1i64..=200,
+        mode in 0u8..6,
+        gaps in prop::collection::vec(prop::sample::select(vec![0i64, 0, 1, 2, 3, 7, 19, 40]), 0..8),
+        lens in prop::collection::vec(1i64..40, 8..9),
+        to_end in any::<bool>(),
+    ) {
+        check_slack_edges(h, &windows(h, mode, &gaps, &lens, to_end))?;
     }
 
     /// Tables of 20–60 windows, windows at 0 and at the horizon,
